@@ -14,7 +14,6 @@ from .em import (
     FitResult,
     e_step,
     fit,
-    fit_ablation,
     fit_multi_restart,
     init_responsibilities,
     m_step,
@@ -30,6 +29,7 @@ from .io import (
 )
 from .metrics import ContingencyTable, adjusted_rand_index, contingency_table
 from .model import (
+    ClassStats,
     FeatureMatrix,
     Graph,
     ModelParams,
@@ -46,6 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffiliationSpec",
+    "ClassStats",
     "ContingencyTable",
     "EMConfig",
     "EmptyClassError",
@@ -61,7 +62,6 @@ __all__ = [
     "e_step",
     "exact_log_marginal",
     "fit",
-    "fit_ablation",
     "fit_multi_restart",
     "generate",
     "grid_specs",

@@ -4,35 +4,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .em import EMConfig, fit_ablation, fit_multi_restart
+from .em import EMConfig, fit_multi_restart
 from .harness import run_grid
-from .io import check_pair, read_features, read_graph, write_features, \
-    write_graph, write_result
+from .io import read_features, read_graph, write_csv, write_features, \
+    write_graph, write_labels, write_result
+from .model import MODES
 from .selection import icl_score, select_q
 from .simulate import AffiliationSpec, SETTINGS, generate, grid_specs
-
-
-@dataclass
-class RunManifest:
-    """Validated invocation: mode, inputs, outputs, and EM overrides."""
-
-    mode: str
-    out_dir: Path
-    seed: int
-    cfg: EMConfig
-    graph_path: Path | None = None
-    features_path: Path | None = None
-
-    def __post_init__(self):
-        for path in (self.graph_path, self.features_path):
-            if path is not None and not path.is_file():
-                raise ValueError(f"input file not found: {path}")
-        self.out_dir.mkdir(parents=True, exist_ok=True)
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -55,8 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--graph", required=True)
     fit_p.add_argument("--features", required=True)
     fit_p.add_argument("--q", type=int, required=True, help="number of classes")
-    fit_p.add_argument("--mode", default="joint",
-                       choices=("joint", "graph-only", "features-only"))
+    fit_p.add_argument("--mode", default="joint", choices=MODES)
     _add_common(fit_p)
 
     sel_p = sub.add_parser("select-q", help="scan a class-count range")
@@ -97,20 +79,19 @@ def _config(args) -> EMConfig:
                     rng_seed=args.seed)
 
 
+def _read_inputs(args):
+    for path in (args.graph, args.features):
+        if not Path(path).is_file():
+            raise ValueError(f"input file not found: {path}")
+    return read_graph(args.graph), read_features(args.features)
+
+
 def _cmd_fit(args) -> int:
-    manifest = RunManifest(mode="fit", out_dir=Path(args.out), seed=args.seed,
-                           cfg=_config(args), graph_path=Path(args.graph),
-                           features_path=Path(args.features))
-    graph = read_graph(manifest.graph_path)
-    features = read_features(manifest.features_path)
-    check_pair(graph, features)
-    if args.mode == "joint":
-        result = fit_multi_restart(graph, features, args.q, manifest.cfg)
-        result.icl = icl_score(result, graph, features)
-    else:
-        result = fit_ablation(graph, features, args.q, manifest.cfg,
-                              mode=args.mode)
-    paths = write_result(result, manifest.out_dir)
+    graph, features = _read_inputs(args)
+    result = fit_multi_restart(graph, features, args.q, _config(args),
+                               mode=args.mode)
+    result.icl = icl_score(result, graph, features)
+    paths = write_result(result, args.out)
     print(f"fitted q={args.q} mode={args.mode} "
           f"bound={result.final_bound:.6f} converged={result.converged}")
     for name, path in paths.items():
@@ -119,25 +100,17 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_select_q(args) -> int:
-    manifest = RunManifest(mode="select-q", out_dir=Path(args.out),
-                           seed=args.seed, cfg=_config(args),
-                           graph_path=Path(args.graph),
-                           features_path=Path(args.features))
-    graph = read_graph(manifest.graph_path)
-    features = read_features(manifest.features_path)
-    check_pair(graph, features)
-    scan = select_q(graph, features, args.qmin, args.qmax, manifest.cfg)
-    scan_path = manifest.out_dir / "scan.csv"
-    with scan_path.open("w", encoding="utf-8") as handle:
-        handle.write("q,icl,final_bound,status\n")
-        for q in range(args.qmin, args.qmax + 1):
-            if q in scan.scores:
-                result = scan.results[q]
-                handle.write(f"{q},{scan.scores[q]!r},"
-                             f"{result.final_bound!r},ok\n")
-            else:
-                handle.write(f"{q},,,{scan.failures.get(q, 'failed')}\n")
-    paths = write_result(scan.best, manifest.out_dir)
+    graph, features = _read_inputs(args)
+    scan = select_q(graph, features, args.qmin, args.qmax, _config(args))
+    paths = write_result(scan.best, args.out)
+    rows = [("q", "icl", "final_bound", "status")]
+    for q in range(args.qmin, args.qmax + 1):
+        if q in scan.scores:
+            rows.append((q, repr(scan.scores[q]),
+                         repr(scan.results[q].final_bound), "ok"))
+        else:
+            rows.append((q, "", "", scan.failures.get(q, "failed")))
+    scan_path = write_csv(Path(args.out) / "scan.csv", rows)
     print(f"selected q={scan.selected_q} over {args.qmin}..{args.qmax}")
     print(f"wrote scan: {scan_path}")
     for name, path in paths.items():
@@ -150,22 +123,18 @@ def _write_dataset(spec: AffiliationSpec, out_dir: Path):
     graph, features, labels = generate(spec)
     write_graph(out_dir / "graph.tsv", graph)
     write_features(out_dir / "features.csv", features)
-    with (out_dir / "labels.csv").open("w", encoding="utf-8") as handle:
-        handle.write("vertex,label\n")
-        for i, label in enumerate(labels):
-            handle.write(f"{i},{int(label)}\n")
+    write_labels(out_dir / "labels.csv", labels)
     print(f"wrote dataset: {out_dir} "
           f"(n={spec.n}, q={spec.n_classes}, p={spec.n_features})")
 
 
 def _cmd_simulate(args) -> int:
-    manifest = RunManifest(mode="simulate", out_dir=Path(args.out),
-                           seed=args.seed, cfg=_config(args))
+    out_dir = Path(args.out)
     if args.setting:
         for index, spec in enumerate(grid_specs(args.setting, n=args.n)):
             child = np.random.SeedSequence(args.seed, spawn_key=(index,))
             spec = replace(spec, seed=int(child.generate_state(1)[0]))
-            _write_dataset(spec, manifest.out_dir / f"{args.setting}{index:02d}")
+            _write_dataset(spec, out_dir / f"{args.setting}{index:02d}")
         return 0
     if args.q is None or args.lam is None or args.epsilon is None:
         raise ValueError("explicit simulation needs --q, --lambda and --epsilon")
@@ -174,24 +143,23 @@ def _cmd_simulate(args) -> int:
         within_prob=args.lam, between_prob=args.epsilon,
         mean_gap=args.gap, seed=args.seed,
     )
-    _write_dataset(spec, manifest.out_dir)
+    _write_dataset(spec, out_dir)
     return 0
 
 
 def _cmd_grid(args) -> int:
-    manifest = RunManifest(mode="grid", out_dir=Path(args.out),
-                           seed=args.seed, cfg=_config(args))
+    out_dir = Path(args.out)
     scan_range = None
     if (args.scan_qmin is None) != (args.scan_qmax is None):
         raise ValueError("--scan-qmin and --scan-qmax must be given together")
     if args.scan_qmin is not None:
         scan_range = (args.scan_qmin, args.scan_qmax)
     records = run_grid(args.setting, replicates=args.replicates,
-                       cfg=manifest.cfg, out_dir=manifest.out_dir,
+                       cfg=_config(args), out_dir=out_dir,
                        seed=args.seed, scan_range=scan_range)
     failures = sum(record.status != "ok" for record in records)
     print(f"grid setting={args.setting}: {len(records)} replicates, "
-          f"{failures} failures -> {manifest.out_dir / 'results.csv'}")
+          f"{failures} failures -> {out_dir / 'results.csv'}")
     return 0
 
 

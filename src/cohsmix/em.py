@@ -12,25 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import logsumexp
 
 from .model import (
     PI_EPS,
     SIGMA2_FLOOR,
+    ClassStats,
     FeatureMatrix,
     Graph,
     ModelParams,
     check_responsibilities,
-    edge_log_likelihood,
-    feature_log_likelihood,
+    check_rows,
+    mode_terms,
     one_hot,
     partition_from_responsibilities,
-    proportion_log_likelihood,
-    responsibility_entropy,
     squared_distances,
 )
 
-MODES = ("joint", "graph-only", "features-only")
 INIT_STRATEGIES = ("random-dirichlet", "feature-kmeans", "graph-degree-quantile")
 
 EMPTY_CLASS_MASS = 1e-10
@@ -88,22 +86,15 @@ class FitResult:
         return self.bound_trace[-1]
 
 
-def _mode_flags(mode: str):
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    return mode != "features-only", mode != "graph-only"
-
-
 def mode_lower_bound(graph: Graph, features: FeatureMatrix, resp,
                      params: ModelParams, mode: str = "joint") -> float:
-    """Lower bound with the edge or feature term dropped per ablation mode."""
-    use_edges, use_features = _mode_flags(mode)
-    total = proportion_log_likelihood(resp, params.alpha)
-    if use_edges:
-        total += edge_log_likelihood(graph.adjacency, resp, params.pi)
-    if use_features:
-        total += feature_log_likelihood(features, resp, params.mu, params.sigma2)
-    return total + responsibility_entropy(resp)
+    """Lower bound with the edge or feature term dropped per ablation mode.
+
+    ``resp`` is a responsibility matrix or the :class:`ClassStats` of one.
+    """
+    stats = resp if isinstance(resp, ClassStats) \
+        else ClassStats(graph, features, resp)
+    return stats.bound(params, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -186,65 +177,40 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     best iterate seen (start included) is returned instead.
     """
     cfg = cfg or EMConfig()
-    use_edges, use_features = _mode_flags(mode)
+    use_edges, use_features = mode_terms(mode)
     resp = check_responsibilities(resp, graph.n, params.n_classes)
     n, n_classes = resp.shape
     if n_classes == 1:
         return np.ones((n, 1))
 
-    adjacency = graph.adjacency
     with np.errstate(divide="ignore"):
         log_alpha = np.log(params.alpha)
         log_pi = np.log(params.pi)
         log_not = np.log1p(-params.pi)
+    d2 = squared_distances(features.values, params.mu)
+    gauss = -d2 / (2.0 * params.sigma2) if use_features and features.p else 0.0
 
-    if use_features and features.p:
-        d2 = squared_distances(features.values, params.mu)
-        gauss = -d2 / (2.0 * params.sigma2)
-        gauss_const = -0.5 * features.p * np.log(2.0 * np.pi * params.sigma2) * n
-    else:
-        d2 = None
-        gauss = 0.0
-        gauss_const = 0.0
-
-    def bound_at(current, edges_on=None):
-        # Cheap evaluation reusing the sweep's heavy matmul when available.
-        col = current.sum(axis=0)
-        total = float(xlogy(col, params.alpha).sum())
-        if use_edges:
-            if edges_on is None:
-                edges_on = adjacency @ current
-            on = current.T @ edges_on
-            off = np.outer(col, col) - current.T @ current - on
-            total += 0.5 * float(xlogy(on, params.pi).sum()
-                                 + xlogy(off, 1.0 - params.pi).sum())
-        if d2 is not None:
-            total += gauss_const - float((current * d2).sum()) / (2.0 * params.sigma2)
-        return total + responsibility_entropy(current)
-
-    def sweep(current):
+    def sweep(stats):
         logits = np.tile(log_alpha, (n, 1))
-        edges_on = None
         if use_edges:
-            edges_on = adjacency @ current
-            col = current.sum(axis=0)
-            edges_off = (col[None, :] - current) - edges_on
-            logits = logits + edges_on @ log_pi.T + edges_off @ log_not.T
-        if d2 is not None:
-            logits = logits + gauss
+            edges_off = (stats.col[None, :] - stats.resp) - stats.adj_resp
+            logits = logits + stats.adj_resp @ log_pi.T + edges_off @ log_not.T
+        logits = logits + gauss
         logits -= logsumexp(logits, axis=1, keepdims=True)
         update = np.exp(logits)
         update /= update.sum(axis=1, keepdims=True)
-        return update, edges_on
+        return update
 
     start_bound = None
     best_bound = -np.inf
     best_resp = resp
     current = resp
     for _ in range(cfg.max_fixedpoint_sweeps):
-        update, edges_on = sweep(current)
+        # The sweep and the bound of ``current`` share one adjacency product.
+        stats = ClassStats(graph, features, current)
+        update = sweep(stats)
         if use_edges or start_bound is None:
-            value = bound_at(current, edges_on)
+            value = stats.bound(params, mode, d2)
             if start_bound is None:
                 start_bound = value
             if value > best_bound:
@@ -254,7 +220,7 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
         if residual <= cfg.fixedpoint_tol:
             break
 
-    final_bound = bound_at(current)
+    final_bound = ClassStats(graph, features, current).bound(params, mode, d2)
     if final_bound >= start_bound - 1e-9:
         return current
     return best_resp if best_bound > final_bound else current
@@ -275,15 +241,11 @@ def m_step(graph: Graph, features: FeatureMatrix, resp: np.ndarray,
         If any class has total mass below 1e-10; the fit driver reacts by
         re-seeding that class.
     """
-    use_edges, use_features = _mode_flags(mode)
-    resp = np.asarray(resp, dtype=np.float64)
-    if resp.ndim != 2 or resp.shape[0] != graph.n:
-        raise ValueError(
-            f"responsibilities must have {graph.n} rows, got shape {resp.shape}"
-        )
-    resp = check_responsibilities(resp, graph.n, resp.shape[1])
-    n, n_classes = resp.shape
-    col = resp.sum(axis=0)
+    use_edges, use_features = mode_terms(mode)
+    stats = resp if isinstance(resp, ClassStats) else ClassStats(
+        graph, features, check_responsibilities(resp, graph.n))
+    n, n_classes = stats.resp.shape
+    col = stats.col
     empty = np.nonzero(col < EMPTY_CLASS_MASS)[0]
     if empty.size:
         raise EmptyClassError(empty.tolist())
@@ -291,8 +253,7 @@ def m_step(graph: Graph, features: FeatureMatrix, resp: np.ndarray,
     alpha = col / n
 
     if use_edges:
-        on = resp.T @ (graph.adjacency @ resp)
-        den = np.outer(col, col) - resp.T @ resp
+        on, den = stats.on, stats.pairs
         with np.errstate(invalid="ignore", divide="ignore"):
             pi = np.where(den > 0, on / np.where(den > 0, den, 1.0), 0.5)
         pi = (pi + pi.T) / 2.0
@@ -302,9 +263,8 @@ def m_step(graph: Graph, features: FeatureMatrix, resp: np.ndarray,
 
     p = features.p
     if use_features and p:
-        mu = (resp.T @ features.values) / col[:, None]
-        scatter = float((resp * squared_distances(features.values, mu)).sum())
-        sigma2 = max(scatter / (p * n), sigma2_floor)
+        mu = (stats.resp.T @ features.values) / col[:, None]
+        sigma2 = max(stats.scatter(mu) / (p * n), sigma2_floor)
     else:
         mu = np.zeros((n_classes, p))
         sigma2 = sigma2_floor
@@ -333,8 +293,9 @@ def _reseed_empty_classes(resp: np.ndarray, empty_classes) -> np.ndarray:
 
 def _m_step_with_rescue(graph, features, resp, mode, attempts=_RESCUE_ATTEMPTS):
     for attempt in range(attempts + 1):
+        stats = ClassStats(graph, features, resp)
         try:
-            return m_step(graph, features, resp, mode=mode), resp
+            return m_step(graph, features, stats, mode=mode), stats
         except EmptyClassError as err:
             if attempt == attempts:
                 raise
@@ -357,31 +318,30 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
     empty-class re-seed) is rolled back and the run stops there.
     """
     cfg = cfg or EMConfig()
-    if features.n != graph.n:
-        raise ValueError(
-            f"features have {features.n} rows but the graph has {graph.n} vertices"
-        )
+    check_rows(graph, features)
+    _, use_features = mode_terms(mode)
     if resp_init is None:
         rng = np.random.default_rng(cfg.rng_seed)
         # The graph-only mode must not see the features anywhere, the
         # initialisation included.
-        init_features = features if mode != "graph-only" \
+        init_features = features if use_features \
             else FeatureMatrix.empty(graph.n)
         resp = init_responsibilities(graph, init_features, n_classes,
                                      cfg.init_strategy, rng)
     else:
         resp = check_responsibilities(resp_init, graph.n, n_classes)
 
-    params, resp = _m_step_with_rescue(graph, features, resp, mode)
-    trace = [mode_lower_bound(graph, features, resp, params, mode)]
+    params, stats = _m_step_with_rescue(graph, features, resp, mode)
+    trace = [mode_lower_bound(graph, features, stats, params, mode)]
     converged = False
     for _ in range(cfg.max_em_iters):
-        new_resp = e_step(graph, features, params, resp, cfg, mode)
-        new_params, new_resp = _m_step_with_rescue(graph, features, new_resp, mode)
-        value = mode_lower_bound(graph, features, new_resp, new_params, mode)
+        new_resp = e_step(graph, features, params, stats.resp, cfg, mode)
+        new_params, new_stats = _m_step_with_rescue(graph, features, new_resp,
+                                                    mode)
+        value = mode_lower_bound(graph, features, new_stats, new_params, mode)
         if value < trace[-1] - 1e-9:
             break
-        resp, params = new_resp, new_params
+        stats, params = new_stats, new_params
         previous = trace[-1]
         trace.append(value)
         if abs(value - previous) <= cfg.bound_rel_tol * max(1.0, abs(previous)):
@@ -390,20 +350,23 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
 
     return FitResult(
         params=params,
-        responsibilities=resp,
-        partition=partition_from_responsibilities(resp),
+        responsibilities=stats.resp,
+        partition=partition_from_responsibilities(stats.resp),
         bound_trace=trace,
         converged=converged,
         mode=mode,
     )
 
 
-def _restart_strategy(index: int, cfg: EMConfig, has_features: bool) -> str:
+def _restart_strategy(index: int, cfg: EMConfig, has_features: bool,
+                      has_edges: bool) -> str:
     if has_features:
         if index == 0:
             return "feature-kmeans"
-        if index == 1:
+        if index == 1 and has_edges:
             return "graph-degree-quantile"
+        return cfg.init_strategy
+    if not has_edges:
         return cfg.init_strategy
     # Without usable features, k-means falls back to the adjacency rows;
     # those hard starts escape the symmetric fixed point that traps soft
@@ -411,14 +374,15 @@ def _restart_strategy(index: int, cfg: EMConfig, has_features: bool) -> str:
     return "graph-degree-quantile" if index == 0 else "feature-kmeans"
 
 
-def restart_configs(cfg: EMConfig, has_features: bool) -> list[EMConfig]:
+def restart_configs(cfg: EMConfig, has_features: bool,
+                    has_edges: bool = True) -> list[EMConfig]:
     """Per-restart configs: distinct derived seeds, varied init strategies."""
     children = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.n_restarts)
     return [
         replace(
             cfg,
             rng_seed=int(child.generate_state(1)[0]),
-            init_strategy=_restart_strategy(r, cfg, has_features),
+            init_strategy=_restart_strategy(r, cfg, has_features, has_edges),
         )
         for r, child in enumerate(children)
     ]
@@ -430,15 +394,17 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
     """Best-of-``cfg.n_restarts`` EM runs, selected by final bound.
 
     Restart seeds derive from ``cfg.rng_seed``; the first two restarts use
-    the structured initialisers, the rest ``cfg.init_strategy`` (k-means on
-    the adjacency rows when there are no usable features). Ties keep the
-    earliest restart. Raises if every restart fails.
+    the structured initialisers the mode can read, the rest
+    ``cfg.init_strategy`` (k-means on the adjacency rows when there are no
+    usable features). Ties keep the earliest restart. Raises if every
+    restart fails.
     """
     cfg = cfg or EMConfig()
     results: list[FitResult | None] = []
     errors: list[str] = []
-    usable_features = features.p > 0 and mode != "graph-only"
-    for restart_cfg in restart_configs(cfg, has_features=usable_features):
+    use_edges, use_features = mode_terms(mode)
+    for restart_cfg in restart_configs(cfg, features.p > 0 and use_features,
+                                       use_edges):
         try:
             results.append(fit(graph, features, n_classes, restart_cfg, mode=mode))
         except EmptyClassError as err:
@@ -457,9 +423,3 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
         return best, [r for r in results if r is not None]
     return best
 
-
-def fit_ablation(graph: Graph, features: FeatureMatrix, n_classes: int,
-                 cfg: EMConfig | None = None, mode: str = "joint") -> FitResult:
-    """Fit with the edge term, the feature term, or both (``joint``)."""
-    _mode_flags(mode)
-    return fit(graph, features, n_classes, cfg, mode=mode)

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .em import EMConfig, fit_multi_restart
+from .io import write_csv
 from .metrics import adjusted_rand_index
 from .selection import icl_score, select_q
 from .simulate import AffiliationSpec, generate, grid_specs, varied_parameter
@@ -155,41 +156,33 @@ def _format(value) -> str:
 
 
 def write_results_csv(records, path) -> Path:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(",".join(RESULTS_COLUMNS) + "\n")
-        for record in records:
-            row = [_format(getattr(record, column)) for column in RESULTS_COLUMNS]
-            handle.write(",".join(row) + "\n")
-    return path
+    return write_csv(path, [
+        RESULTS_COLUMNS,
+        *([_format(getattr(record, column)) for column in RESULTS_COLUMNS]
+          for record in records),
+    ])
 
 
 def write_aggregate_csv(records, specs, setting: str, path) -> Path:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(",".join(AGGREGATE_COLUMNS) + "\n")
-        for spec_index, spec in enumerate(specs):
-            scores = [
-                r.ari for r in records
-                if r.spec_index == spec_index and r.status == "ok"
-            ]
-            name, value = varied_parameter(setting, spec)
-            row = [
-                setting, str(spec_index), name, repr(float(value)),
-                str(len(scores)),
-                repr(float(np.mean(scores))) if scores else "",
-                repr(float(np.median(scores))) if scores else "",
-            ]
-            handle.write(",".join(row) + "\n")
-    return path
+    rows = [AGGREGATE_COLUMNS]
+    for spec_index, spec in enumerate(specs):
+        scores = [
+            r.ari for r in records
+            if r.spec_index == spec_index and r.status == "ok"
+        ]
+        name, value = varied_parameter(setting, spec)
+        rows.append([
+            setting, str(spec_index), name, repr(float(value)),
+            str(len(scores)),
+            repr(float(np.mean(scores))) if scores else "",
+            repr(float(np.median(scores))) if scores else "",
+        ])
+    return write_csv(path, rows)
 
 
 def write_timings_csv(records, path) -> Path:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write("setting,spec_index,replicate,wall_time_s\n")
-        for r in records:
-            handle.write(
-                f"{r.setting},{r.spec_index},{r.replicate},{r.wall_time_s!r}\n"
-            )
-    return path
+    return write_csv(path, [
+        ("setting", "spec_index", "replicate", "wall_time_s"),
+        *((r.setting, r.spec_index, r.replicate, repr(r.wall_time_s))
+          for r in records),
+    ])

@@ -141,20 +141,29 @@ def _all_numeric(cells) -> bool:
     return True
 
 
-def write_features(path, features: FeatureMatrix) -> Path:
+def write_csv(path, rows) -> Path:
+    """Write rows of cells as CSV; a cell holding a comma or quote is quoted.
+
+    Rows without such cells are the cells joined by commas, one per line.
+    """
     path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for row in features.values:
-            handle.write(",".join(repr(float(x)) for x in row) + "\n")
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
     return path
 
 
-def check_pair(graph: Graph, features: FeatureMatrix):
-    if features.n != graph.n:
-        raise ValueError(
-            f"row-count mismatch: features have {features.n} rows, "
-            f"graph has {graph.n} vertices"
-        )
+def write_labels(path, labels) -> Path:
+    """Write a ``vertex,label`` table, one row per vertex."""
+    return write_csv(path, [("vertex", "label"),
+                            *((i, int(label)) for i, label in enumerate(labels))])
+
+
+def _float_rows(values):
+    return ([repr(float(x)) for x in row] for row in values)
+
+
+def write_features(path, features: FeatureMatrix) -> Path:
+    return write_csv(path, _float_rows(features.values))
 
 
 def write_result(fit: FitResult, out_dir) -> dict[str, Path]:
@@ -163,18 +172,12 @@ def write_result(fit: FitResult, out_dir) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
 
-    paths["partition"] = out / "partition.csv"
-    with paths["partition"].open("w", encoding="utf-8") as handle:
-        handle.write("vertex,label\n")
-        for i, label in enumerate(fit.partition):
-            handle.write(f"{i},{int(label)}\n")
-
-    paths["tau"] = out / "tau.csv"
-    with paths["tau"].open("w", encoding="utf-8") as handle:
-        n_classes = fit.responsibilities.shape[1]
-        handle.write(",".join(f"class_{q}" for q in range(n_classes)) + "\n")
-        for row in fit.responsibilities:
-            handle.write(",".join(repr(float(x)) for x in row) + "\n")
+    paths["partition"] = write_labels(out / "partition.csv", fit.partition)
+    n_classes = fit.responsibilities.shape[1]
+    paths["tau"] = write_csv(out / "tau.csv", [
+        [f"class_{q}" for q in range(n_classes)],
+        *_float_rows(fit.responsibilities),
+    ])
 
     paths["params"] = out / "params.json"
     payload = {

@@ -18,6 +18,8 @@ from scipy.special import logsumexp, xlogy
 PI_EPS = 1e-6
 SIGMA2_FLOOR = 1e-8
 
+MODES = ("joint", "graph-only", "features-only")
+
 # Enumeration guard for the exact marginal.
 MAX_ENUM_TERMS = 1_000_000
 
@@ -163,12 +165,18 @@ class ModelParams:
         )
 
 
-def check_responsibilities(resp, n: int, n_classes: int) -> np.ndarray:
-    """Validate an (n, Q) row-stochastic matrix and return it as float64."""
+def check_responsibilities(resp, n: int,
+                           n_classes: int | None = None) -> np.ndarray:
+    """Validate an (n, Q) row-stochastic matrix and return it as float64.
+
+    ``n_classes=None`` accepts any class count.
+    """
     resp = np.asarray(resp, dtype=np.float64)
-    if resp.shape != (n, n_classes):
+    if resp.ndim != 2 or resp.shape[0] != n \
+            or n_classes not in (None, resp.shape[1]):
         raise ValueError(
-            f"responsibilities must have shape ({n}, {n_classes}), got {resp.shape}"
+            f"responsibilities must have shape ({n}, {n_classes or 'Q'}), "
+            f"got {resp.shape}"
         )
     if np.any(resp < -1e-12):
         raise ValueError("responsibilities must be non-negative")
@@ -199,11 +207,23 @@ def responsibility_entropy(resp) -> float:
     return float(-xlogy(resp, resp).sum())
 
 
-def _check_dims(graph: Graph, features: FeatureMatrix, params: ModelParams):
+def mode_terms(mode: str) -> tuple[bool, bool]:
+    """Whether an ablation mode uses the (edge, feature) terms of the model."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    return mode != "features-only", mode != "graph-only"
+
+
+def check_rows(graph: Graph, features: FeatureMatrix):
+    """Raise unless the feature table has one row per graph vertex."""
     if features.n != graph.n:
         raise ValueError(
-            f"features have {features.n} rows but the graph has {graph.n} vertices"
+            f"row-count mismatch: features have {features.n} rows, "
+            f"graph has {graph.n} vertices"
         )
+
+
+def _check_params(features: FeatureMatrix, params: ModelParams):
     if params.n_features != features.p:
         raise ValueError(
             f"params expect {params.n_features} features, data has {features.p}"
@@ -217,36 +237,83 @@ def _soft_assignment(assignment, n: int, n_classes: int) -> np.ndarray:
     return check_responsibilities(arr, n, n_classes)
 
 
-def proportion_log_likelihood(resp, alpha) -> float:
-    """Class-proportion part: sum of expected log alpha over vertices."""
-    col = np.asarray(resp).sum(axis=0)
-    return float(xlogy(col, np.asarray(alpha)).sum())
+class ClassStats:
+    """Class-level sufficient statistics of one responsibility matrix.
 
+    The bound, the complete log-likelihood, the M-step and the selection
+    criterion all read from here. The n^2 product ``adjacency @ resp`` is
+    computed here only, at most once and only if an edge term asks for it.
+    ``resp`` is taken as given: callers validate it.
 
-def edge_log_likelihood(adjacency, resp, pi) -> float:
-    """Bernoulli edge part summed over unordered vertex pairs.
-
-    Pair (i, j) with i < j contributes the expected log edge probability,
-    the expectation replacing the class-indicator product by the product of
-    responsibilities of the two distinct endpoints.
+    ``col`` is the class mass; ``on`` the expected edge counts between
+    classes, each edge counted from both ends; ``pairs`` the expected counts
+    of ordered pairs of distinct vertices.
     """
-    resp = np.asarray(resp)
-    pi = np.asarray(pi)
-    col = resp.sum(axis=0)
-    on = resp.T @ (adjacency @ resp)
-    off = np.outer(col, col) - resp.T @ resp - on
-    return float(0.5 * (xlogy(on, pi).sum() + xlogy(off, 1.0 - pi).sum()))
 
+    def __init__(self, graph: Graph, features: FeatureMatrix, resp):
+        check_rows(graph, features)
+        self.graph = graph
+        self.features = features
+        self.resp = resp
+        self.col = resp.sum(axis=0)
+        self._adj_resp = None
 
-def feature_log_likelihood(features: FeatureMatrix, resp, mu, sigma2) -> float:
-    """Spherical-Gaussian feature part with the full normalising constant."""
-    if features.p == 0:
-        return 0.0
-    resp = np.asarray(resp)
-    d2 = squared_distances(features.values, np.asarray(mu))
-    total = resp.sum()
-    const = -0.5 * features.p * np.log(2.0 * np.pi * sigma2)
-    return float(const * total - (resp * d2).sum() / (2.0 * sigma2))
+    @property
+    def adj_resp(self) -> np.ndarray:
+        """(n, Q) expected number of neighbours of each vertex per class."""
+        if self._adj_resp is None:
+            self._adj_resp = self.graph.adjacency @ self.resp
+        return self._adj_resp
+
+    @property
+    def on(self) -> np.ndarray:
+        return self.resp.T @ self.adj_resp
+
+    @property
+    def pairs(self) -> np.ndarray:
+        return np.outer(self.col, self.col) - self.resp.T @ self.resp
+
+    @property
+    def entropy(self) -> float:
+        return responsibility_entropy(self.resp)
+
+    def scatter(self, mu, d2: np.ndarray | None = None) -> float:
+        """Responsibility-weighted squared distance of the rows to ``mu``.
+
+        ``d2`` is ``squared_distances(features.values, mu)`` when the caller
+        already has it.
+        """
+        if d2 is None:
+            d2 = squared_distances(self.features.values, mu)
+        return float((self.resp * d2).sum())
+
+    def log_likelihood(self, params: ModelParams, mode: str = "joint",
+                       d2: np.ndarray | None = None) -> float:
+        """Expected complete log-likelihood, with the terms ``mode`` drops.
+
+        Proportions, then Bernoulli edges over unordered pairs of distinct
+        vertices, then the spherical Gaussian with its full normalising
+        constant. ``d2`` is as in :meth:`scatter`.
+        """
+        _check_params(self.features, params)
+        use_edges, use_features = mode_terms(mode)
+        total = float(xlogy(self.col, params.alpha).sum())
+        if use_edges:
+            on = self.on
+            off = self.pairs - on
+            total += float(0.5 * (xlogy(on, params.pi).sum()
+                                  + xlogy(off, 1.0 - params.pi).sum()))
+        p = self.features.p
+        if use_features and p:
+            const = -0.5 * p * np.log(2.0 * np.pi * params.sigma2)
+            total += float(const * self.resp.sum()
+                           - self.scatter(params.mu, d2) / (2.0 * params.sigma2))
+        return total
+
+    def bound(self, params: ModelParams, mode: str = "joint",
+              d2: np.ndarray | None = None) -> float:
+        """Variational lower bound: log-likelihood plus entropy."""
+        return self.log_likelihood(params, mode, d2) + self.entropy
 
 
 def squared_distances(points, centers) -> np.ndarray:
@@ -260,7 +327,8 @@ def squared_distances(points, centers) -> np.ndarray:
 
 
 def complete_log_likelihood(graph: Graph, features: FeatureMatrix,
-                            assignment, params: ModelParams) -> float:
+                            assignment, params: ModelParams,
+                            mode: str = "joint") -> float:
     """Joint log-probability of graph, features, and a class assignment.
 
     Parameters
@@ -270,14 +338,12 @@ def complete_log_likelihood(graph: Graph, features: FeatureMatrix,
         (n, Q) row-stochastic responsibility matrix, in which case the
         expectation of the hard-assignment expression is returned with
         indicator products replaced by responsibility products.
+    mode : str
+        Ablation mode; ``graph-only`` drops the feature term and
+        ``features-only`` the edge term.
     """
-    _check_dims(graph, features, params)
     resp = _soft_assignment(assignment, graph.n, params.n_classes)
-    return (
-        proportion_log_likelihood(resp, params.alpha)
-        + edge_log_likelihood(graph.adjacency, resp, params.pi)
-        + feature_log_likelihood(features, resp, params.mu, params.sigma2)
-    )
+    return ClassStats(graph, features, resp).log_likelihood(params, mode)
 
 
 def variational_lower_bound(graph: Graph, features: FeatureMatrix,
@@ -288,10 +354,8 @@ def variational_lower_bound(graph: Graph, features: FeatureMatrix,
     factorised assignment distribution and the true posterior, hence never
     exceeds :func:`exact_log_marginal` for any responsibility matrix.
     """
-    _check_dims(graph, features, params)
     resp = check_responsibilities(resp, graph.n, params.n_classes)
-    return complete_log_likelihood(graph, features, resp, params) \
-        + responsibility_entropy(resp)
+    return ClassStats(graph, features, resp).bound(params)
 
 
 def exact_log_marginal(graph: Graph, features: FeatureMatrix,
@@ -302,7 +366,8 @@ def exact_log_marginal(graph: Graph, features: FeatureMatrix,
     Only feasible for tiny instances (guarded at Q**n <= max_terms); used
     as an independent ceiling for the variational bound.
     """
-    _check_dims(graph, features, params)
+    check_rows(graph, features)
+    _check_params(features, params)
     n, q = graph.n, params.n_classes
     if n == 0:
         return 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .em import EMConfig, FitResult, fit_multi_restart
-from .model import FeatureMatrix, Graph, complete_log_likelihood
+from .model import FeatureMatrix, Graph, complete_log_likelihood, mode_terms
 
 
 def icl_penalty(n_classes: int, n_vertices: int, n_features: int) -> float:
@@ -42,11 +42,16 @@ def icl_score(fit: FitResult, graph: Graph, features: FeatureMatrix,
     """Criterion value of a fitted model on its data.
 
     The likelihood term uses the fitted soft responsibilities by default;
-    ``hard_assignment=True`` switches to the argmax partition.
+    ``hard_assignment=True`` switches to the argmax partition. Both the
+    likelihood and the penalty keep only the terms of ``fit.mode``: a
+    graph-only fit is scored as if there were no features.
     """
+    _, use_features = mode_terms(fit.mode)
     assignment = fit.partition if hard_assignment else fit.responsibilities
-    log_lik = complete_log_likelihood(graph, features, assignment, fit.params)
-    return log_lik - icl_penalty(fit.params.n_classes, graph.n, features.p)
+    log_lik = complete_log_likelihood(graph, features, assignment, fit.params,
+                                      fit.mode)
+    n_features = features.p if use_features else 0
+    return log_lik - icl_penalty(fit.params.n_classes, graph.n, n_features)
 
 
 @dataclass

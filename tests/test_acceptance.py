@@ -7,7 +7,7 @@ they appear; without ``-s`` pytest shows them for failing criteria only.
 import numpy as np
 import pytest
 
-from cohsmix.em import EMConfig, fit, fit_ablation, fit_multi_restart, m_step
+from cohsmix.em import EMConfig, fit, fit_multi_restart, m_step
 from cohsmix.harness import run_grid
 from cohsmix.metrics import adjusted_rand_index
 from cohsmix.model import (
@@ -177,7 +177,7 @@ def test_criterion_8_degenerate_inputs():
     graph, features, _ = generate(spec)
     cfg = EMConfig(rng_seed=9)
     no_features = fit(graph, FeatureMatrix.empty(40), 2, cfg)
-    graph_only = fit_ablation(graph, features, 2, cfg, mode="graph-only")
+    graph_only = fit(graph, features, 2, cfg, mode="graph-only")
     identical = (
         np.array_equal(no_features.responsibilities,
                        graph_only.responsibilities)

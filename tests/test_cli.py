@@ -1,9 +1,12 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from cohsmix.cli import main
+from cohsmix.em import EMConfig, fit_multi_restart
+from cohsmix.io import read_features, read_graph
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +82,24 @@ def test_fit_modes(capsys, tmp_path):
         assert (out_dir / "summary.txt").is_file()
 
 
+def test_fit_graph_only_honours_restarts(capsys, tmp_path):
+    data = simulate_dataset(capsys, tmp_path)
+    out_dir = tmp_path / "graph-only"
+    code, _, err = run_cli(
+        capsys, "fit", "--graph", str(data / "graph.tsv"),
+        "--features", str(data / "features.csv"), "--q", "2",
+        "--mode", "graph-only", "--restarts", "3", "--seed", "6",
+        "--out", str(out_dir),
+    )
+    assert code == 0, err
+    expected = fit_multi_restart(
+        read_graph(data / "graph.tsv"), read_features(data / "features.csv"),
+        2, EMConfig(n_restarts=3, rng_seed=6), mode="graph-only")
+    payload = json.loads((out_dir / "params.json").read_text())
+    assert payload["j_trace"] == expected.bound_trace
+    assert payload["icl"] is not None
+
+
 def test_fit_missing_input_is_reported(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "fit", "--graph", str(tmp_path / "absent.tsv"),
@@ -116,6 +137,34 @@ def test_select_q_end_to_end(capsys, tmp_path):
     assert scan_lines[0] == "q,icl,final_bound,status"
     assert len(scan_lines) == 4
     assert "selected q=" in out
+
+
+def test_select_q_failed_candidate_round_trips(capsys, tmp_path,
+                                               monkeypatch):
+    import cohsmix.selection as selection
+
+    data = simulate_dataset(capsys, tmp_path)
+    original = selection.fit_multi_restart
+    status = "all 2 restarts failed: ['classes [0, 2] have no mass']"
+
+    def fail_at_three(graph, features, n_classes, *args, **kwargs):
+        if n_classes == 3:
+            raise RuntimeError(status)
+        return original(graph, features, n_classes, *args, **kwargs)
+
+    monkeypatch.setattr(selection, "fit_multi_restart", fail_at_three)
+    out_dir = tmp_path / "scan"
+    code, _, err = run_cli(
+        capsys, "select-q", "--graph", str(data / "graph.tsv"),
+        "--features", str(data / "features.csv"), "--qmin", "2",
+        "--qmax", "3", "--restarts", "2", "--out", str(out_dir),
+    )
+    assert code == 0, err
+    with (out_dir / "scan.csv").open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert [len(row) for row in rows] == [4, 4, 4]
+    assert rows[1][3] == "ok"
+    assert rows[2] == ["3", "", "", status]
 
 
 def test_grid_small_run(capsys, tmp_path):

@@ -6,7 +6,6 @@ from cohsmix.em import (
     EmptyClassError,
     e_step,
     fit,
-    fit_ablation,
     fit_multi_restart,
     init_responsibilities,
     m_step,
@@ -342,8 +341,8 @@ def test_graph_only_ignores_features():
     graph, features, _ = generate(spec)
     shuffled = FeatureMatrix(features.values[::-1].copy())
     cfg = EMConfig(rng_seed=5)
-    first = fit_ablation(graph, features, 2, cfg, mode="graph-only")
-    second = fit_ablation(graph, shuffled, 2, cfg, mode="graph-only")
+    first = fit(graph, features, 2, cfg, mode="graph-only")
+    second = fit(graph, shuffled, 2, cfg, mode="graph-only")
     assert np.array_equal(first.partition, second.partition)
     assert first.bound_trace == second.bound_trace
 
@@ -355,10 +354,26 @@ def test_features_only_ignores_graph(rng):
     graph, features, _ = generate(spec)
     other_graph = random_graph(30, rng)
     cfg = EMConfig(rng_seed=5)
-    first = fit_ablation(graph, features, 2, cfg, mode="features-only")
-    second = fit_ablation(other_graph, features, 2, cfg, mode="features-only")
+    first = fit(graph, features, 2, cfg, mode="features-only")
+    second = fit(other_graph, features, 2, cfg, mode="features-only")
     assert np.array_equal(first.partition, second.partition)
     assert first.bound_trace == second.bound_trace
+
+
+def test_features_only_restarts_ignore_graph():
+    spec = AffiliationSpec(n_classes=2, n=30, n_features=3,
+                           within_prob=0.6, between_prob=0.1,
+                           mean_gap=2.0, seed=0)
+    graph, features, _ = generate(spec)
+    cfg = EMConfig(rng_seed=5, n_restarts=3)
+    _, first = fit_multi_restart(graph, features, 2, cfg,
+                                 mode="features-only", return_all=True)
+    _, second = fit_multi_restart(Graph(np.zeros((30, 30))), features, 2, cfg,
+                                  mode="features-only", return_all=True)
+    assert len(first) == len(second) == 3
+    for one, other in zip(first, second):
+        assert np.array_equal(one.responsibilities, other.responsibilities)
+        assert one.bound_trace == other.bound_trace
 
 
 def test_joint_with_no_features_equals_graph_only():
@@ -368,23 +383,13 @@ def test_joint_with_no_features_equals_graph_only():
     graph, features, _ = generate(spec)
     cfg = EMConfig(rng_seed=8)
     empty = fit(graph, FeatureMatrix.empty(30), 2, cfg)
-    graph_only = fit_ablation(graph, features, 2, cfg, mode="graph-only")
+    graph_only = fit(graph, features, 2, cfg, mode="graph-only")
     assert np.array_equal(empty.responsibilities, graph_only.responsibilities)
     assert np.array_equal(empty.partition, graph_only.partition)
     assert empty.bound_trace == graph_only.bound_trace
     assert np.array_equal(empty.params.alpha, graph_only.params.alpha)
     assert np.array_equal(empty.params.pi, graph_only.params.pi)
     assert empty.params.sigma2 == graph_only.params.sigma2
-
-
-def test_joint_mode_is_plain_fit():
-    spec = AffiliationSpec(n_classes=2, n=25, n_features=2,
-                           within_prob=0.5, between_prob=0.2,
-                           mean_gap=1.0, seed=3)
-    graph, features, _ = generate(spec)
-    cfg = EMConfig(rng_seed=11)
-    assert fit_ablation(graph, features, 2, cfg, mode="joint").bound_trace \
-        == fit(graph, features, 2, cfg).bound_trace
 
 
 def test_features_only_matches_joint_when_graph_uninformative():

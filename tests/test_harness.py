@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from cohsmix.em import EMConfig
+from cohsmix.em import EMConfig, EmptyClassError
 from cohsmix.harness import (
     RESULTS_COLUMNS,
     run_grid,
@@ -79,6 +81,23 @@ def test_failures_recorded_not_raised(tmp_path, monkeypatch):
     assert any(s.startswith("error:RuntimeError") for s in statuses)
     content = (tmp_path / "results.csv").read_text()
     assert "error:RuntimeError" in content
+
+
+def test_failure_rows_round_trip_through_csv_reader(tmp_path, monkeypatch):
+    import cohsmix.harness as harness
+
+    def empty_classes(*args, **kwargs):
+        raise EmptyClassError([0, 2])
+
+    monkeypatch.setattr(harness, "fit_multi_restart", empty_classes)
+    records = run_grid("a", replicates=1, cfg=FAST_CFG, seed=5,
+                       specs=SMALL_SPECS[:1], out_dir=tmp_path)
+    with (tmp_path / "results.csv").open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == list(RESULTS_COLUMNS)
+    assert [len(row) for row in rows] == [len(RESULTS_COLUMNS)] * 2
+    status = "error:EmptyClassError:classes [0, 2] have no mass"
+    assert rows[1][-1] == records[0].status == status
 
 
 def test_aggregate_contains_varied_parameter(tmp_path):

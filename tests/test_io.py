@@ -5,7 +5,6 @@ import pytest
 
 from cohsmix.em import EMConfig, fit
 from cohsmix.io import (
-    check_pair,
     read_features,
     read_graph,
     read_params,
@@ -154,7 +153,7 @@ def test_row_count_mismatch(tmp_path):
     graph = Graph(np.zeros((3, 3)))
     features = FeatureMatrix(np.zeros((2, 1)))
     with pytest.raises(ValueError, match="mismatch"):
-        check_pair(graph, features)
+        fit(graph, features, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,26 @@ def test_icl_score_relabel_invariance(rng):
                                                                   abs=1e-9)
 
 
+def test_graph_only_icl_ignores_feature_values():
+    from cohsmix.em import fit_multi_restart
+
+    spec = AffiliationSpec(n_classes=2, n=30, n_features=3,
+                           within_prob=0.6, between_prob=0.1,
+                           mean_gap=2.0, seed=0)
+    graph, features, _ = generate(spec)
+    other = FeatureMatrix(np.random.default_rng(1).normal(
+        50.0, 9.0, size=features.values.shape))
+    cfg = EMConfig(rng_seed=2, n_restarts=2)
+    scores = [
+        icl_score(fit_multi_restart(graph, data, 2, cfg, mode="graph-only"),
+                  graph, data)
+        for data in (features, other)
+    ]
+    fit = fit_multi_restart(graph, FeatureMatrix.empty(30), 2, cfg)
+    assert scores[0] == scores[1]
+    assert scores[0] == icl_score(fit, graph, FeatureMatrix.empty(30))
+
+
 def test_icl_hard_and_soft_differ_in_general(rng):
     from cohsmix.em import fit
 
