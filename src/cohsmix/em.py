@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import (
     PI_EPS,
@@ -174,7 +173,9 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     ``cfg.fixedpoint_tol`` (so the damped per-sweep change is below it too)
     or after ``cfg.max_fixedpoint_sweeps`` sweeps. The returned matrix never
     lowers the bound relative to the start: if the final sweep does, the
-    best iterate seen (start included) is returned instead.
+    best iterate seen (start included, ties to the earliest) is returned
+    instead. Only the start and final bounds are computed unless that
+    fallback fires.
     """
     cfg = cfg or EMConfig()
     use_edges, use_features = mode_terms(mode)
@@ -188,33 +189,36 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
         log_pi = np.log(params.pi)
         log_not = np.log1p(-params.pi)
     d2 = squared_distances(features.values, params.mu)
-    gauss = -d2 / (2.0 * params.sigma2) if use_features and features.p else 0.0
+    # Always (n, Q): the logits must have rows even when no term varies by
+    # vertex.
+    gauss = -d2 / (2.0 * params.sigma2) if use_features and features.p \
+        else np.zeros((n, n_classes))
 
     def sweep(stats):
-        logits = np.tile(log_alpha, (n, 1))
+        logits = log_alpha
         if use_edges:
             edges_off = (stats.col[None, :] - stats.resp) - stats.adj_resp
             logits = logits + stats.adj_resp @ log_pi.T + edges_off @ log_not.T
         logits = logits + gauss
-        logits -= logsumexp(logits, axis=1, keepdims=True)
-        update = np.exp(logits)
+        # Row softmax shifted by the row maximum: exp can neither overflow
+        # nor underflow a whole row to zero.
+        update = np.exp(logits - logits.max(axis=1, keepdims=True))
         update /= update.sum(axis=1, keepdims=True)
         return update
 
     start_bound = None
-    best_bound = -np.inf
-    best_resp = resp
+    later = []
     current = resp
     for _ in range(cfg.max_fixedpoint_sweeps):
-        # The sweep and the bound of ``current`` share one adjacency product.
         stats = ClassStats(graph, features, current)
         update = sweep(stats)
-        if use_edges or start_bound is None:
-            value = stats.bound(params, mode, d2)
-            if start_bound is None:
-                start_bound = value
-            if value > best_bound:
-                best_bound, best_resp = value, current
+        if start_bound is None:
+            # The start bound shares the first sweep's adjacency product.
+            start_bound = stats.bound(params, mode, d2)
+        elif use_edges:
+            # Compared only if the fallback fires; without the edge term
+            # the fallback compares the start alone.
+            later.append(current)
         residual = np.abs(update - current).max()
         current = (1.0 - cfg.damping) * update + cfg.damping * current
         if residual <= cfg.fixedpoint_tol:
@@ -223,6 +227,11 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     final_bound = ClassStats(graph, features, current).bound(params, mode, d2)
     if final_bound >= start_bound - 1e-9:
         return current
+    best_bound, best_resp = start_bound, resp
+    for iterate in later:
+        value = ClassStats(graph, features, iterate).bound(params, mode, d2)
+        if value > best_bound:
+            best_bound, best_resp = value, iterate
     return best_resp if best_bound > final_bound else current
 
 
@@ -315,10 +324,14 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
     bound change drops below ``cfg.bound_rel_tol`` (converged) or the
     iteration cap is hit. The recorded trace is non-decreasing: an
     iteration that would lower the bound (possible only after an
-    empty-class re-seed) is rolled back and the run stops there.
+    empty-class re-seed) is rolled back and the run stops there. Raises
+    ``ValueError`` unless ``1 <= n_classes <= graph.n``.
     """
     cfg = cfg or EMConfig()
     check_rows(graph, features)
+    if not 1 <= n_classes <= graph.n:
+        raise ValueError(f"need 1 <= n_classes <= n, got n_classes={n_classes} "
+                         f"with n={graph.n} vertices")
     _, use_features = mode_terms(mode)
     if resp_init is None:
         rng = np.random.default_rng(cfg.rng_seed)

@@ -16,21 +16,24 @@ from .em import EMConfig, FitResult, fit_multi_restart
 from .model import FeatureMatrix, Graph, complete_log_likelihood, mode_terms
 
 
-def icl_penalty(n_classes: int, n_vertices: int, n_features: int) -> float:
+def icl_penalty(n_classes: int, n_vertices: int, n_features: int,
+                use_edges: bool = True) -> float:
     """Closed-form complexity penalty of the selection criterion.
 
     The connectivity block is penalised against the number of vertex pairs,
     the proportions against the number of vertices, and the feature block
     (means and shared variance) against the number of pairs as well. With
     no features the last part vanishes and the criterion reduces to the
-    graph-only form.
+    graph-only form; ``use_edges=False`` drops the connectivity block for a
+    fit that estimates no connectivity parameters.
     """
     if n_vertices < 2:
         raise ValueError("the criterion needs at least 2 vertices")
     q, n, p = n_classes, n_vertices, n_features
     pair_log = math.log(n * (n - 1) / 2.0)
+    connectivity = 0.5 * q * (q - 1) * pair_log if use_edges else 0.0
     return (
-        0.5 * q * (q - 1) * pair_log
+        connectivity
         + 0.5 * (q - 1) * math.log(n)
         + p * (p - 1) * pair_log
         + p * q * pair_log
@@ -44,14 +47,16 @@ def icl_score(fit: FitResult, graph: Graph, features: FeatureMatrix,
     The likelihood term uses the fitted soft responsibilities by default;
     ``hard_assignment=True`` switches to the argmax partition. Both the
     likelihood and the penalty keep only the terms of ``fit.mode``: a
-    graph-only fit is scored as if there were no features.
+    graph-only fit is scored as if there were no features, a features-only
+    fit as if there were no edges.
     """
-    _, use_features = mode_terms(fit.mode)
+    use_edges, use_features = mode_terms(fit.mode)
     assignment = fit.partition if hard_assignment else fit.responsibilities
     log_lik = complete_log_likelihood(graph, features, assignment, fit.params,
                                       fit.mode)
     n_features = features.p if use_features else 0
-    return log_lik - icl_penalty(fit.params.n_classes, graph.n, n_features)
+    return log_lik - icl_penalty(fit.params.n_classes, graph.n, n_features,
+                                 use_edges)
 
 
 @dataclass
@@ -82,6 +87,9 @@ def select_q(graph: Graph, features: FeatureMatrix, q_min: int, q_max: int,
     """
     if not 1 <= q_min <= q_max:
         raise ValueError(f"need 1 <= q_min <= q_max, got {q_min}..{q_max}")
+    if q_max > graph.n:
+        raise ValueError(f"need q_max <= n, got q_max={q_max} "
+                         f"with n={graph.n} vertices")
     cfg = cfg or EMConfig()
     results: dict[int, FitResult] = {}
     scores: dict[int, float] = {}

@@ -1,9 +1,12 @@
-"""The benchmark's traced run wraps named functions of the package.
+"""Contracts between the benchmark and the package.
 
-A deleted or renamed function would crash ``bench/run.py --trace 1``; this
-keeps every traced name resolving.
+The traced run wraps named functions of the package: a deleted or renamed
+function would crash ``bench/run.py --trace 1``. Times are scaled by the
+reference kernel in ``bench/calibrate.py``, which is only valid while that
+kernel runs none of the package's code.
 """
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -20,3 +23,16 @@ def test_traced_names_resolve(monkeypatch):
                                 name, None))
     ]
     assert TRACED and not missing, missing
+
+
+def test_calibration_kernel_never_imports_package():
+    tree = ast.parse((BENCH / "calibrate.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+    assert imported, "the kernel imports nothing; the parse went wrong"
+    assert not [name for name in imported
+                if name.split(".")[0] == "cohsmix"], imported

@@ -128,6 +128,49 @@ def test_e_step_rows_stay_stochastic(rng):
     assert out.min() >= 0
 
 
+def test_e_step_falls_back_to_best_iterate():
+    # Undamped sweeps on this instance oscillate: the fifth iterate's bound
+    # (-117.02) is below the start's (-113.98), so e_step must return the
+    # best iterate seen, here the first.
+    rng = np.random.default_rng(56)
+    graph, features, params = random_instance(rng, n=12, n_classes=3, p=2)
+    start = random_responsibilities(12, 3, rng)
+    cfg = EMConfig(damping=0.0, max_fixedpoint_sweeps=5)
+    iterates = [start]
+    for _ in range(cfg.max_fixedpoint_sweeps):
+        iterates.append(responsibility_update_oracle(graph, features, params,
+                                                     iterates[-1]))
+    bounds = [variational_lower_bound(graph, features, r, params)
+              for r in iterates]
+    assert bounds[-1] < bounds[0]
+    assert int(np.argmax(bounds)) == 1
+
+    out = e_step(graph, features, params, start, cfg)
+    assert np.abs(out - iterates[1]).max() <= 1e-12
+    assert variational_lower_bound(graph, features, out, params) \
+        == pytest.approx(max(bounds), abs=1e-9)
+
+
+def test_e_step_softmax_on_extreme_logits():
+    # With a tiny variance every class logit lies far below -745, where exp
+    # underflows to 0; only the row-max shift keeps the rows finite.
+    rng = np.random.default_rng(3)
+    labels = np.arange(10) % 2
+    means = np.array([[0.0, 0.0], [1000.0, 1000.0]])
+    features = FeatureMatrix(means[labels] + rng.normal(0.0, 0.1, (10, 2)))
+    graph = random_graph(10, rng)
+    params = ModelParams(alpha=[0.4, 0.6],
+                         pi=np.array([[0.6, 0.2], [0.2, 0.5]]),
+                         mu=means, sigma2=1e-6)
+    start = random_responsibilities(10, 2, rng)
+    out = e_step(graph, features, params, start, EMConfig(damping=0.0))
+    assert np.all(np.isfinite(out))
+    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
+    expected = responsibility_update_oracle(graph, features, params, start)
+    assert np.abs(out - expected).max() <= 1e-12
+    assert np.array_equal(np.argmax(out, axis=1), labels)
+
+
 # ---------------------------------------------------------------------------
 # M-step
 
@@ -224,6 +267,18 @@ def test_fit_single_class_closed_form(rng):
     expected_var = ((features.values - features.values.mean(axis=0)) ** 2
                     ).sum() / (2 * 10)
     assert result.params.sigma2 == pytest.approx(expected_var, rel=1e-10)
+
+
+def test_fit_rejects_more_classes_than_vertices(rng):
+    graph = random_graph(6, rng)
+    features = random_features(6, 2, rng)
+    with pytest.raises(ValueError, match=r"n_classes=8 with n=6"):
+        fit(graph, features, 8, EMConfig(rng_seed=0))
+    with pytest.raises(ValueError, match=r"n_classes=8 with n=6"):
+        fit_multi_restart(graph, features, 8, EMConfig(rng_seed=0))
+    empty = Graph(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"n_classes=2 with n=0"):
+        fit(empty, FeatureMatrix.empty(0), 2)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -95,6 +95,27 @@ def test_graph_only_icl_ignores_feature_values():
     assert scores[0] == icl_score(fit, graph, FeatureMatrix.empty(30))
 
 
+def test_features_only_icl_drops_connectivity_penalty(rng):
+    from cohsmix.em import fit_multi_restart
+    from cohsmix.model import complete_log_likelihood
+
+    spec = AffiliationSpec(n_classes=3, n=30, n_features=2,
+                           within_prob=0.6, between_prob=0.1,
+                           mean_gap=2.0, seed=0)
+    graph, features, _ = generate(spec)
+    cfg = EMConfig(rng_seed=2, n_restarts=2)
+    fit = fit_multi_restart(graph, features, 3, cfg, mode="features-only")
+    log_lik = complete_log_likelihood(graph, features, fit.responsibilities,
+                                      fit.params, "features-only")
+    q, n, p = 3, 30, 2
+    pair_log = math.log(n * (n - 1) / 2)
+    remaining = (q - 1) / 2 * math.log(n) + p * (p - 1) * pair_log \
+        + p * q * pair_log
+    score = icl_score(fit, graph, features)
+    assert score == pytest.approx(log_lik - remaining, rel=1e-12)
+    assert score == icl_score(fit, random_graph(n, rng), features)
+
+
 def test_icl_hard_and_soft_differ_in_general(rng):
     from cohsmix.em import fit
 
@@ -120,6 +141,12 @@ def test_select_range_validation(rng):
     graph = random_graph(5, rng)
     with pytest.raises(ValueError):
         select_q(graph, FeatureMatrix.empty(5), 3, 2)
+
+
+def test_select_rejects_q_max_above_vertex_count(rng):
+    graph = random_graph(5, rng)
+    with pytest.raises(ValueError, match=r"q_max=6 with n=5"):
+        select_q(graph, FeatureMatrix.empty(5), 2, 6)
 
 
 def test_select_noise_prefers_smallest(rng):
