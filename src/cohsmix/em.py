@@ -163,8 +163,7 @@ def _degree_quantile_labels(graph: Graph, k: int) -> np.ndarray:
 
 
 def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
-           resp: np.ndarray, cfg: EMConfig | None = None,
-           mode: str = "joint") -> np.ndarray:
+           resp, cfg: EMConfig | None = None, mode: str = "joint"):
     """Damped Jacobi iteration of the responsibility fixed point.
 
     Every sweep recomputes all rows from the previous sweep's values, then
@@ -176,13 +175,22 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     best iterate seen (start included, ties to the earliest) is returned
     instead. Only the start and final bounds are computed unless that
     fallback fires.
+
+    ``resp`` is a responsibility matrix or the :class:`ClassStats` of one,
+    and the result is of the same kind. Given a ``ClassStats``, the first
+    sweep reuses its ``adjacency @ resp`` product, and the returned one
+    holds the product its bound read, so the M-step need not compute it
+    again.
     """
     cfg = cfg or EMConfig()
     use_edges, use_features = mode_terms(mode)
-    resp = check_responsibilities(resp, graph.n, params.n_classes)
+    given = resp if isinstance(resp, ClassStats) else None
+    resp = check_responsibilities(resp if given is None else given.resp,
+                                  graph.n, params.n_classes)
     n, n_classes = resp.shape
     if n_classes == 1:
-        return np.ones((n, 1))
+        ones = np.ones((n, 1))
+        return ones if given is None else ClassStats(graph, features, ones)
 
     with np.errstate(divide="ignore"):
         log_alpha = np.log(params.alpha)
@@ -206,33 +214,34 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
         update /= update.sum(axis=1, keepdims=True)
         return update
 
-    start_bound = None
+    start = given if given is not None else ClassStats(graph, features, resp)
+    # The start bound shares the first sweep's adjacency product.
+    start_bound = start.bound(params, mode, d2)
     later = []
-    current = resp
+    stats = start
     for _ in range(cfg.max_fixedpoint_sweeps):
-        stats = ClassStats(graph, features, current)
         update = sweep(stats)
-        if start_bound is None:
-            # The start bound shares the first sweep's adjacency product.
-            start_bound = stats.bound(params, mode, d2)
-        elif use_edges:
+        if stats is not start and use_edges:
             # Compared only if the fallback fires; without the edge term
             # the fallback compares the start alone.
-            later.append(current)
-        residual = np.abs(update - current).max()
-        current = (1.0 - cfg.damping) * update + cfg.damping * current
+            later.append(stats.resp)
+        residual = np.abs(update - stats.resp).max()
+        stats = ClassStats(graph, features, (1.0 - cfg.damping) * update
+                           + cfg.damping * stats.resp)
         if residual <= cfg.fixedpoint_tol:
             break
 
-    final_bound = ClassStats(graph, features, current).bound(params, mode, d2)
-    if final_bound >= start_bound - 1e-9:
-        return current
-    best_bound, best_resp = start_bound, resp
-    for iterate in later:
-        value = ClassStats(graph, features, iterate).bound(params, mode, d2)
-        if value > best_bound:
-            best_bound, best_resp = value, iterate
-    return best_resp if best_bound > final_bound else current
+    final_bound = stats.bound(params, mode, d2)
+    if final_bound < start_bound - 1e-9:
+        best_bound, best = start_bound, start
+        for iterate in later:
+            candidate = ClassStats(graph, features, iterate)
+            value = candidate.bound(params, mode, d2)
+            if value > best_bound:
+                best_bound, best = value, candidate
+        if best_bound > final_bound:
+            stats = best
+    return stats if given is not None else stats.resp
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +309,17 @@ def _reseed_empty_classes(resp: np.ndarray, empty_classes) -> np.ndarray:
     return resp
 
 
-def _m_step_with_rescue(graph, features, resp, mode, attempts=_RESCUE_ATTEMPTS):
+def _m_step_with_rescue(graph, features, stats, mode, attempts=_RESCUE_ATTEMPTS):
+    """M-step on a ``ClassStats``, re-seeding empty classes up to ``attempts``
+    times; returns the parameters and the statistics they were fitted to."""
     for attempt in range(attempts + 1):
-        stats = ClassStats(graph, features, resp)
         try:
             return m_step(graph, features, stats, mode=mode), stats
         except EmptyClassError as err:
             if attempt == attempts:
                 raise
-            resp = _reseed_empty_classes(resp, err.empty_classes)
+            stats = ClassStats(graph, features, _reseed_empty_classes(
+                stats.resp, err.empty_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +355,14 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
     else:
         resp = check_responsibilities(resp_init, graph.n, n_classes)
 
-    params, stats = _m_step_with_rescue(graph, features, resp, mode)
+    params, stats = _m_step_with_rescue(
+        graph, features, ClassStats(graph, features, resp), mode)
     trace = [mode_lower_bound(graph, features, stats, params, mode)]
     converged = False
     for _ in range(cfg.max_em_iters):
-        new_resp = e_step(graph, features, params, stats.resp, cfg, mode)
-        new_params, new_stats = _m_step_with_rescue(graph, features, new_resp,
-                                                    mode)
+        new_params, new_stats = _m_step_with_rescue(
+            graph, features, e_step(graph, features, params, stats, cfg, mode),
+            mode)
         value = mode_lower_bound(graph, features, new_stats, new_params, mode)
         if value < trace[-1] - 1e-9:
             break

@@ -13,6 +13,7 @@ import csv
 import json
 import re
 import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,23 @@ import numpy as np
 from .em import FitResult
 from .model import FeatureMatrix, Graph, ModelParams
 
-_HEADER_RE = re.compile(r"n\s*=\s*(\d+)")
+# Edge-list grammar, one line at a time: blank, an ``n=<count>`` header or
+# an ``i j`` pair of decimal indices, with spaces or tabs around the parts
+# and an optional ``#`` comment to the end of the line.
+_COMMENT_RE = re.compile(r"#[^\n]*")
+# A header match starts at the newline before its line, a literal the
+# regex engine scans for quickly.
+_HEADER_LINE_RE = re.compile(r"\n[ \t]*n[ \t]*=[ \t]*([0-9]+)[ \t]*(?=\n|\Z)")
+# Only these characters reach np.loadtxt, which would read more than the
+# grammar: form feeds as separators, and floats on numpy 1.x.
+_NON_EDGE_CHAR_RE = re.compile(r"[^0-9+\- \t\n]")
+_INDEX_RE = re.compile(r"[+-]?[0-9]+")
+_FIELD_SEP_RE = re.compile(r"[ \t]+")
+_BAD_LINE_RE = re.compile(
+    r"^(?![ \t]*(?:(?:\+?[0-9]+|-0+)[ \t]+(?:\+?[0-9]+|-0+)"
+    r"|n[ \t]*=[ \t]*[0-9]+)?[ \t]*(?:#[^\n]*)?$)[^\n]*",
+    re.MULTILINE,
+)
 
 # Field order of params.json; fixed so outputs are diff-friendly.
 _PARAMS_KEYS = ("alpha", "pi", "mu", "sigma2", "Q", "j_trace", "icl")
@@ -35,46 +52,51 @@ def read_graph(path) -> Graph:
 
 
 def _read_edge_list(path: Path) -> Graph:
-    declared_n = None
-    edges = []
-    max_index = -1
-    dropped = 0
-    with path.open(encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            header = _HEADER_RE.fullmatch(line)
-            if header:
-                declared_n = int(header.group(1))
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'i<TAB>j', got {raw!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{line_no}: vertex indices must be integers"
-                ) from None
-            if i < 0 or j < 0:
-                raise ValueError(f"{path}:{line_no}: negative vertex index")
-            max_index = max(max_index, i, j)
-            if i == j:
-                dropped += 1
-                continue
-            edges.append((i, j))
+    text = path.read_text(encoding="utf-8")
+    # Splitting on the header lines leaves the edge lines as the pieces and
+    # the captured counts between them; the leading newline lets the first
+    # line be a header too.
+    parts = _HEADER_LINE_RE.split("\n" + _COMMENT_RE.sub("", text))
+    body = "".join(parts[::2])
+    declared_n = int(parts[-2]) if len(parts) > 1 else None
+    if _NON_EDGE_CHAR_RE.search(body):
+        _raise_first_bad_line(path, text)
+    idx = np.empty((0, 2), dtype=np.int64)
+    if body.strip():
+        try:
+            idx = np.loadtxt(StringIO(body), dtype=np.int64, ndmin=2)
+        except ValueError as err:
+            _raise_first_bad_line(path, text, err)
+        if idx.shape[1] != 2 or (idx < 0).any():
+            _raise_first_bad_line(path, text)
+    max_index = int(idx.max()) if idx.size else -1
     if declared_n is not None and max_index >= declared_n:
         raise ValueError(
             f"{path}: vertex index {max_index} exceeds declared n={declared_n}"
         )
+    loops = idx[:, 0] == idx[:, 1]
+    dropped = int(np.count_nonzero(loops))
     if dropped:
-        warnings.warn(f"{path}: dropped {dropped} self-loop(s)", stacklevel=2)
+        warnings.warn(f"{path}: dropped {dropped} self-loop(s)", stacklevel=3)
     n = declared_n if declared_n is not None else max_index + 1
-    adjacency = np.zeros((n, n))
-    for i, j in edges:
-        adjacency[i, j] = adjacency[j, i] = 1.0
-    return Graph(adjacency)
+    return Graph.from_edge_pairs(n, idx[~loops])
+
+
+def _raise_first_bad_line(path: Path, text: str, err: Exception | None = None):
+    """Raise the error of the first line outside the edge-list grammar."""
+    bad = _BAD_LINE_RE.search(text)
+    if bad is None:
+        # Every line is well formed; only an index beyond int64 gets here.
+        raise ValueError(f"{path}: {err}") from None
+    line_no = text.count("\n", 0, bad.start()) + 1
+    line = bad.group()
+    raw = line + "\n" if bad.end() < len(text) else line
+    fields = _FIELD_SEP_RE.split(line.split("#", 1)[0].strip(" \t"))
+    if len(fields) != 2:
+        raise ValueError(f"{path}:{line_no}: expected 'i<TAB>j', got {raw!r}")
+    if not all(_INDEX_RE.fullmatch(field) for field in fields):
+        raise ValueError(f"{path}:{line_no}: vertex indices must be integers")
+    raise ValueError(f"{path}:{line_no}: negative vertex index")
 
 
 def _read_dense_graph(path: Path) -> Graph:
@@ -86,17 +108,21 @@ def _read_dense_graph(path: Path) -> Graph:
     sym = np.maximum(raw, raw.T)
     loops = int(np.count_nonzero(np.diag(sym)))
     if loops:
-        warnings.warn(f"{path}: dropped {loops} self-loop(s)", stacklevel=2)
+        warnings.warn(f"{path}: dropped {loops} self-loop(s)", stacklevel=3)
         np.fill_diagonal(sym, 0.0)
     return Graph(sym)
 
 
 def write_graph(path, graph: Graph) -> Path:
     path = Path(path)
+    names = np.arange(graph.n).astype(str)
+    # "i<TAB>" for the first n entries, "j<NEWLINE>" for the next n: each
+    # edge's line is one entry of each half.
+    table = np.concatenate([np.char.add(names, "\t"),
+                            np.char.add(names, "\n")]).astype(object)
+    cells = table[(graph.edge_pairs() + [0, graph.n]).ravel()]
     with path.open("w", encoding="utf-8") as handle:
-        handle.write(f"n={graph.n}\n")
-        for i, j in graph.edge_pairs():
-            handle.write(f"{i}\t{j}\n")
+        handle.write(f"n={graph.n}\n" + "".join(cells))
     return path
 
 

@@ -69,15 +69,23 @@ class Graph:
 
     @classmethod
     def from_edge_pairs(cls, n: int, pairs) -> "Graph":
-        """Build a graph from vertex-index pairs; order within a pair is free."""
+        """Build a graph from vertex-index pairs; order within a pair is free.
+
+        Raises on the first pair, in input order, that is out of range or a
+        self-loop.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        i, j = pairs[:, 0], pairs[:, 1]
+        in_range = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+        bad = np.nonzero(~in_range | (i == j))[0]
+        if bad.size:
+            a, b = pairs[bad[0]]
+            if not in_range[bad[0]]:
+                raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
+            raise ValueError(f"self-loop ({a}, {a}) is not allowed")
         adj = np.zeros((n, n))
-        pairs = np.atleast_2d(np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-            if i == j:
-                raise ValueError(f"self-loop ({i}, {i}) is not allowed")
-            adj[i, j] = adj[j, i] = 1.0
+        adj[i, j] = 1.0
+        adj[j, i] = 1.0
         return cls(adj)
 
 
@@ -93,6 +101,15 @@ class FeatureMatrix:
             raise ValueError(f"features must be 2-d (n, p), got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("features must be finite")
+        # Distances to the class means square the rows; a row whose squared
+        # norm overflows would turn the fit's variance into inf.
+        with np.errstate(over="ignore"):
+            overflow = np.nonzero(~np.isfinite((vals * vals).sum(axis=1)))[0]
+        if overflow.size:
+            raise ValueError(
+                f"feature row {overflow[0]} is too large: its squared norm "
+                "overflows float64; rescale the features"
+            )
         object.__setattr__(self, "values", _freeze(vals))
 
     @property

@@ -69,6 +69,20 @@ def test_fit_end_to_end(capsys, tmp_path):
     assert "fitted q=2" in out
 
 
+def test_fit_rejects_overflowing_features(capsys, tmp_path):
+    data = simulate_dataset(capsys, tmp_path)
+    rows = (data / "features.csv").read_text().splitlines()
+    rows[5] = "1e200,0.0"
+    (data / "features.csv").write_text("\n".join(rows) + "\n")
+    code, _, err = run_cli(
+        capsys, "fit", "--graph", str(data / "graph.tsv"),
+        "--features", str(data / "features.csv"), "--q", "2",
+        "--out", str(tmp_path / "fit"),
+    )
+    assert code == 1
+    assert err.startswith("error: feature row 5 is too large")
+
+
 def test_fit_modes(capsys, tmp_path):
     data = simulate_dataset(capsys, tmp_path)
     for mode in ("graph-only", "features-only"):

@@ -14,6 +14,7 @@ from cohsmix.em import (
 )
 from cohsmix.metrics import adjusted_rand_index
 from cohsmix.model import (
+    ClassStats,
     FeatureMatrix,
     Graph,
     ModelParams,
@@ -151,6 +152,57 @@ def test_e_step_falls_back_to_best_iterate():
         == pytest.approx(max(bounds), abs=1e-9)
 
 
+def _e_step_both_ways(graph, features, params, start, cfg, mode):
+    out = e_step(graph, features, params, start, cfg, mode)
+    stats = e_step(graph, features, params, ClassStats(graph, features, start),
+                   cfg, mode)
+    assert isinstance(stats, ClassStats)
+    assert stats.resp.tobytes() == out.tobytes()
+    return out, stats
+
+
+@pytest.mark.parametrize("mode", ["joint", "graph-only", "features-only"])
+def test_e_step_on_class_stats_matches_array(mode):
+    rng = np.random.default_rng(11)
+    graph, features, params = random_instance(rng, n=12, n_classes=3, p=2)
+    start = random_responsibilities(12, 3, rng)
+    _, stats = _e_step_both_ways(graph, features, params, start, EMConfig(),
+                                 mode)
+    if mode != "features-only":
+        # The bound of the result already paid for its adjacency product.
+        assert stats._adj_resp is not None
+        assert np.array_equal(stats.adj_resp, graph.adjacency @ stats.resp)
+
+
+def test_e_step_on_class_stats_falls_back_to_best_iterate():
+    # The instance of test_e_step_falls_back_to_best_iterate.
+    rng = np.random.default_rng(56)
+    graph, features, params = random_instance(rng, n=12, n_classes=3, p=2)
+    start = random_responsibilities(12, 3, rng)
+    cfg = EMConfig(damping=0.0, max_fixedpoint_sweeps=5)
+    _, stats = _e_step_both_ways(graph, features, params, start, cfg, "joint")
+    best = responsibility_update_oracle(graph, features, params, start)
+    assert np.abs(stats.resp - best).max() <= 1e-12
+
+
+def test_fit_computes_one_adjacency_product_per_iterate(monkeypatch):
+    spec = AffiliationSpec(n_classes=3, n=60, n_features=2, within_prob=0.4,
+                           between_prob=0.1, mean_gap=1.5, seed=2)
+    graph, features, _ = generate(spec)
+    products = []
+    compute = ClassStats.adj_resp.fget
+
+    def counted(stats):
+        if stats._adj_resp is None:
+            products.append(stats.resp.tobytes())
+        return compute(stats)
+
+    monkeypatch.setattr(ClassStats, "adj_resp", property(counted))
+    result = fit(graph, features, 3, EMConfig(rng_seed=0))
+    assert len(result.bound_trace) > 2
+    assert len(products) == len(set(products))
+
+
 def test_e_step_softmax_on_extreme_logits():
     # With a tiny variance every class logit lies far below -745, where exp
     # underflows to 0; only the row-max shift keeps the rows finite.
@@ -267,6 +319,14 @@ def test_fit_single_class_closed_form(rng):
     expected_var = ((features.values - features.values.mean(axis=0)) ** 2
                     ).sum() / (2 * 10)
     assert result.params.sigma2 == pytest.approx(expected_var, rel=1e-10)
+
+
+def test_fit_inputs_reject_overflowing_features(rng):
+    graph = random_graph(5, rng)
+    values = rng.normal(size=(5, 2))
+    values[3, 1] = 1e200
+    with pytest.raises(ValueError, match="feature row 3 is too large"):
+        fit(graph, FeatureMatrix(values), 2, EMConfig(rng_seed=0))
 
 
 def test_fit_rejects_more_classes_than_vertices(rng):

@@ -76,6 +76,44 @@ def test_graph_round_trip(tmp_path):
     assert np.array_equal(again.adjacency, graph.adjacency)
 
 
+@pytest.mark.parametrize("name, text", [("g.tsv", "0\t1\n2\t2\n"),
+                                        ("g.csv", "1,1\n1,0\n")])
+def test_self_loop_warning_points_at_the_caller(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.warns(UserWarning, match="self-loop") as record:
+        read_graph(path)
+    assert record[0].filename == __file__
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1_0\t2", "vertex indices must be integers"),
+    ("1.0\t2", "vertex indices must be integers"),
+    ("0\t1\t2", "expected 'i<TAB>j', got '0\\t1\\t2\\n'"),
+    ("3\t-1", "negative vertex index"),
+    ("0\f1", "expected 'i<TAB>j', got '0\\x0c1\\n'"),
+])
+def test_bad_line_named_with_its_number(tmp_path, line, message):
+    path = tmp_path / "g.tsv"
+    path.write_text(f"# header comes next\nn=5\n0\t1\n{line}\n2\t3\n")
+    with pytest.raises(ValueError) as err:
+        read_graph(path)
+    assert str(err.value) == f"{path}:4: {message}"
+
+
+def test_index_beyond_int64_named(tmp_path):
+    path = tmp_path / "g.tsv"
+    path.write_text("n=3\n0\t99999999999999999999\n")
+    with pytest.raises(ValueError, match=f"^{path}: .*'99999999999999999999'"):
+        read_graph(path)
+
+
+def test_write_graph_bytes(tmp_path):
+    graph = Graph.from_edge_pairs(4, [(3, 2), (0, 1), (3, 0)])
+    path = write_graph(tmp_path / "g.tsv", graph)
+    assert path.read_bytes() == b"n=4\n0\t1\n0\t3\n2\t3\n"
+
+
 def test_dense_csv_graph(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("0,1,0\n1,0,1\n0,1,0\n")
@@ -146,6 +184,13 @@ def test_features_non_finite_cell(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("1,2\n3,inf\n")
     with pytest.raises(ValueError, match="non-finite"):
+        read_features(path)
+
+
+def test_features_with_overflowing_norm(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("1,2\n3,1e200\n")
+    with pytest.raises(ValueError, match="feature row 1 is too large"):
         read_features(path)
 
 

@@ -51,9 +51,25 @@ def test_graph_views_agree(rng):
     assert len(pairs) == graph.n_edges
 
 
+def test_from_edge_pairs_names_first_bad_pair():
+    with pytest.raises(ValueError, match=r"self-loop \(1, 1\)"):
+        Graph.from_edge_pairs(3, [(0, 1), (1, 1), (0, 9)])
+    with pytest.raises(ValueError, match=r"edge \(0, 9\) out of range for n=3"):
+        Graph.from_edge_pairs(3, [(0, 1), (0, 9), (1, 1)])
+    with pytest.raises(ValueError, match=r"edge \(-1, 2\) out of range"):
+        Graph.from_edge_pairs(3, [(-1, 2)])
+
+
 def test_features_reject_non_finite():
     with pytest.raises(ValueError, match="finite"):
         FeatureMatrix(np.array([[1.0, np.inf]]))
+
+
+def test_features_reject_overflowing_squared_norm():
+    # Each entry is finite, but 1e200 squared is not.
+    values = np.array([[1.0, 2.0], [3.0, 1e150], [1e200, 0.0]])
+    with pytest.raises(ValueError, match="feature row 2 is too large"):
+        FeatureMatrix(values)
 
 
 def test_params_validation():
