@@ -170,11 +170,16 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     blends with the old values using ``cfg.damping``. Iteration stops once
     the sup-norm residual of the undamped update drops below
     ``cfg.fixedpoint_tol`` (so the damped per-sweep change is below it too)
-    or after ``cfg.max_fixedpoint_sweeps`` sweeps. The returned matrix never
-    lowers the bound relative to the start: if the final sweep does, the
-    best iterate seen (start included, ties to the earliest) is returned
+    or after ``cfg.max_fixedpoint_sweeps`` sweeps; a sweep that changes
+    nothing ends it on the iterate it started from. The returned matrix
+    never lowers the bound relative to the start: if the final sweep does,
+    the best iterate seen (start included, ties to the earliest) is returned
     instead. Only the start and final bounds are computed unless that
     fallback fires.
+
+    The sweeps run on the (Q, n) transpose of the responsibilities, so each
+    one's n^2 work is one :meth:`Graph.neighbour_mass`, and the logits of
+    the vertex terms (proportions and features) are computed once.
 
     ``resp`` is a responsibility matrix or the :class:`ClassStats` of one,
     and the result is of the same kind. Given a ``ClassStats``, the first
@@ -197,45 +202,59 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
         log_pi = np.log(params.pi)
         log_not = np.log1p(-params.pi)
     d2 = squared_distances(features.values, params.mu)
-    # Always (n, Q): the logits must have rows even when no term varies by
-    # vertex.
-    gauss = -d2 / (2.0 * params.sigma2) if use_features and features.p \
-        else np.zeros((n, n_classes))
-
-    def sweep(stats):
-        logits = log_alpha
-        if use_edges:
-            edges_off = (stats.col[None, :] - stats.resp) - stats.adj_resp
-            logits = logits + stats.adj_resp @ log_pi.T + edges_off @ log_not.T
-        logits = logits + gauss
-        # Row softmax shifted by the row maximum: exp can neither overflow
-        # nor underflow a whole row to zero.
-        update = np.exp(logits - logits.max(axis=1, keepdims=True))
-        update /= update.sum(axis=1, keepdims=True)
-        return update
+    # (Q, n) logits of the terms no sweep changes. A neighbour of class l
+    # adds log pi, any other vertex of class l log(1 - pi): the sweep applies
+    # their difference to the neighbour mass and log(1 - pi) to the mass of
+    # the other vertices.
+    base = np.repeat(log_alpha[:, None], n, axis=1)
+    if use_features and features.p:
+        base -= d2.T / (2.0 * params.sigma2)
+    log_ratio = log_pi - log_not
 
     start = given if given is not None else ClassStats(graph, features, resp)
     # The start bound shares the first sweep's adjacency product.
     start_bound = start.bound(params, mode, d2)
-    later = []
-    stats = start
+    first = cur = np.ascontiguousarray(start.resp.T)
+    # The product of ``cur`` once computed; C-contiguous, as adj_resp is its
+    # transposed view.
+    mass = start.adj_resp.T if use_edges else None
+    # Iterates after the start with their products, compared only if the
+    # fallback fires; without the edge term it compares the start alone.
+    kept = []
     for _ in range(cfg.max_fixedpoint_sweeps):
-        update = sweep(stats)
-        if stats is not start and use_edges:
-            # Compared only if the fallback fires; without the edge term
-            # the fallback compares the start alone.
-            later.append(stats.resp)
-        residual = np.abs(update - stats.resp).max()
-        stats = ClassStats(graph, features, (1.0 - cfg.damping) * update
-                           + cfg.damping * stats.resp)
+        if use_edges:
+            if mass is None:
+                mass = graph.neighbour_mass(cur)
+                kept.append((cur, mass))
+            logits = log_ratio @ mass
+            logits += base
+            logits += log_not @ (cur.sum(axis=1)[:, None] - cur)
+        else:
+            logits = base.copy()
+        # Softmax over the classes shifted by the class maximum: exp can
+        # neither overflow nor underflow a whole column to zero.
+        logits -= logits.max(axis=0)
+        update = np.exp(logits, out=logits)
+        update /= update.sum(axis=0)
+        residual = np.abs(update - cur).max()
+        if residual == 0.0:
+            break
+        cur = (1.0 - cfg.damping) * update + cfg.damping * cur
+        mass = None
         if residual <= cfg.fixedpoint_tol:
             break
 
+    if cur is first:
+        stats = start
+    else:
+        stats = ClassStats(graph, features, np.ascontiguousarray(cur.T),
+                           None if mass is None else mass.T)
     final_bound = stats.bound(params, mode, d2)
     if final_bound < start_bound - 1e-9:
         best_bound, best = start_bound, start
-        for iterate in later:
-            candidate = ClassStats(graph, features, iterate)
+        for iterate, product in kept:
+            candidate = ClassStats(graph, features,
+                                   np.ascontiguousarray(iterate.T), product.T)
             value = candidate.bound(params, mode, d2)
             if value > best_bound:
                 best_bound, best = value, candidate

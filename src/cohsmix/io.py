@@ -39,6 +39,9 @@ _BAD_LINE_RE = re.compile(
     re.MULTILINE,
 )
 
+# Feature tables made of these characters only are read in one np.loadtxt.
+_NON_PLAIN_CSV_RE = re.compile(r"[^0-9eE+\-.,\n]")
+
 # Field order of params.json; fixed so outputs are diff-friendly.
 _PARAMS_KEYS = ("alpha", "pi", "mu", "sigma2", "Q", "j_trace", "icl")
 
@@ -131,6 +134,31 @@ def read_features(path) -> FeatureMatrix:
 
 
 def _read_csv_matrix(path: Path, allow_header: bool) -> np.ndarray:
+    text = path.read_text(encoding="utf-8")
+    body = text
+    if allow_header:
+        first, _, rest = text.partition("\n")
+        # Without quotes the first record is the first line split at commas;
+        # a blank one is skipped like a header.
+        if '"' not in first and not _all_numeric(first.split(",")):
+            body = rest
+    if not body.strip("\n"):
+        return np.zeros((0, 0))
+    if _NON_PLAIN_CSV_RE.search(body) is None:
+        # Only digits, signs, points, exponents, commas and newlines reach
+        # np.loadtxt, which then parses floats as float() does.
+        try:
+            values = np.loadtxt(StringIO(body), delimiter=",", ndmin=2)
+        except ValueError:
+            values = None
+        if values is not None and np.isfinite(values).all():
+            return values
+    # Quotes, spaces, other spellings of numbers, and every error.
+    return _read_csv_rows(path, allow_header)
+
+
+def _read_csv_rows(path: Path, allow_header: bool) -> np.ndarray:
+    """The feature-table grammar, one cell at a time through ``csv``."""
     rows = []
     width = None
     with path.open(encoding="utf-8", newline="") as handle:
@@ -184,12 +212,25 @@ def write_labels(path, labels) -> Path:
                             *((i, int(label)) for i, label in enumerate(labels))])
 
 
-def _float_rows(values):
-    return ([repr(float(x)) for x in row] for row in values)
+def write_float_csv(path, values, header=None) -> Path:
+    """Write a float table as CSV, each value as ``repr`` spells it.
+
+    ``repr`` of the nested list formats every value in one call, as the
+    shortest string that reads back to the same float. ``header`` is an
+    optional first row of comma-free names.
+    """
+    path = Path(path)
+    table = repr(np.asarray(values, dtype=np.float64).tolist())[2:-2]
+    lines = [] if header is None else [",".join(header)]
+    if len(values):
+        lines.append(table.replace(", ", ",").replace("],[", "\n"))
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        handle.write("".join(line + "\n" for line in lines))
+    return path
 
 
 def write_features(path, features: FeatureMatrix) -> Path:
-    return write_csv(path, _float_rows(features.values))
+    return write_float_csv(path, features.values)
 
 
 def write_result(fit: FitResult, out_dir) -> dict[str, Path]:
@@ -200,10 +241,9 @@ def write_result(fit: FitResult, out_dir) -> dict[str, Path]:
 
     paths["partition"] = write_labels(out / "partition.csv", fit.partition)
     n_classes = fit.responsibilities.shape[1]
-    paths["tau"] = write_csv(out / "tau.csv", [
-        [f"class_{q}" for q in range(n_classes)],
-        *_float_rows(fit.responsibilities),
-    ])
+    paths["tau"] = write_float_csv(
+        out / "tau.csv", fit.responsibilities,
+        header=[f"class_{q}" for q in range(n_classes)])
 
     paths["params"] = out / "params.json"
     payload = {

@@ -88,6 +88,16 @@ class Graph:
         adj[j, i] = 1.0
         return cls(adj)
 
+    def neighbour_mass(self, resp_t: np.ndarray) -> np.ndarray:
+        """(Q, n) expected number of neighbours of each vertex per class.
+
+        ``resp_t`` is the (Q, n) transpose of a responsibility matrix; the
+        result is ``resp_t @ adjacency``, which equals ``(adjacency @
+        resp).T`` because the adjacency is symmetric, and streams the matrix
+        by rows. This is the fit's only n^2 product.
+        """
+        return resp_t @ self.adjacency
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -152,7 +162,7 @@ class ModelParams:
             raise ValueError(f"pi must have shape ({q}, {q}), got {pi.shape}")
         if np.any(pi < 0) or np.any(pi > 1):
             raise ValueError("pi entries must lie in [0, 1]")
-        if not np.allclose(pi, pi.T, atol=1e-8):
+        if not _allclose(pi, pi.T):
             raise ValueError("pi must be symmetric (undirected graph)")
         if mu.shape[0] != q:
             raise ValueError(f"mu must have {q} rows, got {mu.shape[0]}")
@@ -182,6 +192,13 @@ class ModelParams:
         )
 
 
+def _allclose(a, b) -> bool:
+    """``np.allclose(a, b, atol=1e-8)`` for finite ``b``, without the
+    ``isclose`` machinery: ``rtol`` is numpy's default 1e-5, and NaN is never
+    close."""
+    return bool(np.all(np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)))
+
+
 def check_responsibilities(resp, n: int,
                            n_classes: int | None = None) -> np.ndarray:
     """Validate an (n, Q) row-stochastic matrix and return it as float64.
@@ -197,7 +214,7 @@ def check_responsibilities(resp, n: int,
         )
     if np.any(resp < -1e-12):
         raise ValueError("responsibilities must be non-negative")
-    if not np.allclose(resp.sum(axis=1), 1.0, atol=1e-8):
+    if not _allclose(resp.sum(axis=1), 1.0):
         raise ValueError("responsibility rows must each sum to 1")
     return resp
 
@@ -259,27 +276,33 @@ class ClassStats:
 
     The bound, the complete log-likelihood, the M-step and the selection
     criterion all read from here. The n^2 product ``adjacency @ resp`` is
-    computed here only, at most once and only if an edge term asks for it.
-    ``resp`` is taken as given: callers validate it.
+    computed by :meth:`Graph.neighbour_mass`, at most once and only if an
+    edge term asks for it; ``adj_resp`` passes it in when the caller already
+    has it. ``resp`` is taken as given: callers validate it.
 
     ``col`` is the class mass; ``on`` the expected edge counts between
     classes, each edge counted from both ends; ``pairs`` the expected counts
     of ordered pairs of distinct vertices.
     """
 
-    def __init__(self, graph: Graph, features: FeatureMatrix, resp):
+    def __init__(self, graph: Graph, features: FeatureMatrix, resp,
+                 adj_resp: np.ndarray | None = None):
         check_rows(graph, features)
         self.graph = graph
         self.features = features
         self.resp = resp
         self.col = resp.sum(axis=0)
-        self._adj_resp = None
+        self._adj_resp = adj_resp
 
     @property
     def adj_resp(self) -> np.ndarray:
-        """(n, Q) expected number of neighbours of each vertex per class."""
+        """(n, Q) expected number of neighbours of each vertex per class.
+
+        A transposed view of the (Q, n) :meth:`Graph.neighbour_mass`.
+        """
         if self._adj_resp is None:
-            self._adj_resp = self.graph.adjacency @ self.resp
+            self._adj_resp = self.graph.neighbour_mass(
+                np.ascontiguousarray(self.resp.T)).T
         return self._adj_resp
 
     @property

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cohsmix.em import (
     EMConfig,
@@ -105,6 +107,28 @@ def test_e_step_total_symmetry_keeps_uniform():
     assert np.allclose(resp, 0.5, atol=1e-12)
 
 
+def test_e_step_at_fixed_point_multiplies_once(monkeypatch):
+    # The symmetric instance of test_e_step_total_symmetry_keeps_uniform:
+    # the first sweep changes nothing, so the start is returned and its
+    # product is the only one.
+    graph = Graph(np.array([[0, 1], [1, 0]]))
+    features = FeatureMatrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
+    params = ModelParams(alpha=[0.5, 0.5],
+                         pi=np.array([[0.7, 0.2], [0.2, 0.7]]),
+                         mu=np.array([[0.5, 0.5], [0.5, 0.5]]), sigma2=1.0)
+    products = []
+    compute = Graph.neighbour_mass
+
+    def counted(self, resp_t):
+        products.append(resp_t.tobytes())
+        return compute(self, resp_t)
+
+    monkeypatch.setattr(Graph, "neighbour_mass", counted)
+    start = ClassStats(graph, features, np.full((2, 2), 0.5))
+    assert e_step(graph, features, params, start) is start
+    assert len(products) == 1
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_e_step_residual_and_bound_improvement(seed):
     rng = np.random.default_rng(seed)
@@ -190,17 +214,75 @@ def test_fit_computes_one_adjacency_product_per_iterate(monkeypatch):
                            between_prob=0.1, mean_gap=1.5, seed=2)
     graph, features, _ = generate(spec)
     products = []
-    compute = ClassStats.adj_resp.fget
+    compute = Graph.neighbour_mass
 
-    def counted(stats):
-        if stats._adj_resp is None:
-            products.append(stats.resp.tobytes())
-        return compute(stats)
+    def counted(self, resp_t):
+        products.append(resp_t.tobytes())
+        return compute(self, resp_t)
 
-    monkeypatch.setattr(ClassStats, "adj_resp", property(counted))
+    # Every product, the E-step's sweeps included, goes through this helper.
+    monkeypatch.setattr(Graph, "neighbour_mass", counted)
     result = fit(graph, features, 3, EMConfig(rng_seed=0))
     assert len(result.bound_trace) > 2
     assert len(products) == len(set(products))
+
+
+@pytest.mark.parametrize("n", [12, 150, 700])
+def test_neighbour_mass_is_the_adjacency_product(n):
+    rng = np.random.default_rng(n)
+    graph = random_graph(n, rng, density=0.3)
+    resp = random_responsibilities(n, 3, rng)
+    mass = graph.neighbour_mass(np.ascontiguousarray(resp.T))
+    assert mass.shape == (3, n)
+    assert np.abs(mass.T - graph.adjacency @ resp).max() <= 1e-12
+    stats = ClassStats(graph, FeatureMatrix.empty(n), resp)
+    assert np.array_equal(stats.adj_resp, mass.T)
+
+
+def reference_e_step(graph, features, params, start, cfg, mode):
+    """The documented E-step, one oracle update and damped blend per sweep."""
+    bound = lambda r: mode_lower_bound(graph, features, r, params, mode)
+    iterates = [start]
+    for _ in range(cfg.max_fixedpoint_sweeps):
+        update = responsibility_update_oracle(graph, features, params,
+                                              iterates[-1], mode)
+        residual = np.abs(update - iterates[-1]).max()
+        if residual == 0.0:
+            break
+        iterates.append((1.0 - cfg.damping) * update
+                        + cfg.damping * iterates[-1])
+        if residual <= cfg.fixedpoint_tol:
+            break
+    final = iterates[-1]
+    if bound(final) >= bound(start) - 1e-9:
+        return final, False
+    # Without the edge term the fallback compares the start alone.
+    candidates = iterates[:-1] if mode != "features-only" else [start]
+    values = [bound(r) for r in candidates]
+    best = int(np.argmax(values))  # ties to the earliest
+    return (candidates[best], True) if values[best] > bound(final) \
+        else (final, True)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+       n_classes=st.integers(2, 4), p=st.sampled_from([0, 2]),
+       mode=st.sampled_from(["joint", "graph-only", "features-only"]),
+       damping=st.sampled_from([0.0, 0.5]), cap=st.integers(3, 50))
+def test_e_step_matches_reference_loop(seed, n, n_classes, p, mode, damping,
+                                       cap):
+    rng = np.random.default_rng(seed)
+    graph, features, params = random_instance(rng, n=n, n_classes=n_classes,
+                                              p=p)
+    start = random_responsibilities(n, n_classes, rng)
+    cfg = EMConfig(damping=damping, max_fixedpoint_sweeps=cap)
+    expected, _ = reference_e_step(graph, features, params, start, cfg, mode)
+    out = e_step(graph, features, params, start, cfg, mode)
+    assert out.shape == expected.shape
+    assert np.abs(out - expected).max() <= 1e-12
+    bound = lambda r: mode_lower_bound(graph, features, r, params, mode)
+    assert bound(out) >= bound(start) - 1e-9
 
 
 def test_e_step_softmax_on_extreme_logits():

@@ -1,6 +1,9 @@
-"""Generated edge-list files: the reader against a per-line reference parser,
+"""Generated edge-list and feature files: the readers against per-line and
+per-cell reference parsers, the writers against per-value reference writers,
 and write/read round trips."""
 
+import csv
+import io
 import re
 import warnings
 
@@ -8,7 +11,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cohsmix.io import read_graph, write_graph
+from cohsmix.io import _read_csv_matrix, read_graph, write_float_csv, write_graph
 from cohsmix.model import Graph
 
 _HEADER_RE = re.compile(r"n\s*=\s*(\d+)")
@@ -167,3 +170,136 @@ def test_round_trip_edge_cases(tmp_path):
                   Graph(np.zeros((5, 5)))):
         path = write_graph(tmp_path / f"g{graph.n}.tsv", graph)
         assert np.array_equal(read_graph(path).adjacency, graph.adjacency)
+
+
+# ---------------------------------------------------------------------------
+# Feature tables
+
+
+def reference_read_csv(path, allow_header):
+    """One cell at a time through ``csv``, as the feature reader once did."""
+    rows = []
+    width = None
+    with path.open(encoding="utf-8", newline="") as handle:
+        for row_no, cells in enumerate(csv.reader(handle), start=1):
+            if not cells or all(not cell.strip() for cell in cells):
+                continue
+            if row_no == 1 and allow_header and not _all_float(cells):
+                continue
+            try:
+                values = [float(cell) for cell in cells]
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{row_no}: non-numeric cell in {cells!r}"
+                ) from None
+            if not all(np.isfinite(values)):
+                raise ValueError(f"{path}:{row_no}: non-finite value")
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise ValueError(
+                    f"{path}:{row_no}: expected {width} columns, got {len(values)}"
+                )
+            rows.append(values)
+    if not rows:
+        return np.zeros((0, 0))
+    return np.array(rows)
+
+
+def _all_float(cells):
+    try:
+        [float(cell) for cell in cells]
+    except ValueError:
+        return False
+    return True
+
+
+def reference_write_csv(values, header=None):
+    """``repr`` of each value through ``csv.writer``, as the writers once did."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows([repr(float(x)) for x in row] for row in values)
+    return out.getvalue()
+
+
+plain_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([".5", "5.", "+1", "-0", "1e5", "1E-3", "-.5e+2", "007",
+                     "1e999", "-1e999"]),  # the last two overflow to inf
+)
+odd_cell = st.sampled_from([
+    " 1.5", "2 ", '"3.25"', '"1,5"', "1_0", "nan", "inf", "-Infinity", "",
+    " ", "abc", "1e", "1.2.3", "--1", "0x10", "\u0661", "#1", "1\x00",
+])
+cell = st.one_of(plain_number, plain_number, plain_number, odd_cell)
+header_row = st.sampled_from(["a,b", "x", "class_0,class_1,class_2", '"a,b",c',
+                              "1,x", "1,2", "", " ", "nan,1", "\ufeffa,b"])
+
+
+@st.composite
+def feature_text(draw):
+    width = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            rows.append(draw(st.sampled_from(["", " ", ",,", " , "])))
+            continue
+        row_width = width if kind > 1 else draw(st.integers(1, 5))
+        odd = draw(st.integers(0, 4)) == 0
+        cells = [draw(cell if odd else plain_number) for _ in range(row_width)]
+        rows.append(",".join(cells))
+    if draw(st.booleans()):
+        rows.insert(0, draw(header_row))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]),
+                         min_size=len(rows), max_size=len(rows)))
+    text = "".join(row + end for row, end in zip(rows, ends))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no newline after the last row
+    return text
+
+
+def _table_outcome(read, path, allow_header):
+    try:
+        return "ok", read(path, allow_header)
+    except ValueError as err:
+        return "error", str(err)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=feature_text(), allow_header=st.booleans())
+def test_feature_reader_matches_reference(tmp_path_factory, text, allow_header):
+    path = tmp_path_factory.mktemp("fuzz") / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _table_outcome(reference_read_csv, path, allow_header)
+    got = _table_outcome(_read_csv_matrix, path, allow_header)
+    assert got[0] == expected[0], (got, expected)
+    if expected[0] == "error":
+        assert got[1] == expected[1]
+        return
+    assert got[1].shape == expected[1].shape
+    assert got[1].tobytes() == expected[1].tobytes()
+
+
+float_tables = st.integers(0, 6).flatmap(lambda n: st.integers(0, 4).flatmap(
+    lambda p: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=p, max_size=p),
+        min_size=n, max_size=n).map(lambda rows: np.array(rows).reshape(n, p))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=float_tables, with_header=st.booleans())
+def test_float_writer_matches_reference(tmp_path_factory, values, with_header):
+    header = [f"class_{q}" for q in range(values.shape[1])] \
+        if with_header else None
+    path = write_float_csv(tmp_path_factory.mktemp("round") / "f.csv",
+                           values, header)
+    assert path.read_bytes() == reference_write_csv(values, header).encode()
+    if values.shape[1]:
+        again = _read_csv_matrix(path, allow_header=True)
+        assert again.tobytes() == values.tobytes()

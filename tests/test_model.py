@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohsmix.model import (
     FeatureMatrix,
     Graph,
     ModelParams,
+    check_responsibilities,
     complete_log_likelihood,
     exact_log_marginal,
     one_hot,
@@ -82,6 +85,49 @@ def test_params_validation():
     with pytest.raises(ValueError, match="positive"):
         ModelParams(alpha=[1.0], pi=np.eye(1) * 0.5, mu=np.zeros((1, 1)),
                     sigma2=0.0)
+
+
+@pytest.mark.parametrize("excess, accepted", [
+    (0.0, True), (1.0e-5, True), (-1.0e-5, True), (1.1e-5, False),
+    (-1.1e-5, False), (np.nan, False), (np.inf, False)])
+def test_responsibility_row_sum_tolerance(excess, accepted):
+    # numpy's allclose rule, atol=1e-8 and rtol=1e-5 against the target 1.
+    resp = np.array([[0.25, 0.75], [0.5, 0.5 + excess], [1.0, 0.0]])
+    if accepted:
+        assert check_responsibilities(resp, 3, 2) is not None
+    else:
+        with pytest.raises(ValueError, match="sum to 1"):
+            check_responsibilities(resp, 3, 2)
+
+
+def test_responsibilities_without_vertices_accepted():
+    assert check_responsibilities(np.zeros((0, 3)), 0, 3).shape == (0, 3)
+
+
+near_one = st.one_of(st.floats(0.99998, 1.00002), st.just(np.nan),
+                     st.sampled_from([1 + 1.0e-5, 1 + 1.001e-5, 1 - 1.001e-5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sums=st.lists(near_one, min_size=0, max_size=4),
+       off=st.floats(0.0, 2e-5), entry=st.floats(0.0, 1.0))
+def test_validity_checks_accept_what_allclose_accepts(sums, off, entry):
+    resp = np.column_stack([np.zeros(len(sums)), np.array(sums)])
+    try:
+        check_responsibilities(resp, len(sums), 2)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == np.allclose(resp.sum(axis=1), 1.0, atol=1e-8)
+
+    lower = min(entry + off, 1.0)
+    pi = np.array([[0.5, entry], [lower, 0.5]])
+    try:
+        ModelParams(alpha=[0.5, 0.5], pi=pi, mu=np.zeros((2, 1)), sigma2=1.0)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == np.allclose(pi, pi.T, atol=1e-8)
 
 
 def test_params_clamped():
