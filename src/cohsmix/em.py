@@ -2,14 +2,18 @@
 
 The E-step iterates a damped Jacobi fixed-point update of the vertex
 responsibilities in the log domain; the M-step maximises the lower bound in
-closed form. ``fit`` alternates the two until the bound stalls, and
-``fit_multi_restart`` keeps the best of several independently initialised
-runs. Ablation modes drop the edge or feature terms from both steps.
+closed form. One driver alternates the two until the bound stalls, for
+every start of a fit at once: the starts advance in lockstep on an
+(R, Q, n) stack of transposed responsibilities, so each E-step sweep and
+each M-step is one stacked computation, and a start that stops leaves the
+stack. ``fit`` runs it from one start and ``fit_multi_restart`` from
+several, keeping the best. Ablation modes drop the edge or feature terms
+from both steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +24,7 @@ from .model import (
     FeatureMatrix,
     Graph,
     ModelParams,
+    ParamStack,
     check_responsibilities,
     check_rows,
     mode_terms,
@@ -79,6 +84,8 @@ class FitResult:
     converged: bool
     mode: str = "joint"
     icl: float | None = None
+    # "restart <r>: <message>" for each restart of the fit that failed.
+    failed_restarts: list[str] = field(default_factory=list)
 
     @property
     def final_bound(self) -> float:
@@ -92,8 +99,8 @@ def mode_lower_bound(graph: Graph, features: FeatureMatrix, resp,
     ``resp`` is a responsibility matrix or the :class:`ClassStats` of one.
     """
     stats = resp if isinstance(resp, ClassStats) \
-        else ClassStats(graph, features, resp)
-    return stats.bound(params, mode)
+        else ClassStats.of(graph, features, resp)
+    return float(stats.bound(params, mode)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -177,90 +184,155 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     instead. Only the start and final bounds are computed unless that
     fallback fires.
 
-    The sweeps run on the (Q, n) transpose of the responsibilities, so each
-    one's n^2 work is one :meth:`Graph.neighbour_mass`, and the logits of
-    the vertex terms (proportions and features) are computed once.
-
     ``resp`` is a responsibility matrix or the :class:`ClassStats` of one,
     and the result is of the same kind. Given a ``ClassStats``, the first
-    sweep reuses its ``adjacency @ resp`` product, and the returned one
-    holds the product its bound read, so the M-step need not compute it
-    again.
+    sweep reuses its product, and the returned one holds the product its
+    bound read, so the M-step need not compute it again. This is the fit's
+    stacked E-step on a stack of one.
     """
     cfg = cfg or EMConfig()
-    use_edges, use_features = mode_terms(mode)
     given = resp if isinstance(resp, ClassStats) else None
-    resp = check_responsibilities(resp if given is None else given.resp,
-                                  graph.n, params.n_classes)
-    n, n_classes = resp.shape
+    matrix = check_responsibilities(resp if given is None else given.resp[0],
+                                    graph.n, params.n_classes)
+    start = given if given is not None else ClassStats.of(graph, features,
+                                                          matrix)
+    stack = ParamStack.of(params)
+    d2 = squared_distances(stack.mu, features.values) \
+        if mode_terms(mode)[1] and features.p else None
+    stats = _e_step(start, stack, d2, start.bound(stack, mode, d2), cfg, mode)
+    return stats if given is not None else np.ascontiguousarray(stats.resp[0])
+
+
+def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
+            cfg: EMConfig, mode: str, track: bool = False) -> ClassStats:
+    """The E-step of every matrix of a stack, swept in lockstep.
+
+    Row r of the stack is swept under row r of ``params``; ``d2`` is the
+    (R, Q, n) ``squared_distances(params.mu, features.values)``, or None when
+    the mode reads no features, and ``start_bounds`` the bounds of the
+    start, which the fit driver already has. Each sweep is one
+    stacked computation, its only n^2 work one :meth:`Graph.neighbour_mass`
+    of the rows still sweeping; the logits of the vertex terms (proportions
+    and features) are computed once. Each row keeps the stop rules of
+    :func:`e_step`, and a row that stops leaves the stack. Returns ``stats``
+    itself when no row moved.
+
+    The best-iterate fallback keeps no iterate: a row whose final bound
+    falls below its start's is swept again alone from its start with
+    ``track`` set, which evaluates the bound of every iterate the sweeps
+    multiply and ends on the best one seen (start included, ties to the
+    earliest) if it beats the final one. Without the edge term no iterate
+    is multiplied, so the start alone is compared.
+    """
+    graph, features = stats.graph, stats.features
+    use_edges, _ = mode_terms(mode)
+    n_rows, n_classes, n = stats.resp_t.shape
     if n_classes == 1:
-        ones = np.ones((n, 1))
-        return ones if given is None else ClassStats(graph, features, ones)
+        return stats
 
     with np.errstate(divide="ignore"):
         log_alpha = np.log(params.alpha)
         log_pi = np.log(params.pi)
         log_not = np.log1p(-params.pi)
-    d2 = squared_distances(features.values, params.mu)
-    # (Q, n) logits of the terms no sweep changes. A neighbour of class l
+    # (R, Q, n) logits of the terms no sweep changes. A neighbour of class l
     # adds log pi, any other vertex of class l log(1 - pi): the sweep applies
     # their difference to the neighbour mass and log(1 - pi) to the mass of
     # the other vertices.
-    base = np.repeat(log_alpha[:, None], n, axis=1)
-    if use_features and features.p:
-        base -= d2.T / (2.0 * params.sigma2)
+    base = np.repeat(log_alpha[:, :, None], n, axis=2)
+    if d2 is not None:
+        base -= d2 / (2.0 * params.sigma2[:, None, None])
     log_ratio = log_pi - log_not
 
-    start = given if given is not None else ClassStats(graph, features, resp)
-    # The start bound shares the first sweep's adjacency product.
-    start_bound = start.bound(params, mode, d2)
-    first = cur = np.ascontiguousarray(start.resp.T)
-    # The product of ``cur`` once computed; C-contiguous, as adj_resp is its
-    # transposed view.
-    mass = start.adj_resp.T if use_edges else None
-    # Iterates after the start with their products, compared only if the
-    # fallback fires; without the edge term it compares the start alone.
-    kept = []
-    for _ in range(cfg.max_fixedpoint_sweeps):
+    # The rows still sweeping, their iterates and the product of those
+    # iterates once computed; the start's product is the start bound's.
+    live = np.arange(n_rows)
+    cur = stats.resp_t
+    mass = stats.mass if use_edges else None
+    # Per row: the final iterate, its product when known, and whether it
+    # left the start; with ``track``, the best iterate after the start, with
+    # its product and bound.
+    finals = list(cur)
+    products = list(mass) if use_edges else [None] * n_rows
+    moved = np.ones(n_rows, dtype=bool)
+    best, best_bounds = {}, np.array(start_bounds, dtype=np.float64)
+    for sweep in range(cfg.max_fixedpoint_sweeps):
         if use_edges:
             if mass is None:
                 mass = graph.neighbour_mass(cur)
-                kept.append((cur, mass))
+                if track:
+                    values = ClassStats(graph, features, cur, mass).bound(
+                        params.take(live), mode, None if d2 is None
+                        else d2[live])
+                    for row in np.nonzero(values > best_bounds[live])[0]:
+                        best_bounds[live[row]] = values[row]
+                        best[live[row]] = (cur[row], mass[row])
             logits = log_ratio @ mass
             logits += base
-            logits += log_not @ (cur.sum(axis=1)[:, None] - cur)
+            logits += log_not @ (cur.sum(axis=2)[:, :, None] - cur)
         else:
             logits = base.copy()
         # Softmax over the classes shifted by the class maximum: exp can
         # neither overflow nor underflow a whole column to zero.
-        logits -= logits.max(axis=0)
+        logits -= logits.max(axis=1, keepdims=True)
         update = np.exp(logits, out=logits)
-        update /= update.sum(axis=0)
-        residual = np.abs(update - cur).max()
-        if residual == 0.0:
+        update /= update.sum(axis=1, keepdims=True)
+        residuals = np.abs(update - cur).max(axis=(1, 2)).tolist()
+        blended = (1.0 - cfg.damping) * update + cfg.damping * cur
+        stopped = [row for row, residual in enumerate(residuals)
+                   if residual <= cfg.fixedpoint_tol]
+        # A row whose sweep changes nothing ends on the iterate it started
+        # from, with its product; the others on the blend.
+        for row in stopped:
+            k = live[row]
+            if residuals[row] == 0.0:
+                finals[k] = cur[row]
+                products[k] = None if mass is None else mass[row]
+                moved[k] = sweep > 0
+            else:
+                finals[k], products[k] = blended[row], None
+        if len(stopped) == live.size:
             break
-        cur = (1.0 - cfg.damping) * update + cfg.damping * cur
-        mass = None
-        if residual <= cfg.fixedpoint_tol:
-            break
-
-    if cur is first:
-        stats = start
+        if stopped:
+            keep = np.ones(live.size, dtype=bool)
+            keep[stopped] = False
+            live, blended = live[keep], blended[keep]
+            base, log_ratio = base[keep], log_ratio[keep]
+            log_not = log_not[keep]
+        cur, mass = blended, None
     else:
-        stats = ClassStats(graph, features, np.ascontiguousarray(cur.T),
-                           None if mass is None else mass.T)
-    final_bound = stats.bound(params, mode, d2)
-    if final_bound < start_bound - 1e-9:
-        best_bound, best = start_bound, start
-        for iterate, product in kept:
-            candidate = ClassStats(graph, features,
-                                   np.ascontiguousarray(iterate.T), product.T)
-            value = candidate.bound(params, mode, d2)
-            if value > best_bound:
-                best_bound, best = value, candidate
-        if best_bound > final_bound:
-            stats = best
-    return stats if given is not None else stats.resp
+        # The sweep cap: the rows still sweeping end on their last blend.
+        for row, k in enumerate(live):
+            finals[k], products[k] = cur[row], None
+
+    if not moved.any():
+        return stats
+    resp_t = np.stack(finals)
+    if use_edges:
+        unknown = [k for k, product in enumerate(products) if product is None]
+        if unknown:
+            for k, product in zip(unknown,
+                                  graph.neighbour_mass(resp_t[unknown])):
+                products[k] = product
+        out = ClassStats(graph, features, resp_t, np.stack(products))
+    else:
+        out = ClassStats(graph, features, resp_t)
+
+    final_bounds = out.bound(params, mode, d2)
+    rows = np.nonzero(final_bounds < start_bounds - 1e-9)[0]
+    if rows.size and not track:
+        again = _e_step(stats.take(rows), params.take(rows),
+                        None if d2 is None else d2[rows], start_bounds[rows],
+                        cfg, mode, track=True)
+        return out.with_rows(rows, again.resp_t,
+                             again.mass if use_edges else None)
+    rows = [k for k in rows if best_bounds[k] > final_bounds[k]]
+    if not rows:
+        return out
+    choices = [best.get(k) or (stats.resp_t[k], stats.mass[k] if use_edges
+                               else None) for k in rows]
+    return out.with_rows(rows, np.stack([it for it, _ in choices]),
+                         np.stack([m for _, m in choices]) if use_edges
+                         else None)
 
 
 # ---------------------------------------------------------------------------
@@ -272,41 +344,56 @@ def m_step(graph: Graph, features: FeatureMatrix, resp: np.ndarray,
            sigma2_floor: float = SIGMA2_FLOOR) -> ModelParams:
     """Closed-form bound maximiser at fixed responsibilities.
 
+    ``resp`` is a responsibility matrix or the :class:`ClassStats` of one.
+    This is the fit's stacked M-step on a stack of one.
+
     Raises
     ------
     EmptyClassError
         If any class has total mass below 1e-10; the fit driver reacts by
         re-seeding that class.
     """
-    use_edges, use_features = mode_terms(mode)
-    stats = resp if isinstance(resp, ClassStats) else ClassStats(
+    stats = resp if isinstance(resp, ClassStats) else ClassStats.of(
         graph, features, check_responsibilities(resp, graph.n))
-    n, n_classes = stats.resp.shape
-    col = stats.col
-    empty = np.nonzero(col < EMPTY_CLASS_MASS)[0]
+    empty = np.nonzero(stats.col[0] < EMPTY_CLASS_MASS)[0]
     if empty.size:
         raise EmptyClassError(empty.tolist())
+    return _m_step(stats, mode, pi_eps, sigma2_floor)[0].unstack(0)
 
+
+def _m_step(stats: ClassStats, mode: str, pi_eps: float = PI_EPS,
+            sigma2_floor: float = SIGMA2_FLOOR):
+    """Closed forms of every matrix of a stack, whose classes all have mass.
+
+    Returns the :class:`ParamStack` and, when the mode reads features, the
+    squared distances of the feature rows to its means.
+    """
+    use_edges, use_features = mode_terms(mode)
+    n_rows, n_classes, n = stats.resp_t.shape
+    col = stats.col
     alpha = col / n
 
     if use_edges:
         on, den = stats.on, stats.pairs
         with np.errstate(invalid="ignore", divide="ignore"):
             pi = np.where(den > 0, on / np.where(den > 0, den, 1.0), 0.5)
-        pi = (pi + pi.T) / 2.0
+        pi = (pi + pi.transpose(0, 2, 1)) / 2.0
         pi = np.clip(pi, pi_eps, 1.0 - pi_eps)
     else:
-        pi = np.full((n_classes, n_classes), 0.5)
+        pi = np.full((n_rows, n_classes, n_classes), 0.5)
 
-    p = features.p
+    values = stats.features.values
+    p = stats.features.p
+    d2 = None
     if use_features and p:
-        mu = (stats.resp.T @ features.values) / col[:, None]
-        sigma2 = max(stats.scatter(mu) / (p * n), sigma2_floor)
+        mu = (stats.resp_t @ values) / col[:, :, None]
+        d2 = squared_distances(mu, values)
+        sigma2 = np.maximum(stats.scatter(mu, d2) / (p * n), sigma2_floor)
     else:
-        mu = np.zeros((n_classes, p))
-        sigma2 = sigma2_floor
+        mu = np.zeros((n_rows, n_classes, p))
+        sigma2 = np.full(n_rows, sigma2_floor)
 
-    return ModelParams(alpha=alpha, pi=pi, mu=mu, sigma2=sigma2)
+    return ParamStack(alpha=alpha, pi=pi, mu=mu, sigma2=sigma2), d2
 
 
 def _reseed_empty_classes(resp: np.ndarray, empty_classes) -> np.ndarray:
@@ -328,78 +415,145 @@ def _reseed_empty_classes(resp: np.ndarray, empty_classes) -> np.ndarray:
     return resp
 
 
-def _m_step_with_rescue(graph, features, stats, mode, attempts=_RESCUE_ATTEMPTS):
-    """M-step on a ``ClassStats``, re-seeding empty classes up to ``attempts``
-    times; returns the parameters and the statistics they were fitted to."""
+def _rescue(stats: ClassStats, attempts: int = _RESCUE_ATTEMPTS):
+    """Re-seed the empty classes of each matrix of a stack, up to
+    ``attempts`` times.
+
+    Returns the statistics after the last re-seed and, by row, the
+    :class:`EmptyClassError` of each matrix whose classes are still empty.
+    """
     for attempt in range(attempts + 1):
-        try:
-            return m_step(graph, features, stats, mode=mode), stats
-        except EmptyClassError as err:
-            if attempt == attempts:
-                raise
-            stats = ClassStats(graph, features, _reseed_empty_classes(
-                stats.resp, err.empty_classes))
+        empty = stats.col < EMPTY_CLASS_MASS
+        rows = np.nonzero(empty.any(axis=1))[0]
+        if attempt == attempts or not rows.size:
+            return stats, {int(row): EmptyClassError(
+                np.nonzero(empty[row])[0].tolist()) for row in rows}
+        stats = stats.with_rows(rows, np.stack([
+            _reseed_empty_classes(stats.resp_t[row].T,
+                                  np.nonzero(empty[row])[0]).T
+            for row in rows]))
 
 
 # ---------------------------------------------------------------------------
 # Drivers
 
 
+def _check_fit(graph: Graph, features: FeatureMatrix, n_classes: int):
+    check_rows(graph, features)
+    if not 1 <= n_classes <= graph.n:
+        raise ValueError(f"need 1 <= n_classes <= n, got n_classes={n_classes} "
+                         f"with n={graph.n} vertices")
+
+
+def _init(graph: Graph, features: FeatureMatrix, n_classes: int,
+          cfg: EMConfig, mode: str) -> np.ndarray:
+    """The start that ``cfg``'s seed and strategy give."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    # The graph-only mode must not see the features anywhere, the
+    # initialisation included.
+    init_features = features if mode_terms(mode)[1] \
+        else FeatureMatrix.empty(graph.n)
+    return init_responsibilities(graph, init_features, n_classes,
+                                 cfg.init_strategy, rng)
+
+
+def _em(graph: Graph, features: FeatureMatrix, starts, cfg: EMConfig,
+        mode: str) -> list:
+    """EM from each (n, Q) start, all advancing in lockstep.
+
+    Every start records the lower bound after each M-step and stops on its
+    own: when the relative bound change drops below ``cfg.bound_rel_tol``
+    (converged), at the iteration cap, or when an iteration would lower its
+    bound (possible only after an empty-class re-seed), which is rolled
+    back. A start whose classes stay empty after the re-seeds fails. A start
+    that stops or fails leaves the stack. Returns, by start, its
+    :class:`FitResult` or its :class:`EmptyClassError`.
+    """
+    outcomes: list = [None] * len(starts)
+    traces: list[list[float]] = [[] for _ in starts]
+
+    def m_step_and_bound(stats):
+        """The M-step after the rescue, the rows that survived it, and the
+        bounds."""
+        stats, errors = _rescue(stats)
+        rows = [row for row in range(stats.resp_t.shape[0])
+                if row not in errors]
+        for row, err in errors.items():
+            outcomes[idx[row]] = err
+        if errors:
+            stats = stats.take(rows)
+        params, d2 = _m_step(stats, mode)
+        return stats, params, d2, rows, stats.bound(params, mode, d2)
+
+    def finish(stats, params, row, start, converged):
+        resp = np.ascontiguousarray(stats.resp_t[row].T)
+        outcomes[start] = FitResult(
+            params=params.unstack(row),
+            responsibilities=resp,
+            partition=partition_from_responsibilities(resp),
+            bound_trace=traces[start],
+            converged=converged,
+            mode=mode,
+        )
+
+    # The start of each stack row.
+    idx = np.arange(len(starts))
+    stats = ClassStats(graph, features,
+                       np.stack([start.T for start in starts]))
+    stats, params, d2, rows, bounds = m_step_and_bound(stats)
+    idx = idx[rows]
+    for start, value in zip(idx, bounds.tolist()):
+        traces[start].append(value)
+    for _ in range(cfg.max_em_iters):
+        if not idx.size:
+            break
+        new_stats, new_params, new_d2, rows, values = m_step_and_bound(
+            _e_step(stats, params, d2, bounds, cfg, mode))
+        previous = bounds.tolist()
+        going = []
+        for new_row, (row, value) in enumerate(zip(rows, values.tolist())):
+            start = idx[row]
+            if value < previous[row] - 1e-9:
+                finish(stats, params, row, start, False)
+                continue
+            traces[start].append(value)
+            if abs(value - previous[row]) \
+                    <= cfg.bound_rel_tol * max(1.0, abs(previous[row])):
+                finish(new_stats, new_params, new_row, start, True)
+            else:
+                going.append(new_row)
+        stats, params, d2, idx, bounds = new_stats, new_params, new_d2, \
+            idx[rows], values
+        if len(going) < len(rows):
+            stats, params, idx, bounds = stats.take(going), \
+                params.take(going), idx[going], bounds[going]
+            d2 = None if d2 is None else d2[going]
+    for row, start in enumerate(idx):
+        finish(stats, params, row, start, False)
+    return outcomes
+
+
 def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
         cfg: EMConfig | None = None, resp_init: np.ndarray | None = None,
         mode: str = "joint") -> FitResult:
-    """Run EM from one starting point.
+    """Run EM from one starting point: the lockstep driver on one start.
 
     Records the lower bound after every M-step; stops when the relative
     bound change drops below ``cfg.bound_rel_tol`` (converged) or the
     iteration cap is hit. The recorded trace is non-decreasing: an
     iteration that would lower the bound (possible only after an
     empty-class re-seed) is rolled back and the run stops there. Raises
-    ``ValueError`` unless ``1 <= n_classes <= graph.n``.
+    ``ValueError`` unless ``1 <= n_classes <= graph.n``, and
+    :class:`EmptyClassError` if a class stays empty after the re-seeds.
     """
     cfg = cfg or EMConfig()
-    check_rows(graph, features)
-    if not 1 <= n_classes <= graph.n:
-        raise ValueError(f"need 1 <= n_classes <= n, got n_classes={n_classes} "
-                         f"with n={graph.n} vertices")
-    _, use_features = mode_terms(mode)
-    if resp_init is None:
-        rng = np.random.default_rng(cfg.rng_seed)
-        # The graph-only mode must not see the features anywhere, the
-        # initialisation included.
-        init_features = features if use_features \
-            else FeatureMatrix.empty(graph.n)
-        resp = init_responsibilities(graph, init_features, n_classes,
-                                     cfg.init_strategy, rng)
-    else:
-        resp = check_responsibilities(resp_init, graph.n, n_classes)
-
-    params, stats = _m_step_with_rescue(
-        graph, features, ClassStats(graph, features, resp), mode)
-    trace = [mode_lower_bound(graph, features, stats, params, mode)]
-    converged = False
-    for _ in range(cfg.max_em_iters):
-        new_params, new_stats = _m_step_with_rescue(
-            graph, features, e_step(graph, features, params, stats, cfg, mode),
-            mode)
-        value = mode_lower_bound(graph, features, new_stats, new_params, mode)
-        if value < trace[-1] - 1e-9:
-            break
-        stats, params = new_stats, new_params
-        previous = trace[-1]
-        trace.append(value)
-        if abs(value - previous) <= cfg.bound_rel_tol * max(1.0, abs(previous)):
-            converged = True
-            break
-
-    return FitResult(
-        params=params,
-        responsibilities=stats.resp,
-        partition=partition_from_responsibilities(stats.resp),
-        bound_trace=trace,
-        converged=converged,
-        mode=mode,
-    )
+    _check_fit(graph, features, n_classes)
+    start = _init(graph, features, n_classes, cfg, mode) if resp_init is None \
+        else check_responsibilities(resp_init, graph.n, n_classes)
+    outcome, = _em(graph, features, [start], cfg, mode)
+    if isinstance(outcome, EmptyClassError):
+        raise outcome
+    return outcome
 
 
 def _restart_strategy(index: int, cfg: EMConfig, has_features: bool,
@@ -440,30 +594,26 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
     Restart seeds derive from ``cfg.rng_seed``; the first two restarts use
     the structured initialisers the mode can read, the rest
     ``cfg.init_strategy`` (k-means on the adjacency rows when there are no
-    usable features). Ties keep the earliest restart. Raises if every
-    restart fails.
+    usable features). The restarts run in lockstep, each as :func:`fit`
+    would run it alone. Ties keep the earliest restart. A restart whose
+    classes stay empty fails while the others go on; the returned result
+    lists the failures in ``failed_restarts``. Raises if every restart
+    fails.
     """
     cfg = cfg or EMConfig()
-    results: list[FitResult | None] = []
-    errors: list[str] = []
+    _check_fit(graph, features, n_classes)
     use_edges, use_features = mode_terms(mode)
-    for restart_cfg in restart_configs(cfg, features.p > 0 and use_features,
-                                       use_edges):
-        try:
-            results.append(fit(graph, features, n_classes, restart_cfg, mode=mode))
-        except EmptyClassError as err:
-            results.append(None)
-            errors.append(str(err))
-    best = None
-    for result in results:
-        if result is not None and (best is None
-                                   or result.final_bound > best.final_bound):
-            best = result
-    if best is None:
-        raise RuntimeError(
-            f"all {cfg.n_restarts} restarts failed: {errors}"
-        )
+    configs = restart_configs(cfg, features.p > 0 and use_features, use_edges)
+    outcomes = _em(graph, features,
+                   [_init(graph, features, n_classes, restart_cfg, mode)
+                    for restart_cfg in configs], cfg, mode)
+    results = [r for r in outcomes if isinstance(r, FitResult)]
+    failed = [f"restart {r}: {err}" for r, err in enumerate(outcomes)
+              if isinstance(err, EmptyClassError)]
+    if not results:
+        raise RuntimeError(f"all {cfg.n_restarts} restarts failed: {failed}")
+    best = max(results, key=lambda result: result.final_bound)
+    best.failed_restarts = failed
     if return_all:
-        return best, [r for r in results if r is not None]
+        return best, results
     return best
-

@@ -9,7 +9,9 @@ pure function of immutable inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp, xlogy
@@ -89,14 +91,18 @@ class Graph:
         return cls(adj)
 
     def neighbour_mass(self, resp_t: np.ndarray) -> np.ndarray:
-        """(Q, n) expected number of neighbours of each vertex per class.
+        """(..., Q, n) expected number of neighbours of each vertex per class.
 
-        ``resp_t`` is the (Q, n) transpose of a responsibility matrix; the
-        result is ``resp_t @ adjacency``, which equals ``(adjacency @
-        resp).T`` because the adjacency is symmetric, and streams the matrix
-        by rows. This is the fit's only n^2 product.
+        ``resp_t`` is the (Q, n) transpose of a responsibility matrix, or an
+        (R, Q, n) stack of them; the result is ``resp_t @ adjacency``, which
+        equals ``(adjacency @ resp).T`` because the adjacency is symmetric,
+        and streams the matrix by rows. A stack is multiplied as one
+        (R*Q, n) matrix, so the adjacency is read once for all of it. This
+        is the fit's only n^2 product.
         """
-        return resp_t @ self.adjacency
+        rows = math.prod(resp_t.shape[:-1])
+        return (resp_t.reshape(rows, self.n) @ self.adjacency).reshape(
+            resp_t.shape)
 
 
 @dataclass(frozen=True)
@@ -235,10 +241,11 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return hot
 
 
-def responsibility_entropy(resp) -> float:
-    """-sum resp * log resp with the 0*log 0 = 0 convention."""
+def responsibility_entropy(resp, axis=None):
+    """-sum resp * log resp with the 0*log 0 = 0 convention, over ``axis``
+    (every entry by default)."""
     resp = np.asarray(resp, dtype=np.float64)
-    return float(-xlogy(resp, resp).sum())
+    return -xlogy(resp, resp).sum(axis=axis)
 
 
 def mode_terms(mode: str) -> tuple[bool, bool]:
@@ -257,10 +264,11 @@ def check_rows(graph: Graph, features: FeatureMatrix):
         )
 
 
-def _check_params(features: FeatureMatrix, params: ModelParams):
-    if params.n_features != features.p:
+def _check_params(features: FeatureMatrix, params):
+    n_features = params.mu.shape[-1]
+    if n_features != features.p:
         raise ValueError(
-            f"params expect {params.n_features} features, data has {features.p}"
+            f"params expect {n_features} features, data has {features.p}"
         )
 
 
@@ -271,96 +279,184 @@ def _soft_assignment(assignment, n: int, n_classes: int) -> np.ndarray:
     return check_responsibilities(arr, n, n_classes)
 
 
-class ClassStats:
-    """Class-level sufficient statistics of one responsibility matrix.
+class _lazy:
+    """An attribute computed on first access and then stored on the
+    instance. ``functools.cached_property`` does the same, but before Python
+    3.12 it takes a lock on every first access, which cost a third of a
+    one-matrix bound evaluation; statistics are never shared between
+    threads."""
 
-    The bound, the complete log-likelihood, the M-step and the selection
-    criterion all read from here. The n^2 product ``adjacency @ resp`` is
-    computed by :meth:`Graph.neighbour_mass`, at most once and only if an
-    edge term asks for it; ``adj_resp`` passes it in when the caller already
-    has it. ``resp`` is taken as given: callers validate it.
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
 
-    ``col`` is the class mass; ``on`` the expected edge counts between
-    classes, each edge counted from both ends; ``pairs`` the expected counts
-    of ordered pairs of distinct vertices.
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+class ParamStack(NamedTuple):
+    """The parameters of R fits at once, each with a leading restart axis.
+
+    ``alpha`` is (R, Q), ``pi`` (R, Q, Q), ``mu`` (R, Q, p) and ``sigma2``
+    (R,). A stack is not validated: the fit builds one :class:`ModelParams`
+    per restart when it returns.
     """
 
-    def __init__(self, graph: Graph, features: FeatureMatrix, resp,
-                 adj_resp: np.ndarray | None = None):
+    alpha: np.ndarray
+    pi: np.ndarray
+    mu: np.ndarray
+    sigma2: np.ndarray
+
+    @classmethod
+    def of(cls, params: ModelParams) -> "ParamStack":
+        """A stack of one."""
+        return cls(params.alpha[None], params.pi[None], params.mu[None],
+                   np.array([params.sigma2]))
+
+    def take(self, rows) -> "ParamStack":
+        return ParamStack(*(field[rows] for field in self))
+
+    def unstack(self, row: int) -> ModelParams:
+        return ModelParams(alpha=self.alpha[row], pi=self.pi[row],
+                           mu=self.mu[row], sigma2=float(self.sigma2[row]))
+
+
+class ClassStats:
+    """Class-level sufficient statistics of a stack of responsibility matrices.
+
+    ``resp_t`` is an (R, Q, n) stack of transposed responsibility matrices,
+    one per restart of a fit; :meth:`of` wraps a single (n, Q) matrix as a
+    stack of one. Every statistic carries the leading restart axis, and the
+    bound, the complete log-likelihood, the M-step and the selection
+    criterion all read from here. Each is computed at most once.
+
+    ``mass`` is the (R, Q, n) product ``resp_t @ adjacency``, computed for the
+    whole stack by one :meth:`Graph.neighbour_mass` and only if an edge term
+    asks for it; the caller passes it in when it already has it. ``col`` is
+    the class mass; ``on`` the expected edge counts between classes, each
+    edge counted from both ends; ``pairs`` the expected counts of ordered
+    pairs of distinct vertices. ``resp_t`` is taken as given: callers
+    validate it.
+    """
+
+    def __init__(self, graph: Graph, features: FeatureMatrix,
+                 resp_t: np.ndarray, mass: np.ndarray | None = None):
         check_rows(graph, features)
+        if resp_t.ndim != 3 or resp_t.shape[2] != graph.n:
+            raise ValueError(f"resp_t must be an (R, Q, {graph.n}) stack, got "
+                             f"shape {resp_t.shape}; ClassStats.of takes "
+                             "one (n, Q) matrix")
         self.graph = graph
         self.features = features
-        self.resp = resp
-        self.col = resp.sum(axis=0)
-        self._adj_resp = adj_resp
+        self.resp_t = resp_t
+        self.col = resp_t.sum(axis=2)
+        self._mass = mass
+
+    @classmethod
+    def of(cls, graph: Graph, features: FeatureMatrix, resp) -> "ClassStats":
+        """Statistics of one (n, Q) responsibility matrix."""
+        resp_t = np.asarray(resp, dtype=np.float64).T
+        return cls(graph, features, np.ascontiguousarray(resp_t)[None])
 
     @property
-    def adj_resp(self) -> np.ndarray:
-        """(n, Q) expected number of neighbours of each vertex per class.
-
-        A transposed view of the (Q, n) :meth:`Graph.neighbour_mass`.
-        """
-        if self._adj_resp is None:
-            self._adj_resp = self.graph.neighbour_mass(
-                np.ascontiguousarray(self.resp.T)).T
-        return self._adj_resp
+    def resp(self) -> np.ndarray:
+        """(R, n, Q) view of the responsibility matrices."""
+        return self.resp_t.transpose(0, 2, 1)
 
     @property
+    def mass(self) -> np.ndarray:
+        """(R, Q, n) expected number of neighbours of each vertex per class."""
+        if self._mass is None:
+            self._mass = self.graph.neighbour_mass(self.resp_t)
+        return self._mass
+
+    @_lazy
     def on(self) -> np.ndarray:
-        return self.resp.T @ self.adj_resp
+        return self.resp_t @ self.mass.transpose(0, 2, 1)
 
-    @property
+    @_lazy
     def pairs(self) -> np.ndarray:
-        return np.outer(self.col, self.col) - self.resp.T @ self.resp
+        return (self.col[:, :, None] * self.col[:, None, :]
+                - self.resp_t @ self.resp_t.transpose(0, 2, 1))
 
-    @property
-    def entropy(self) -> float:
-        return responsibility_entropy(self.resp)
+    @_lazy
+    def entropy(self) -> np.ndarray:
+        return responsibility_entropy(self.resp_t, axis=(1, 2))
 
-    def scatter(self, mu, d2: np.ndarray | None = None) -> float:
+    def take(self, rows) -> "ClassStats":
+        """The statistics of the matrices at ``rows``, with their products."""
+        return ClassStats(self.graph, self.features, self.resp_t[rows],
+                          None if self._mass is None else self._mass[rows])
+
+    def with_rows(self, rows, resp_t: np.ndarray,
+                  mass: np.ndarray | None = None) -> "ClassStats":
+        """The statistics with the matrices at ``rows`` replaced by
+        ``resp_t``. The other rows keep their products; the new rows take
+        ``mass``, or get theirs in one product, when the stack's are known."""
+        new_resp = self.resp_t.copy()
+        new_resp[rows] = resp_t
+        new_mass = self._mass
+        if new_mass is not None:
+            new_mass = new_mass.copy()
+            new_mass[rows] = self.graph.neighbour_mass(resp_t) \
+                if mass is None else mass
+        return ClassStats(self.graph, self.features, new_resp, new_mass)
+
+    def scatter(self, mu, d2: np.ndarray | None = None) -> np.ndarray:
         """Responsibility-weighted squared distance of the rows to ``mu``.
 
-        ``d2`` is ``squared_distances(features.values, mu)`` when the caller
-        already has it.
+        ``mu`` is an (R, Q, p) stack of means; ``d2`` is
+        ``squared_distances(mu, features.values)`` when the caller already
+        has it.
         """
         if d2 is None:
-            d2 = squared_distances(self.features.values, mu)
-        return float((self.resp * d2).sum())
+            d2 = squared_distances(mu, self.features.values)
+        return (self.resp_t * d2).sum(axis=(1, 2))
 
-    def log_likelihood(self, params: ModelParams, mode: str = "joint",
-                       d2: np.ndarray | None = None) -> float:
-        """Expected complete log-likelihood, with the terms ``mode`` drops.
+    def log_likelihood(self, params, mode: str = "joint",
+                       d2: np.ndarray | None = None) -> np.ndarray:
+        """Expected complete log-likelihood of each matrix, with the terms
+        ``mode`` drops.
 
-        Proportions, then Bernoulli edges over unordered pairs of distinct
-        vertices, then the spherical Gaussian with its full normalising
-        constant. ``d2`` is as in :meth:`scatter`.
+        ``params`` is a :class:`ParamStack` with one row per matrix, or one
+        :class:`ModelParams` for a stack of one. Proportions, then Bernoulli
+        edges over unordered pairs of distinct vertices, then the spherical
+        Gaussian with its full normalising constant. ``d2`` is as in
+        :meth:`scatter`.
         """
+        if isinstance(params, ModelParams):
+            params = ParamStack.of(params)
         _check_params(self.features, params)
         use_edges, use_features = mode_terms(mode)
-        total = float(xlogy(self.col, params.alpha).sum())
+        total = xlogy(self.col, params.alpha).sum(axis=1)
         if use_edges:
             on = self.on
             off = self.pairs - on
-            total += float(0.5 * (xlogy(on, params.pi).sum()
-                                  + xlogy(off, 1.0 - params.pi).sum()))
+            total += 0.5 * (xlogy(on, params.pi).sum(axis=(1, 2))
+                            + xlogy(off, 1.0 - params.pi).sum(axis=(1, 2)))
         p = self.features.p
         if use_features and p:
             const = -0.5 * p * np.log(2.0 * np.pi * params.sigma2)
-            total += float(const * self.resp.sum()
-                           - self.scatter(params.mu, d2) / (2.0 * params.sigma2))
+            total += (const * self.col.sum(axis=1)
+                      - self.scatter(params.mu, d2) / (2.0 * params.sigma2))
         return total
 
-    def bound(self, params: ModelParams, mode: str = "joint",
-              d2: np.ndarray | None = None) -> float:
-        """Variational lower bound: log-likelihood plus entropy."""
+    def bound(self, params, mode: str = "joint",
+              d2: np.ndarray | None = None) -> np.ndarray:
+        """Variational lower bound of each matrix: log-likelihood plus
+        entropy."""
         return self.log_likelihood(params, mode, d2) + self.entropy
 
 
 def squared_distances(points, centers) -> np.ndarray:
-    """Pairwise squared Euclidean distances, shape (n_points, n_centers)."""
+    """Pairwise squared Euclidean distances, shape (..., n_points,
+    n_centers); ``points`` may carry leading stack axes."""
     points = np.asarray(points, dtype=np.float64)
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    pp = (points * points).sum(axis=1)[:, None]
+    pp = (points * points).sum(axis=-1)[..., None]
     cc = (centers * centers).sum(axis=1)[None, :]
     d2 = pp + cc - 2.0 * points @ centers.T
     return np.maximum(d2, 0.0)
@@ -383,7 +479,8 @@ def complete_log_likelihood(graph: Graph, features: FeatureMatrix,
         ``features-only`` the edge term.
     """
     resp = _soft_assignment(assignment, graph.n, params.n_classes)
-    return ClassStats(graph, features, resp).log_likelihood(params, mode)
+    return float(ClassStats.of(graph, features, resp)
+                 .log_likelihood(params, mode)[0])
 
 
 def variational_lower_bound(graph: Graph, features: FeatureMatrix,
@@ -395,7 +492,7 @@ def variational_lower_bound(graph: Graph, features: FeatureMatrix,
     exceeds :func:`exact_log_marginal` for any responsibility matrix.
     """
     resp = check_responsibilities(resp, graph.n, params.n_classes)
-    return ClassStats(graph, features, resp).bound(params)
+    return float(ClassStats.of(graph, features, resp).bound(params)[0])
 
 
 def exact_log_marginal(graph: Graph, features: FeatureMatrix,

@@ -20,12 +20,26 @@ def icl_penalty(n_classes: int, n_vertices: int, n_features: int,
                 use_edges: bool = True) -> float:
     """Closed-form complexity penalty of the selection criterion.
 
-    The connectivity block is penalised against the number of vertex pairs,
-    the proportions against the number of vertices, and the feature block
-    (means and shared variance) against the number of pairs as well. With
-    no features the last part vanishes and the criterion reduces to the
-    graph-only form; ``use_edges=False`` drops the connectivity block for a
-    fit that estimates no connectivity parameters.
+    ICL (Biernacki, Celeux & Govaert, 2000) is the complete-data
+    log-likelihood at the fitted parameters minus a BIC-type penalty: per
+    block of parameters, a multiple of the log of the number of
+    observations that inform it. Here the connectivity block costs
+    ``Q(Q-1)/2`` times the log of the n(n-1)/2 vertex pairs ("log-pairs"),
+    and the proportions ``(Q-1)/2`` times log n.
+
+    The feature block costs ``p(p-1) + pQ`` log-pairs, with no factor of one
+    half.
+    ``p(p-1)`` is the number of off-diagonal entries of a full p x p
+    covariance matrix and ``pQ`` the number of class means, so the count
+    describes a Gaussian with a full shared covariance. The fitted model is
+    spherical: it has Qp means and one variance. The count is kept as the
+    criterion defines it, and ``tests/test_selection.py`` pins its values;
+    the source paper's derivation is not at hand (only its abstract is),
+    so no number has been changed to match the fitted model.
+
+    With no features the feature block vanishes and the criterion reduces
+    to the graph-only form; ``use_edges=False`` drops the connectivity
+    block for a fit that estimates no connectivity parameters.
     """
     if n_vertices < 2:
         raise ValueError("the criterion needs at least 2 vertices")

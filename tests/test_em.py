@@ -1,26 +1,35 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cohsmix.em as em
 from cohsmix.em import (
     EMConfig,
     EmptyClassError,
+    FitResult,
     e_step,
     fit,
     fit_multi_restart,
     init_responsibilities,
     m_step,
     mode_lower_bound,
+    restart_configs,
     _reseed_empty_classes,
 )
 from cohsmix.metrics import adjusted_rand_index
 from cohsmix.model import (
+    MODES,
     ClassStats,
     FeatureMatrix,
     Graph,
     ModelParams,
+    ParamStack,
+    mode_terms,
     one_hot,
+    squared_distances,
     variational_lower_bound,
 )
 from cohsmix.simulate import AffiliationSpec, generate
@@ -124,9 +133,43 @@ def test_e_step_at_fixed_point_multiplies_once(monkeypatch):
         return compute(self, resp_t)
 
     monkeypatch.setattr(Graph, "neighbour_mass", counted)
-    start = ClassStats(graph, features, np.full((2, 2), 0.5))
+    start = ClassStats.of(graph, features, np.full((2, 2), 0.5))
     assert e_step(graph, features, params, start) is start
     assert len(products) == 1
+
+
+def test_stacked_e_step_leaves_a_row_at_its_fixed_point(monkeypatch):
+    # Row 0 is the fixed point of test_e_step_at_fixed_point_multiplies_once;
+    # row 1 starts away from it. Row 0 leaves the stack after the first
+    # sweep, keeps its start and is multiplied once, with the start bound.
+    graph = Graph(np.array([[0, 1], [1, 0]]))
+    features = FeatureMatrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
+    params = ModelParams(alpha=[0.5, 0.5],
+                         pi=np.array([[0.7, 0.2], [0.2, 0.7]]),
+                         mu=np.array([[0.5, 0.5], [0.5, 0.5]]), sigma2=1.0)
+    other = np.array([[0.9, 0.1], [0.2, 0.8]])
+    expected = e_step(graph, features, params, other)
+    products = []
+    compute = Graph.neighbour_mass
+
+    def counted(self, resp_t):
+        products.append(resp_t.copy())
+        return compute(self, resp_t)
+
+    monkeypatch.setattr(Graph, "neighbour_mass", counted)
+    start = ClassStats(graph, features,
+                       np.stack([np.full((2, 2), 0.5), other.T]))
+    stack = ParamStack(*(np.concatenate([field, field])
+                         for field in ParamStack.of(params)))
+    d2 = squared_distances(stack.mu, features.values)
+    out = em._e_step(start, stack, d2, start.bound(stack, "joint", d2),
+                     EMConfig(), "joint")
+    assert np.array_equal(out.resp_t[0], start.resp_t[0])
+    assert np.array_equal(out.mass[0], products[0][0])
+    assert products[0].shape[0] == 2
+    assert all(product.shape[0] == 1 for product in products[1:])
+    assert len(products) > 1
+    assert np.abs(out.resp[1] - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -178,8 +221,8 @@ def test_e_step_falls_back_to_best_iterate():
 
 def _e_step_both_ways(graph, features, params, start, cfg, mode):
     out = e_step(graph, features, params, start, cfg, mode)
-    stats = e_step(graph, features, params, ClassStats(graph, features, start),
-                   cfg, mode)
+    stats = e_step(graph, features, params,
+                   ClassStats.of(graph, features, start), cfg, mode)
     assert isinstance(stats, ClassStats)
     assert stats.resp.tobytes() == out.tobytes()
     return out, stats
@@ -194,8 +237,8 @@ def test_e_step_on_class_stats_matches_array(mode):
                                  mode)
     if mode != "features-only":
         # The bound of the result already paid for its adjacency product.
-        assert stats._adj_resp is not None
-        assert np.array_equal(stats.adj_resp, graph.adjacency @ stats.resp)
+        assert stats._mass is not None
+        assert np.array_equal(stats.mass[0].T, graph.adjacency @ stats.resp[0])
 
 
 def test_e_step_on_class_stats_falls_back_to_best_iterate():
@@ -227,6 +270,26 @@ def test_fit_computes_one_adjacency_product_per_iterate(monkeypatch):
     assert len(products) == len(set(products))
 
 
+def test_class_stats_edge_counts_once_per_stats(monkeypatch, rng):
+    # An M-step followed by a bound reads on and pairs twice each; the
+    # products behind them are computed once.
+    graph, features, _ = random_instance(rng, n=10, n_classes=3, p=2)
+    counts = {"on": 0, "pairs": 0}
+    for name in counts:
+        prop = ClassStats.__dict__[name]
+
+        def counted(self, compute=prop.func, name=name):
+            counts[name] += 1
+            return compute(self)
+
+        monkeypatch.setattr(prop, "func", counted)
+    stats = ClassStats.of(graph, features, random_responsibilities(10, 3, rng))
+    params = m_step(graph, features, stats)
+    mode_lower_bound(graph, features, stats, params)
+    stats.bound(params)
+    assert counts == {"on": 1, "pairs": 1}
+
+
 @pytest.mark.parametrize("n", [12, 150, 700])
 def test_neighbour_mass_is_the_adjacency_product(n):
     rng = np.random.default_rng(n)
@@ -235,8 +298,8 @@ def test_neighbour_mass_is_the_adjacency_product(n):
     mass = graph.neighbour_mass(np.ascontiguousarray(resp.T))
     assert mass.shape == (3, n)
     assert np.abs(mass.T - graph.adjacency @ resp).max() <= 1e-12
-    stats = ClassStats(graph, FeatureMatrix.empty(n), resp)
-    assert np.array_equal(stats.adj_resp, mass.T)
+    stats = ClassStats.of(graph, FeatureMatrix.empty(n), resp)
+    assert np.array_equal(stats.mass[0], mass)
 
 
 def reference_e_step(graph, features, params, start, cfg, mode):
@@ -525,6 +588,188 @@ def test_multi_restart_beats_single_on_structured_data():
         single_score = adjusted_rand_index(truth, single.partition)
         wins += multi_score >= single_score
     assert wins >= 0.7 * trials
+
+
+def _sequential_fits(graph, features, n_classes, cfg, mode):
+    """What each restart of fit_multi_restart gives when fitted alone."""
+    use_edges, use_features = mode_terms(mode)
+    outcomes = []
+    for restart_cfg in restart_configs(cfg, features.p > 0 and use_features,
+                                       use_edges):
+        try:
+            outcomes.append(fit(graph, features, n_classes, restart_cfg,
+                                mode=mode))
+        except EmptyClassError as err:
+            outcomes.append(err)
+    return outcomes
+
+
+def _assert_lockstep_matches_sequential(graph, features, n_classes, cfg,
+                                        mode="joint"):
+    best, runs = fit_multi_restart(graph, features, n_classes, cfg, mode=mode,
+                                   return_all=True)
+    alone = _sequential_fits(graph, features, n_classes, cfg, mode)
+    fitted = [one for one in alone if isinstance(one, FitResult)]
+    assert len(runs) == len(fitted)
+    for run, one in zip(runs, fitted):
+        assert np.array_equal(run.partition, one.partition)
+        assert len(run.bound_trace) == len(one.bound_trace)
+        assert run.final_bound == pytest.approx(one.final_bound, rel=1e-9)
+    return best, runs, alone
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_lockstep_restarts_match_sequential_fits(mode):
+    spec = AffiliationSpec(n_classes=3, n=90, n_features=3,
+                           within_prob=0.5, between_prob=0.15,
+                           mean_gap=1.5, seed=4)
+    graph, features, _ = generate(spec)
+    best, runs, _ = _assert_lockstep_matches_sequential(
+        graph, features, 3, EMConfig(rng_seed=6, n_restarts=6), mode)
+    assert len(runs) == 6
+    assert best.failed_restarts == []
+    # The trace lengths differ, so restarts left the stack at different
+    # iterations.
+    assert len({len(run.bound_trace) for run in runs}) > 1
+
+
+def _empty_class_one_start(monkeypatch):
+    """Make the degree-quantile start (restart 1 of a fit with features)
+    give class 1 no mass."""
+    original = em.init_responsibilities
+
+    def init(graph, features, n_classes, strategy, rng):
+        resp = original(graph, features, n_classes, strategy, rng)
+        if strategy == "graph-degree-quantile":
+            resp[:, 1] = 0.0
+            resp /= resp.sum(axis=1, keepdims=True)
+        return resp
+
+    monkeypatch.setattr(em, "init_responsibilities", init)
+
+
+def _lockstep_case():
+    spec = AffiliationSpec(n_classes=3, n=60, n_features=2,
+                           within_prob=0.5, between_prob=0.1,
+                           mean_gap=2.0, seed=3)
+    graph, features, _ = generate(spec)
+    return graph, features, EMConfig(rng_seed=2, n_restarts=4)
+
+
+def test_lockstep_matches_sequential_with_a_reseeded_restart(monkeypatch):
+    _empty_class_one_start(monkeypatch)
+    reseeds = []
+    original = em._reseed_empty_classes
+
+    def reseed(resp, empty_classes):
+        reseeds.append(list(empty_classes))
+        return original(resp, empty_classes)
+
+    monkeypatch.setattr(em, "_reseed_empty_classes", reseed)
+    graph, features, cfg = _lockstep_case()
+    best, runs, _ = _assert_lockstep_matches_sequential(graph, features, 3,
+                                                        cfg)
+    # Once in the lockstep fit and once in restart 1 fitted alone.
+    assert reseeds == [[1], [1]]
+    assert len(runs) == 4
+    assert best.failed_restarts == []
+
+
+def test_lockstep_matches_sequential_with_a_failed_restart(monkeypatch):
+    # Without a working re-seed, restart 1 fails; the others go on.
+    _empty_class_one_start(monkeypatch)
+    monkeypatch.setattr(em, "_reseed_empty_classes",
+                        lambda resp, empty_classes: resp)
+    graph, features, cfg = _lockstep_case()
+    best, runs, alone = _assert_lockstep_matches_sequential(graph, features,
+                                                            3, cfg)
+    assert isinstance(alone[1], EmptyClassError)
+    assert len(runs) == 3
+    assert best.final_bound == max(run.final_bound for run in runs)
+    assert best.failed_restarts == ["restart 1: classes [1] have no mass"]
+
+
+def test_restart_failing_mid_fit_leaves_the_others(monkeypatch):
+    # Restart 2 fails at the M-step where restart 3, below it in the stack,
+    # converges; the others still give their own fits.
+    graph, features, _ = _lockstep_case()
+    cfg = EMConfig(rng_seed=0, n_restarts=4)
+    alone = _sequential_fits(graph, features, 3, cfg, "joint")
+    lengths = [len(one.bound_trace) for one in alone]
+    assert lengths[0] < lengths[1] < lengths[3] < lengths[2]
+    stack_sizes = []
+    original = em._rescue
+
+    def rescue(stats, attempts=em._RESCUE_ATTEMPTS):
+        stats, errors = original(stats, attempts)
+        stack_sizes.append(stats.resp_t.shape[0])
+        if len(stack_sizes) == lengths[3]:
+            # Restarts 0 and 1 have stopped: row 0 is restart 2.
+            assert stats.resp_t.shape[0] == 2
+            errors[0] = EmptyClassError([0])
+        return stats, errors
+
+    monkeypatch.setattr(em, "_rescue", rescue)
+    best, runs = fit_multi_restart(graph, features, 3, cfg, return_all=True)
+    assert best.failed_restarts == ["restart 2: classes [0] have no mass"]
+    assert len(runs) == 3
+    for run, one in zip(runs, [alone[0], alone[1], alone[3]]):
+        assert np.array_equal(run.partition, one.partition)
+        assert run.bound_trace == pytest.approx(one.bound_trace, rel=1e-9)
+
+
+def test_iteration_lowering_the_bound_is_rolled_back(monkeypatch):
+    # A flat re-seed of restart 0 at its second M-step lowers its bound, so
+    # that iteration is rolled back and restart 0 stops after one; the
+    # other restarts are not touched.
+    graph, features, cfg = _lockstep_case()
+    configs = restart_configs(cfg, has_features=True)
+    alone = _sequential_fits(graph, features, 3, cfg, "joint")
+    one_iteration = fit(graph, features, 3,
+                        replace(configs[0], max_em_iters=1))
+    calls = []
+    original = em._rescue
+
+    def rescue(stats, attempts=em._RESCUE_ATTEMPTS):
+        calls.append(stats.resp_t.shape[0])
+        if len(calls) == 3:
+            flat = np.full(stats.resp_t[:1].shape, 1 / 3)
+            stats = stats.with_rows([0], flat)
+        return original(stats, attempts)
+
+    monkeypatch.setattr(em, "_rescue", rescue)
+    _, runs = fit_multi_restart(graph, features, 3, cfg, return_all=True)
+    assert not runs[0].converged
+    assert runs[0].bound_trace == pytest.approx(one_iteration.bound_trace,
+                                                rel=1e-9)
+    assert np.array_equal(runs[0].partition, one_iteration.partition)
+    for run, one in zip(runs[1:], alone[1:]):
+        assert np.array_equal(run.partition, one.partition)
+        assert run.bound_trace == pytest.approx(one.bound_trace, rel=1e-9)
+
+
+def test_fit_reports_no_failed_restarts(rng):
+    graph = random_graph(12, rng)
+    features = random_features(12, 2, rng)
+    assert fit(graph, features, 2, EMConfig(rng_seed=0)).failed_restarts == []
+
+
+def test_all_restarts_failing_names_each(monkeypatch):
+    monkeypatch.setattr(em, "_reseed_empty_classes",
+                        lambda resp, empty_classes: resp)
+    original = em.init_responsibilities
+
+    def init(graph, features, n_classes, strategy, rng):
+        resp = original(graph, features, n_classes, strategy, rng)
+        resp[:, 0] = 0.0
+        return resp / resp.sum(axis=1, keepdims=True)
+
+    monkeypatch.setattr(em, "init_responsibilities", init)
+    graph, features, _ = _lockstep_case()
+    with pytest.raises(RuntimeError, match=r"all 2 restarts failed: "
+                       r"\['restart 0: classes \[0\] have no mass', "
+                       r"'restart 1: classes \[0\] have no mass'\]"):
+        fit_multi_restart(graph, features, 3, EMConfig(n_restarts=2))
 
 
 # ---------------------------------------------------------------------------
