@@ -25,18 +25,26 @@ from .model import (
     Graph,
     ModelParams,
     ParamStack,
+    check_params,
     check_responsibilities,
     check_rows,
     mode_terms,
     one_hot,
     partition_from_responsibilities,
     squared_distances,
+    variational_lower_bound,
 )
 
 INIT_STRATEGIES = ("random-dirichlet", "feature-kmeans", "graph-degree-quantile")
 
 EMPTY_CLASS_MASS = 1e-10
 _RESCUE_ATTEMPTS = 3
+
+# Stop rules of the study protocol: an E-step stops once the sup-norm
+# residual of its undamped update is at most FIXEDPOINT_TOL, and a fit once
+# its relative bound change is at most BOUND_REL_TOL.
+FIXEDPOINT_TOL = 1e-4
+BOUND_REL_TOL = 1e-6
 
 
 class EmptyClassError(RuntimeError):
@@ -53,8 +61,6 @@ class EMConfig:
 
     max_em_iters: int = 100
     max_fixedpoint_sweeps: int = 50
-    fixedpoint_tol: float = 1e-4
-    bound_rel_tol: float = 1e-6
     damping: float = 0.5
     n_restarts: int = 10
     rng_seed: int | None = None
@@ -63,8 +69,6 @@ class EMConfig:
     def __post_init__(self):
         if self.max_em_iters < 1 or self.max_fixedpoint_sweeps < 1:
             raise ValueError("iteration caps must be at least 1")
-        if self.fixedpoint_tol <= 0 or self.bound_rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must lie in [0, 1)")
         if self.n_restarts < 1:
@@ -92,15 +96,10 @@ class FitResult:
         return self.bound_trace[-1]
 
 
-def mode_lower_bound(graph: Graph, features: FeatureMatrix, resp,
-                     params: ModelParams, mode: str = "joint") -> float:
-    """Lower bound with the edge or feature term dropped per ablation mode.
-
-    ``resp`` is a responsibility matrix or the :class:`ClassStats` of one.
-    """
-    stats = resp if isinstance(resp, ClassStats) \
-        else ClassStats.of(graph, features, resp)
-    return float(stats.bound(params, mode)[0])
+# The former name of the mode-aware bound. It stays because the benchmark's
+# tracer (bench/tracer.py) wraps ``em.mode_lower_bound``, which
+# test_traced_names_resolve requires to exist.
+mode_lower_bound = variational_lower_bound
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +169,14 @@ def _degree_quantile_labels(graph: Graph, k: int) -> np.ndarray:
 
 
 def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
-           resp, cfg: EMConfig | None = None, mode: str = "joint"):
+           resp: np.ndarray, cfg: EMConfig | None = None,
+           mode: str = "joint") -> np.ndarray:
     """Damped Jacobi iteration of the responsibility fixed point.
 
     Every sweep recomputes all rows from the previous sweep's values, then
     blends with the old values using ``cfg.damping``. Iteration stops once
     the sup-norm residual of the undamped update drops below
-    ``cfg.fixedpoint_tol`` (so the damped per-sweep change is below it too)
+    ``FIXEDPOINT_TOL`` (so the damped per-sweep change is below it too)
     or after ``cfg.max_fixedpoint_sweeps`` sweeps; a sweep that changes
     nothing ends it on the iterate it started from. The returned matrix
     never lowers the bound relative to the start: if the final sweep does,
@@ -184,23 +184,21 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     instead. Only the start and final bounds are computed unless that
     fallback fires.
 
-    ``resp`` is a responsibility matrix or the :class:`ClassStats` of one,
-    and the result is of the same kind. Given a ``ClassStats``, the first
-    sweep reuses its product, and the returned one holds the product its
-    bound read, so the M-step need not compute it again. This is the fit's
-    stacked E-step on a stack of one.
+    ``resp`` is an (n, Q) responsibility matrix, and so is the result. The
+    sweeps and bounds run under ``params.clamped()``, the clamps every
+    M-step applies, so connection probabilities of exactly 0 or 1 and a
+    vanishing variance give finite rows. This is the fit's stacked E-step on
+    a stack of one.
     """
     cfg = cfg or EMConfig()
-    given = resp if isinstance(resp, ClassStats) else None
-    matrix = check_responsibilities(resp if given is None else given.resp[0],
-                                    graph.n, params.n_classes)
-    start = given if given is not None else ClassStats.of(graph, features,
-                                                          matrix)
-    stack = ParamStack.of(params)
+    check_params(features, params)
+    start = ClassStats.of(graph, features, check_responsibilities(
+        resp, graph.n, params.n_classes))
+    stack = ParamStack.of(params.clamped())
     d2 = squared_distances(stack.mu, features.values) \
         if mode_terms(mode)[1] and features.p else None
     stats = _e_step(start, stack, d2, start.bound(stack, mode, d2), cfg, mode)
-    return stats if given is not None else np.ascontiguousarray(stats.resp[0])
+    return np.ascontiguousarray(stats.resp[0])
 
 
 def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
@@ -279,7 +277,7 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
         residuals = np.abs(update - cur).max(axis=(1, 2)).tolist()
         blended = (1.0 - cfg.damping) * update + cfg.damping * cur
         stopped = [row for row, residual in enumerate(residuals)
-                   if residual <= cfg.fixedpoint_tol]
+                   if residual <= FIXEDPOINT_TOL]
         # A row whose sweep changes nothing ends on the iterate it started
         # from, with its product; the others on the blend.
         for row in stopped:
@@ -340,12 +338,11 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
 
 
 def m_step(graph: Graph, features: FeatureMatrix, resp: np.ndarray,
-           mode: str = "joint", pi_eps: float = PI_EPS,
-           sigma2_floor: float = SIGMA2_FLOOR) -> ModelParams:
+           mode: str = "joint") -> ModelParams:
     """Closed-form bound maximiser at fixed responsibilities.
 
-    ``resp`` is a responsibility matrix or the :class:`ClassStats` of one.
-    This is the fit's stacked M-step on a stack of one.
+    ``resp`` is an (n, Q) responsibility matrix. This is the fit's stacked
+    M-step on a stack of one.
 
     Raises
     ------
@@ -353,16 +350,15 @@ def m_step(graph: Graph, features: FeatureMatrix, resp: np.ndarray,
         If any class has total mass below 1e-10; the fit driver reacts by
         re-seeding that class.
     """
-    stats = resp if isinstance(resp, ClassStats) else ClassStats.of(
-        graph, features, check_responsibilities(resp, graph.n))
+    stats = ClassStats.of(graph, features,
+                          check_responsibilities(resp, graph.n))
     empty = np.nonzero(stats.col[0] < EMPTY_CLASS_MASS)[0]
     if empty.size:
         raise EmptyClassError(empty.tolist())
-    return _m_step(stats, mode, pi_eps, sigma2_floor)[0].unstack(0)
+    return _m_step(stats, mode)[0].unstack(0)
 
 
-def _m_step(stats: ClassStats, mode: str, pi_eps: float = PI_EPS,
-            sigma2_floor: float = SIGMA2_FLOOR):
+def _m_step(stats: ClassStats, mode: str):
     """Closed forms of every matrix of a stack, whose classes all have mass.
 
     Returns the :class:`ParamStack` and, when the mode reads features, the
@@ -378,7 +374,7 @@ def _m_step(stats: ClassStats, mode: str, pi_eps: float = PI_EPS,
         with np.errstate(invalid="ignore", divide="ignore"):
             pi = np.where(den > 0, on / np.where(den > 0, den, 1.0), 0.5)
         pi = (pi + pi.transpose(0, 2, 1)) / 2.0
-        pi = np.clip(pi, pi_eps, 1.0 - pi_eps)
+        pi = np.clip(pi, PI_EPS, 1.0 - PI_EPS)
     else:
         pi = np.full((n_rows, n_classes, n_classes), 0.5)
 
@@ -388,10 +384,10 @@ def _m_step(stats: ClassStats, mode: str, pi_eps: float = PI_EPS,
     if use_features and p:
         mu = (stats.resp_t @ values) / col[:, :, None]
         d2 = squared_distances(mu, values)
-        sigma2 = np.maximum(stats.scatter(mu, d2) / (p * n), sigma2_floor)
+        sigma2 = np.maximum(stats.scatter(mu, d2) / (p * n), SIGMA2_FLOOR)
     else:
         mu = np.zeros((n_rows, n_classes, p))
-        sigma2 = np.full(n_rows, sigma2_floor)
+        sigma2 = np.full(n_rows, SIGMA2_FLOOR)
 
     return ParamStack(alpha=alpha, pi=pi, mu=mu, sigma2=sigma2), d2
 
@@ -462,7 +458,7 @@ def _em(graph: Graph, features: FeatureMatrix, starts, cfg: EMConfig,
     """EM from each (n, Q) start, all advancing in lockstep.
 
     Every start records the lower bound after each M-step and stops on its
-    own: when the relative bound change drops below ``cfg.bound_rel_tol``
+    own: when the relative bound change drops below ``BOUND_REL_TOL``
     (converged), at the iteration cap, or when an iteration would lower its
     bound (possible only after an empty-class re-seed), which is rolled
     back. A start whose classes stay empty after the re-seeds fails. A start
@@ -518,7 +514,7 @@ def _em(graph: Graph, features: FeatureMatrix, starts, cfg: EMConfig,
                 continue
             traces[start].append(value)
             if abs(value - previous[row]) \
-                    <= cfg.bound_rel_tol * max(1.0, abs(previous[row])):
+                    <= BOUND_REL_TOL * max(1.0, abs(previous[row])):
                 finish(new_stats, new_params, new_row, start, True)
             else:
                 going.append(new_row)
@@ -539,7 +535,7 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
     """Run EM from one starting point: the lockstep driver on one start.
 
     Records the lower bound after every M-step; stops when the relative
-    bound change drops below ``cfg.bound_rel_tol`` (converged) or the
+    bound change drops below ``BOUND_REL_TOL`` (converged) or the
     iteration cap is hit. The recorded trace is non-decreasing: an
     iteration that would lower the bound (possible only after an
     empty-class re-seed) is rolled back and the run stops there. Raises
@@ -587,8 +583,8 @@ def restart_configs(cfg: EMConfig, has_features: bool,
 
 
 def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
-                      cfg: EMConfig | None = None, mode: str = "joint",
-                      return_all: bool = False):
+                      cfg: EMConfig | None = None,
+                      mode: str = "joint") -> FitResult:
     """Best-of-``cfg.n_restarts`` EM runs, selected by final bound.
 
     Restart seeds derive from ``cfg.rng_seed``; the first two restarts use
@@ -614,6 +610,4 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
         raise RuntimeError(f"all {cfg.n_restarts} restarts failed: {failed}")
     best = max(results, key=lambda result: result.final_bound)
     best.failed_restarts = failed
-    if return_all:
-        return best, results
     return best

@@ -187,14 +187,14 @@ class ModelParams:
     def n_features(self) -> int:
         return self.mu.shape[1]
 
-    def clamped(self, pi_eps: float = PI_EPS,
-                sigma2_floor: float = SIGMA2_FLOOR) -> "ModelParams":
-        """Copy with connection probabilities and variance pushed off 0/1/0."""
+    def clamped(self) -> "ModelParams":
+        """Copy with connection probabilities and variance pushed off 0/1/0
+        by the M-step's clamps, ``PI_EPS`` and ``SIGMA2_FLOOR``."""
         return ModelParams(
             alpha=self.alpha,
-            pi=np.clip(self.pi, pi_eps, 1.0 - pi_eps),
+            pi=np.clip(self.pi, PI_EPS, 1.0 - PI_EPS),
             mu=self.mu,
-            sigma2=max(self.sigma2, sigma2_floor),
+            sigma2=max(self.sigma2, SIGMA2_FLOOR),
         )
 
 
@@ -264,7 +264,7 @@ def check_rows(graph: Graph, features: FeatureMatrix):
         )
 
 
-def _check_params(features: FeatureMatrix, params):
+def check_params(features: FeatureMatrix, params):
     n_features = params.mu.shape[-1]
     if n_features != features.p:
         raise ValueError(
@@ -416,20 +416,17 @@ class ClassStats:
             d2 = squared_distances(mu, self.features.values)
         return (self.resp_t * d2).sum(axis=(1, 2))
 
-    def log_likelihood(self, params, mode: str = "joint",
+    def log_likelihood(self, params: ParamStack, mode: str = "joint",
                        d2: np.ndarray | None = None) -> np.ndarray:
         """Expected complete log-likelihood of each matrix, with the terms
         ``mode`` drops.
 
-        ``params`` is a :class:`ParamStack` with one row per matrix, or one
-        :class:`ModelParams` for a stack of one. Proportions, then Bernoulli
-        edges over unordered pairs of distinct vertices, then the spherical
-        Gaussian with its full normalising constant. ``d2`` is as in
-        :meth:`scatter`.
+        ``params`` is a :class:`ParamStack` with one row per matrix.
+        Proportions, then Bernoulli edges over unordered pairs of distinct
+        vertices, then the spherical Gaussian with its full normalising
+        constant. ``d2`` is as in :meth:`scatter`.
         """
-        if isinstance(params, ModelParams):
-            params = ParamStack.of(params)
-        _check_params(self.features, params)
+        check_params(self.features, params)
         use_edges, use_features = mode_terms(mode)
         total = xlogy(self.col, params.alpha).sum(axis=1)
         if use_edges:
@@ -444,7 +441,7 @@ class ClassStats:
                       - self.scatter(params.mu, d2) / (2.0 * params.sigma2))
         return total
 
-    def bound(self, params, mode: str = "joint",
+    def bound(self, params: ParamStack, mode: str = "joint",
               d2: np.ndarray | None = None) -> np.ndarray:
         """Variational lower bound of each matrix: log-likelihood plus
         entropy."""
@@ -480,39 +477,40 @@ def complete_log_likelihood(graph: Graph, features: FeatureMatrix,
     """
     resp = _soft_assignment(assignment, graph.n, params.n_classes)
     return float(ClassStats.of(graph, features, resp)
-                 .log_likelihood(params, mode)[0])
+                 .log_likelihood(ParamStack.of(params), mode)[0])
 
 
 def variational_lower_bound(graph: Graph, features: FeatureMatrix,
-                            resp, params: ModelParams) -> float:
+                            resp, params: ModelParams,
+                            mode: str = "joint") -> float:
     """Evidence lower bound: expected complete log-likelihood plus entropy.
 
     Equals the log-marginal likelihood minus the KL divergence between the
     factorised assignment distribution and the true posterior, hence never
-    exceeds :func:`exact_log_marginal` for any responsibility matrix.
+    exceeds :func:`exact_log_marginal` for any responsibility matrix. An
+    ablation ``mode`` drops the edge or the feature term.
     """
     resp = check_responsibilities(resp, graph.n, params.n_classes)
-    return float(ClassStats.of(graph, features, resp).bound(params)[0])
+    return float(ClassStats.of(graph, features, resp)
+                 .bound(ParamStack.of(params), mode)[0])
 
 
 def exact_log_marginal(graph: Graph, features: FeatureMatrix,
-                       params: ModelParams,
-                       max_terms: int = MAX_ENUM_TERMS) -> float:
+                       params: ModelParams) -> float:
     """Log-marginal likelihood by exhaustive enumeration of assignments.
 
-    Only feasible for tiny instances (guarded at Q**n <= max_terms); used
-    as an independent ceiling for the variational bound.
+    Only feasible for tiny instances (guarded at Q**n <= MAX_ENUM_TERMS);
+    used as an independent ceiling for the variational bound.
     """
     check_rows(graph, features)
-    _check_params(features, params)
+    check_params(features, params)
     n, q = graph.n, params.n_classes
     if n == 0:
         return 0.0
     n_terms = q ** n
-    if n_terms > max_terms:
-        raise ValueError(
-            f"enumeration of {q}**{n} assignments exceeds the {max_terms} guard"
-        )
+    if n_terms > MAX_ENUM_TERMS:
+        raise ValueError(f"enumeration of {q}**{n} assignments exceeds the "
+                         f"{MAX_ENUM_TERMS} guard")
 
     # Per-vertex term: log alpha_q plus the full Gaussian log-density.
     with np.errstate(divide="ignore"):

@@ -90,12 +90,12 @@ class ICLScan:
 
 
 def select_q(graph: Graph, features: FeatureMatrix, q_min: int, q_max: int,
-             cfg: EMConfig | None = None, mode: str = "joint",
-             hard_assignment: bool = False) -> ICLScan:
+             cfg: EMConfig | None = None, mode: str = "joint") -> ICLScan:
     """Fit every candidate class count and keep the best-scoring one.
 
     Each candidate gets its own deterministic seed derived from
-    ``cfg.rng_seed``, so the whole scan replays bit-for-bit. Candidates
+    ``cfg.rng_seed``, so the whole scan replays bit-for-bit, and is scored
+    by :func:`icl_score` on its soft responsibilities. Candidates
     whose every restart fails are recorded and excluded; if all candidates
     fail the scan raises.
     """
@@ -116,7 +116,7 @@ def select_q(graph: Graph, features: FeatureMatrix, q_min: int, q_max: int,
         except RuntimeError as err:
             failures[q] = str(err)
             continue
-        result.icl = icl_score(result, graph, features, hard_assignment)
+        result.icl = icl_score(result, graph, features)
         results[q] = result
         scores[q] = result.icl
     if not results:

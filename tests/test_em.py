@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -49,8 +50,6 @@ def test_config_validation():
         EMConfig(max_em_iters=0)
     with pytest.raises(ValueError):
         EMConfig(damping=1.0)
-    with pytest.raises(ValueError):
-        EMConfig(fixedpoint_tol=0.0)
     with pytest.raises(ValueError):
         EMConfig(init_strategy="nope")
 
@@ -133,8 +132,8 @@ def test_e_step_at_fixed_point_multiplies_once(monkeypatch):
         return compute(self, resp_t)
 
     monkeypatch.setattr(Graph, "neighbour_mass", counted)
-    start = ClassStats.of(graph, features, np.full((2, 2), 0.5))
-    assert e_step(graph, features, params, start) is start
+    start = np.full((2, 2), 0.5)
+    assert np.array_equal(e_step(graph, features, params, start), start)
     assert len(products) == 1
 
 
@@ -185,7 +184,7 @@ def test_e_step_residual_and_bound_improvement(seed):
     assert after >= before - 1e-8
 
     refreshed = responsibility_update_oracle(graph, features, params, out)
-    assert np.abs(out - refreshed).max() <= cfg.fixedpoint_tol
+    assert np.abs(out - refreshed).max() <= em.FIXEDPOINT_TOL
 
 
 def test_e_step_rows_stay_stochastic(rng):
@@ -219,37 +218,30 @@ def test_e_step_falls_back_to_best_iterate():
         == pytest.approx(max(bounds), abs=1e-9)
 
 
-def _e_step_both_ways(graph, features, params, start, cfg, mode):
-    out = e_step(graph, features, params, start, cfg, mode)
-    stats = e_step(graph, features, params,
-                   ClassStats.of(graph, features, start), cfg, mode)
-    assert isinstance(stats, ClassStats)
-    assert stats.resp.tobytes() == out.tobytes()
-    return out, stats
+def test_e_step_rejects_params_of_another_feature_width(rng):
+    graph, features, _ = random_instance(rng, n=6, n_classes=2, p=2)
+    params = random_params(2, 3, rng)
+    with pytest.raises(ValueError,
+                       match="params expect 3 features, data has 2"):
+        e_step(graph, features, params, random_responsibilities(6, 2, rng))
 
 
-@pytest.mark.parametrize("mode", ["joint", "graph-only", "features-only"])
-def test_e_step_on_class_stats_matches_array(mode):
-    rng = np.random.default_rng(11)
-    graph, features, params = random_instance(rng, n=12, n_classes=3, p=2)
-    start = random_responsibilities(12, 3, rng)
-    _, stats = _e_step_both_ways(graph, features, params, start, EMConfig(),
-                                 mode)
-    if mode != "features-only":
-        # The bound of the result already paid for its adjacency product.
-        assert stats._mass is not None
-        assert np.array_equal(stats.mass[0].T, graph.adjacency @ stats.resp[0])
-
-
-def test_e_step_on_class_stats_falls_back_to_best_iterate():
-    # The instance of test_e_step_falls_back_to_best_iterate.
-    rng = np.random.default_rng(56)
-    graph, features, params = random_instance(rng, n=12, n_classes=3, p=2)
-    start = random_responsibilities(12, 3, rng)
-    cfg = EMConfig(damping=0.0, max_fixedpoint_sweeps=5)
-    _, stats = _e_step_both_ways(graph, features, params, start, cfg, "joint")
-    best = responsibility_update_oracle(graph, features, params, start)
-    assert np.abs(stats.resp - best).max() <= 1e-12
+def test_e_step_sweeps_under_clamped_params(rng):
+    # Connection probabilities of exactly 0 and 1 and a vanishing variance
+    # are valid parameters; unclamped, their logs turn the rows into NaN.
+    graph, features, _ = random_instance(rng, n=10, n_classes=3, p=2)
+    pi = np.array([[1.0, 0.0, 0.3], [0.0, 1.0, 0.0], [0.3, 0.0, 0.5]])
+    params = ModelParams(alpha=[0.2, 0.3, 0.5], pi=pi,
+                         mu=rng.normal(size=(3, 2)), sigma2=1e-300)
+    start = random_responsibilities(10, 3, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = e_step(graph, features, params, start)
+    assert np.all(np.isfinite(out))
+    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
+    assert out.min() >= 0
+    assert np.array_equal(out,
+                          e_step(graph, features, params.clamped(), start))
 
 
 def test_fit_computes_one_adjacency_product_per_iterate(monkeypatch):
@@ -284,8 +276,8 @@ def test_class_stats_edge_counts_once_per_stats(monkeypatch, rng):
 
         monkeypatch.setattr(prop, "func", counted)
     stats = ClassStats.of(graph, features, random_responsibilities(10, 3, rng))
-    params = m_step(graph, features, stats)
-    mode_lower_bound(graph, features, stats, params)
+    params, d2 = em._m_step(stats, "joint")
+    stats.bound(params, "joint", d2)
     stats.bound(params)
     assert counts == {"on": 1, "pairs": 1}
 
@@ -314,7 +306,7 @@ def reference_e_step(graph, features, params, start, cfg, mode):
             break
         iterates.append((1.0 - cfg.damping) * update
                         + cfg.damping * iterates[-1])
-        if residual <= cfg.fixedpoint_tol:
+        if residual <= em.FIXEDPOINT_TOL:
             break
     final = iterates[-1]
     if bound(final) >= bound(start) - 1e-9:
@@ -561,14 +553,31 @@ def test_multi_restart_single_equals_fit():
     assert np.array_equal(best.partition, again.partition)
 
 
-def test_multi_restart_returns_best_bound():
+def _fit_with_runs(monkeypatch, *args, **kwargs):
+    """``fit_multi_restart``'s result and the fit of each restart that did
+    not fail, in restart order, read from the lockstep driver it calls."""
+    outcomes = []
+    driver = em._em
+
+    def recorded(*driver_args, **driver_kwargs):
+        out = driver(*driver_args, **driver_kwargs)
+        outcomes.extend(out)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(em, "_em", recorded)
+        best = fit_multi_restart(*args, **kwargs)
+    return best, [one for one in outcomes if isinstance(one, FitResult)]
+
+
+def test_multi_restart_returns_best_bound(monkeypatch):
     spec = AffiliationSpec(n_classes=3, n=40, n_features=2,
                            within_prob=0.5, between_prob=0.2,
                            mean_gap=1.5, seed=2)
     graph, features, _ = generate(spec)
-    best, runs = fit_multi_restart(graph, features, 3,
-                                   EMConfig(rng_seed=4, n_restarts=5),
-                                   return_all=True)
+    best, runs = _fit_with_runs(monkeypatch, graph, features, 3,
+                               EMConfig(rng_seed=4, n_restarts=5))
+    assert len(runs) == 5
     finals = [run.final_bound for run in runs]
     assert best.final_bound == max(finals)
 
@@ -604,10 +613,10 @@ def _sequential_fits(graph, features, n_classes, cfg, mode):
     return outcomes
 
 
-def _assert_lockstep_matches_sequential(graph, features, n_classes, cfg,
-                                        mode="joint"):
-    best, runs = fit_multi_restart(graph, features, n_classes, cfg, mode=mode,
-                                   return_all=True)
+def _assert_lockstep_matches_sequential(monkeypatch, graph, features,
+                                        n_classes, cfg, mode="joint"):
+    best, runs = _fit_with_runs(monkeypatch, graph, features, n_classes, cfg,
+                               mode=mode)
     alone = _sequential_fits(graph, features, n_classes, cfg, mode)
     fitted = [one for one in alone if isinstance(one, FitResult)]
     assert len(runs) == len(fitted)
@@ -619,13 +628,14 @@ def _assert_lockstep_matches_sequential(graph, features, n_classes, cfg,
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_lockstep_restarts_match_sequential_fits(mode):
+def test_lockstep_restarts_match_sequential_fits(monkeypatch, mode):
     spec = AffiliationSpec(n_classes=3, n=90, n_features=3,
                            within_prob=0.5, between_prob=0.15,
                            mean_gap=1.5, seed=4)
     graph, features, _ = generate(spec)
     best, runs, _ = _assert_lockstep_matches_sequential(
-        graph, features, 3, EMConfig(rng_seed=6, n_restarts=6), mode)
+        monkeypatch, graph, features, 3, EMConfig(rng_seed=6, n_restarts=6),
+        mode)
     assert len(runs) == 6
     assert best.failed_restarts == []
     # The trace lengths differ, so restarts left the stack at different
@@ -667,8 +677,8 @@ def test_lockstep_matches_sequential_with_a_reseeded_restart(monkeypatch):
 
     monkeypatch.setattr(em, "_reseed_empty_classes", reseed)
     graph, features, cfg = _lockstep_case()
-    best, runs, _ = _assert_lockstep_matches_sequential(graph, features, 3,
-                                                        cfg)
+    best, runs, _ = _assert_lockstep_matches_sequential(monkeypatch, graph,
+                                                        features, 3, cfg)
     # Once in the lockstep fit and once in restart 1 fitted alone.
     assert reseeds == [[1], [1]]
     assert len(runs) == 4
@@ -681,8 +691,8 @@ def test_lockstep_matches_sequential_with_a_failed_restart(monkeypatch):
     monkeypatch.setattr(em, "_reseed_empty_classes",
                         lambda resp, empty_classes: resp)
     graph, features, cfg = _lockstep_case()
-    best, runs, alone = _assert_lockstep_matches_sequential(graph, features,
-                                                            3, cfg)
+    best, runs, alone = _assert_lockstep_matches_sequential(
+        monkeypatch, graph, features, 3, cfg)
     assert isinstance(alone[1], EmptyClassError)
     assert len(runs) == 3
     assert best.final_bound == max(run.final_bound for run in runs)
@@ -710,7 +720,7 @@ def test_restart_failing_mid_fit_leaves_the_others(monkeypatch):
         return stats, errors
 
     monkeypatch.setattr(em, "_rescue", rescue)
-    best, runs = fit_multi_restart(graph, features, 3, cfg, return_all=True)
+    best, runs = _fit_with_runs(monkeypatch, graph, features, 3, cfg)
     assert best.failed_restarts == ["restart 2: classes [0] have no mass"]
     assert len(runs) == 3
     for run, one in zip(runs, [alone[0], alone[1], alone[3]]):
@@ -738,7 +748,7 @@ def test_iteration_lowering_the_bound_is_rolled_back(monkeypatch):
         return original(stats, attempts)
 
     monkeypatch.setattr(em, "_rescue", rescue)
-    _, runs = fit_multi_restart(graph, features, 3, cfg, return_all=True)
+    _, runs = _fit_with_runs(monkeypatch, graph, features, 3, cfg)
     assert not runs[0].converged
     assert runs[0].bound_trace == pytest.approx(one_iteration.bound_trace,
                                                 rel=1e-9)
@@ -802,16 +812,16 @@ def test_features_only_ignores_graph(rng):
     assert first.bound_trace == second.bound_trace
 
 
-def test_features_only_restarts_ignore_graph():
+def test_features_only_restarts_ignore_graph(monkeypatch):
     spec = AffiliationSpec(n_classes=2, n=30, n_features=3,
                            within_prob=0.6, between_prob=0.1,
                            mean_gap=2.0, seed=0)
     graph, features, _ = generate(spec)
     cfg = EMConfig(rng_seed=5, n_restarts=3)
-    _, first = fit_multi_restart(graph, features, 2, cfg,
-                                 mode="features-only", return_all=True)
-    _, second = fit_multi_restart(Graph(np.zeros((30, 30))), features, 2, cfg,
-                                  mode="features-only", return_all=True)
+    _, first = _fit_with_runs(monkeypatch, graph, features, 2, cfg,
+                             mode="features-only")
+    _, second = _fit_with_runs(monkeypatch, Graph(np.zeros((30, 30))),
+                              features, 2, cfg, mode="features-only")
     assert len(first) == len(second) == 3
     for one, other in zip(first, second):
         assert np.array_equal(one.responsibilities, other.responsibilities)
@@ -861,3 +871,10 @@ def test_mode_bound_drops_terms(rng):
     )
     with pytest.raises(ValueError, match="mode"):
         mode_lower_bound(graph, features, resp, params, "nope")
+
+
+def test_mode_bound_rejects_rows_that_do_not_sum_to_one(rng):
+    graph, features, params = random_instance(rng, n=8, n_classes=2, p=2)
+    resp = random_responsibilities(8, 2, rng) * 1.8
+    with pytest.raises(ValueError, match="responsibility rows must each sum"):
+        mode_lower_bound(graph, features, resp, params, "graph-only")
