@@ -1,14 +1,15 @@
 """Variational EM: fixed-point E-step, closed-form M-step, fit drivers.
 
-The E-step iterates a damped Jacobi fixed-point update of the vertex
-responsibilities in the log domain; the M-step maximises the lower bound in
-closed form. One driver alternates the two until the bound stalls, for
-every start of a fit at once: the starts advance in lockstep on an
-(R, Q, n) stack of transposed responsibilities, so each E-step sweep and
-each M-step is one stacked computation, and a start that stops leaves the
-stack. ``fit`` runs it from one start and ``fit_multi_restart`` from
-several, keeping the best. Ablation modes drop the edge or feature terms
-from both steps.
+The E-step iterates a Jacobi fixed-point update of the vertex
+responsibilities in the log domain, undamped while it contracts and blended
+with the previous iterate once it stops contracting; the M-step maximises
+the lower bound in closed form. One driver alternates the two until the
+bound stalls, for every start of a fit at once: the starts advance in
+lockstep on an (R, Q, n) stack of transposed responsibilities, so each
+E-step sweep and each M-step is one stacked computation, and a start that
+stops leaves the stack. ``fit`` runs it from one start and
+``fit_multi_restart`` from several, keeping the best. Ablation modes drop
+the edge or feature terms from both steps.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .model import (
     Graph,
     ModelParams,
     ParamStack,
+    check_features_vary,
     check_params,
     check_responsibilities,
     check_rows,
@@ -57,7 +59,12 @@ class EmptyClassError(RuntimeError):
 
 @dataclass(frozen=True)
 class EMConfig:
-    """Knobs of the EM driver; defaults follow the study protocol."""
+    """Knobs of the EM driver; defaults follow the study protocol.
+
+    ``damping`` is the weight of the previous iterate in the blend that an
+    E-step sweep gets once it stops contracting (see :func:`e_step`); 0.0
+    selects plain Jacobi sweeps.
+    """
 
     max_em_iters: int = 100
     max_fixedpoint_sweeps: int = 50
@@ -90,6 +97,10 @@ class FitResult:
     icl: float | None = None
     # "restart <r>: <message>" for each restart of the fit that failed.
     failed_restarts: list[str] = field(default_factory=list)
+    # The E-step sweeps this run made, fallback replays not counted, and the
+    # E-steps of it that ended at the sweep cap.
+    e_step_sweeps: int = 0
+    sweep_cap_hits: int = 0
 
     @property
     def final_bound(self) -> float:
@@ -171,14 +182,18 @@ def _degree_quantile_labels(graph: Graph, k: int) -> np.ndarray:
 def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
            resp: np.ndarray, cfg: EMConfig | None = None,
            mode: str = "joint") -> np.ndarray:
-    """Damped Jacobi iteration of the responsibility fixed point.
+    """Jacobi iteration of the responsibility fixed point, residual-guarded.
 
-    Every sweep recomputes all rows from the previous sweep's values, then
-    blends with the old values using ``cfg.damping``. Iteration stops once
-    the sup-norm residual of the undamped update drops below
-    ``FIXEDPOINT_TOL`` (so the damped per-sweep change is below it too)
-    or after ``cfg.max_fixedpoint_sweeps`` sweeps; a sweep that changes
-    nothing ends it on the iterate it started from. The returned matrix
+    Every sweep recomputes all rows from the previous sweep's values. The
+    first sweep takes this update as it is, and so does every later sweep
+    whose sup-norm residual (the largest change of the update) is below the
+    previous sweep's; a sweep that has stopped contracting is instead
+    blended with the old values using ``cfg.damping``. Iteration stops once
+    the residual drops to ``FIXEDPOINT_TOL`` (so the per-sweep change is at
+    most it too) or after ``cfg.max_fixedpoint_sweeps`` sweeps; a sweep
+    that changes nothing ends it on the iterate it started from. Params
+    with a class proportion of 0 raise ``ValueError``: every bound is then
+    ``-inf``, so no two iterates compare. The returned matrix
     never lowers the bound relative to the start: if the final sweep does,
     the best iterate seen (start included, ties to the earliest) is returned
     instead. Only the start and final bounds are computed unless that
@@ -192,17 +207,21 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     """
     cfg = cfg or EMConfig()
     check_params(features, params)
+    empty = np.flatnonzero(params.alpha == 0)
+    if empty.size:
+        raise ValueError(f"class {empty[0]} has proportion 0")
     start = ClassStats.of(graph, features, check_responsibilities(
         resp, graph.n, params.n_classes))
     stack = ParamStack.of(params.clamped())
     d2 = squared_distances(stack.mu, features.values) \
         if mode_terms(mode)[1] and features.p else None
-    stats = _e_step(start, stack, d2, start.bound(stack, mode, d2), cfg, mode)
+    stats, _, _ = _e_step(start, stack, d2, start.bound(stack, mode, d2), cfg,
+                          mode)
     return np.ascontiguousarray(stats.resp[0])
 
 
 def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
-            cfg: EMConfig, mode: str, track: bool = False) -> ClassStats:
+            cfg: EMConfig, mode: str, track: bool = False):
     """The E-step of every matrix of a stack, swept in lockstep.
 
     Row r of the stack is swept under row r of ``params``; ``d2`` is the
@@ -212,8 +231,9 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     stacked computation, its only n^2 work one :meth:`Graph.neighbour_mass`
     of the rows still sweeping; the logits of the vertex terms (proportions
     and features) are computed once. Each row keeps the stop rules of
-    :func:`e_step`, and a row that stops leaves the stack. Returns ``stats``
-    itself when no row moved.
+    :func:`e_step`, and a row that stops leaves the stack. Returns the
+    statistics of the result (``stats`` itself when no row moved) and, by
+    row, the sweeps it ran and whether it ended at the sweep cap.
 
     The best-iterate fallback keeps no iterate: a row whose final bound
     falls below its start's is swept again alone from its start with
@@ -225,8 +245,10 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     graph, features = stats.graph, stats.features
     use_edges, _ = mode_terms(mode)
     n_rows, n_classes, n = stats.resp_t.shape
+    sweeps = np.zeros(n_rows, dtype=np.int64)
+    capped = np.zeros(n_rows, dtype=bool)
     if n_classes == 1:
-        return stats
+        return stats, sweeps, capped
 
     with np.errstate(divide="ignore"):
         log_alpha = np.log(params.alpha)
@@ -241,11 +263,13 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
         base -= d2 / (2.0 * params.sigma2[:, None, None])
     log_ratio = log_pi - log_not
 
-    # The rows still sweeping, their iterates and the product of those
-    # iterates once computed; the start's product is the start bound's.
+    # The rows still sweeping, their iterates, the product of those iterates
+    # once computed (the start's product is the start bound's), and the
+    # residual of their previous sweep (none before the first).
     live = np.arange(n_rows)
     cur = stats.resp_t
     mass = stats.mass if use_edges else None
+    previous = np.full(n_rows, np.inf)
     # Per row: the final iterate, its product when known, and whether it
     # left the start; with ``track``, the best iterate after the start, with
     # its product and bound.
@@ -274,36 +298,44 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
         logits -= logits.max(axis=1, keepdims=True)
         update = np.exp(logits, out=logits)
         update /= update.sum(axis=1, keepdims=True)
-        residuals = np.abs(update - cur).max(axis=(1, 2)).tolist()
-        blended = (1.0 - cfg.damping) * update + cfg.damping * cur
-        stopped = [row for row, residual in enumerate(residuals)
-                   if residual <= FIXEDPOINT_TOL]
+        residuals = np.abs(update - cur).max(axis=(1, 2))
+        # A row whose residual is not below its previous sweep's has stopped
+        # contracting; only such rows are blended with their old values.
+        weight = np.where(residuals >= previous, cfg.damping, 0.0)
+        if weight.any():
+            weight = weight[:, None, None]
+            update = (1.0 - weight) * update + weight * cur
+        previous = residuals
+        stopped = np.flatnonzero(residuals <= FIXEDPOINT_TOL)
         # A row whose sweep changes nothing ends on the iterate it started
-        # from, with its product; the others on the blend.
-        for row in stopped:
+        # from, with its product; the others on the new iterate.
+        for row in stopped.tolist():
             k = live[row]
+            sweeps[k] = sweep + 1
             if residuals[row] == 0.0:
                 finals[k] = cur[row]
                 products[k] = None if mass is None else mass[row]
                 moved[k] = sweep > 0
             else:
-                finals[k], products[k] = blended[row], None
-        if len(stopped) == live.size:
+                finals[k], products[k] = update[row], None
+        if stopped.size == live.size:
             break
-        if stopped:
+        if stopped.size:
             keep = np.ones(live.size, dtype=bool)
             keep[stopped] = False
-            live, blended = live[keep], blended[keep]
+            live, update, previous = live[keep], update[keep], previous[keep]
             base, log_ratio = base[keep], log_ratio[keep]
             log_not = log_not[keep]
-        cur, mass = blended, None
+        cur, mass = update, None
     else:
-        # The sweep cap: the rows still sweeping end on their last blend.
+        # The sweep cap: the rows still sweeping end on their last iterate.
+        sweeps[live] = cfg.max_fixedpoint_sweeps
+        capped[live] = True
         for row, k in enumerate(live):
             finals[k], products[k] = cur[row], None
 
     if not moved.any():
-        return stats
+        return stats, sweeps, capped
     resp_t = np.stack(finals)
     if use_edges:
         unknown = [k for k, product in enumerate(products) if product is None]
@@ -318,19 +350,19 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     final_bounds = out.bound(params, mode, d2)
     rows = np.nonzero(final_bounds < start_bounds - 1e-9)[0]
     if rows.size and not track:
-        again = _e_step(stats.take(rows), params.take(rows),
-                        None if d2 is None else d2[rows], start_bounds[rows],
-                        cfg, mode, track=True)
+        again, _, _ = _e_step(stats.take(rows), params.take(rows),
+                              None if d2 is None else d2[rows],
+                              start_bounds[rows], cfg, mode, track=True)
         return out.with_rows(rows, again.resp_t,
-                             again.mass if use_edges else None)
+                             again.mass if use_edges else None), sweeps, capped
     rows = [k for k in rows if best_bounds[k] > final_bounds[k]]
     if not rows:
-        return out
+        return out, sweeps, capped
     choices = [best.get(k) or (stats.resp_t[k], stats.mass[k] if use_edges
                                else None) for k in rows]
     return out.with_rows(rows, np.stack([it for it, _ in choices]),
                          np.stack([m for _, m in choices]) if use_edges
-                         else None)
+                         else None), sweeps, capped
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +466,13 @@ def _rescue(stats: ClassStats, attempts: int = _RESCUE_ATTEMPTS):
 # Drivers
 
 
-def _check_fit(graph: Graph, features: FeatureMatrix, n_classes: int):
+def _check_fit(graph: Graph, features: FeatureMatrix, n_classes: int,
+               mode: str):
     check_rows(graph, features)
     if not 1 <= n_classes <= graph.n:
         raise ValueError(f"need 1 <= n_classes <= n, got n_classes={n_classes} "
                          f"with n={graph.n} vertices")
+    check_features_vary(features, mode)
 
 
 def _init(graph: Graph, features: FeatureMatrix, n_classes: int,
@@ -462,11 +496,14 @@ def _em(graph: Graph, features: FeatureMatrix, starts, cfg: EMConfig,
     (converged), at the iteration cap, or when an iteration would lower its
     bound (possible only after an empty-class re-seed), which is rolled
     back. A start whose classes stay empty after the re-seeds fails. A start
-    that stops or fails leaves the stack. Returns, by start, its
-    :class:`FitResult` or its :class:`EmptyClassError`.
+    that stops or fails leaves the stack. Each start counts its E-step sweeps
+    and sweep-cap hits. Returns, by start, its :class:`FitResult` or its
+    :class:`EmptyClassError`.
     """
     outcomes: list = [None] * len(starts)
     traces: list[list[float]] = [[] for _ in starts]
+    sweeps = np.zeros(len(starts), dtype=np.int64)
+    cap_hits = np.zeros(len(starts), dtype=np.int64)
 
     def m_step_and_bound(stats):
         """The M-step after the rescue, the rows that survived it, and the
@@ -490,6 +527,8 @@ def _em(graph: Graph, features: FeatureMatrix, starts, cfg: EMConfig,
             bound_trace=traces[start],
             converged=converged,
             mode=mode,
+            e_step_sweeps=int(sweeps[start]),
+            sweep_cap_hits=int(cap_hits[start]),
         )
 
     # The start of each stack row.
@@ -503,8 +542,11 @@ def _em(graph: Graph, features: FeatureMatrix, starts, cfg: EMConfig,
     for _ in range(cfg.max_em_iters):
         if not idx.size:
             break
-        new_stats, new_params, new_d2, rows, values = m_step_and_bound(
-            _e_step(stats, params, d2, bounds, cfg, mode))
+        stepped, row_sweeps, capped = _e_step(stats, params, d2, bounds, cfg,
+                                              mode)
+        sweeps[idx] += row_sweeps
+        cap_hits[idx] += capped
+        new_stats, new_params, new_d2, rows, values = m_step_and_bound(stepped)
         previous = bounds.tolist()
         going = []
         for new_row, (row, value) in enumerate(zip(rows, values.tolist())):
@@ -543,7 +585,7 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
     :class:`EmptyClassError` if a class stays empty after the re-seeds.
     """
     cfg = cfg or EMConfig()
-    _check_fit(graph, features, n_classes)
+    _check_fit(graph, features, n_classes, mode)
     start = _init(graph, features, n_classes, cfg, mode) if resp_init is None \
         else check_responsibilities(resp_init, graph.n, n_classes)
     outcome, = _em(graph, features, [start], cfg, mode)
@@ -597,7 +639,7 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
     fails.
     """
     cfg = cfg or EMConfig()
-    _check_fit(graph, features, n_classes)
+    _check_fit(graph, features, n_classes, mode)
     use_edges, use_features = mode_terms(mode)
     configs = restart_configs(cfg, features.p > 0 and use_features, use_edges)
     outcomes = _em(graph, features,

@@ -264,6 +264,21 @@ def check_rows(graph: Graph, features: FeatureMatrix):
         )
 
 
+def check_features_vary(features: FeatureMatrix, mode: str):
+    """Raise when ``mode`` reads the features and every column is constant.
+
+    Constant features put the fitted variance on its floor, where the bound
+    and the ICL turn large, positive and meaningless. One constant column
+    among varying ones is fine.
+    """
+    if mode_terms(mode)[1] and features.p \
+            and (features.values == features.values[0]).all():
+        raise ValueError(
+            f"features: all {features.p} columns are constant over the "
+            f"{features.n} vertices, so their variance has no estimate; "
+            "fit the graph alone with mode=\"graph-only\"")
+
+
 def check_params(features: FeatureMatrix, params):
     n_features = params.mu.shape[-1]
     if n_features != features.p:

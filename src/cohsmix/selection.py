@@ -13,7 +13,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .em import EMConfig, FitResult, fit_multi_restart
-from .model import FeatureMatrix, Graph, complete_log_likelihood, mode_terms
+from .model import (
+    FeatureMatrix,
+    Graph,
+    check_features_vary,
+    complete_log_likelihood,
+    mode_terms,
+)
 
 
 def icl_penalty(n_classes: int, n_vertices: int, n_features: int,
@@ -104,6 +110,7 @@ def select_q(graph: Graph, features: FeatureMatrix, q_min: int, q_max: int,
     if q_max > graph.n:
         raise ValueError(f"need q_max <= n, got q_max={q_max} "
                          f"with n={graph.n} vertices")
+    check_features_vary(features, mode)
     cfg = cfg or EMConfig()
     results: dict[int, FitResult] = {}
     scores: dict[int, float] = {}

@@ -161,8 +161,10 @@ def test_stacked_e_step_leaves_a_row_at_its_fixed_point(monkeypatch):
     stack = ParamStack(*(np.concatenate([field, field])
                          for field in ParamStack.of(params)))
     d2 = squared_distances(stack.mu, features.values)
-    out = em._e_step(start, stack, d2, start.bound(stack, "joint", d2),
-                     EMConfig(), "joint")
+    out, sweeps, capped = em._e_step(start, stack, d2,
+                                     start.bound(stack, "joint", d2),
+                                     EMConfig(), "joint")
+    assert sweeps[0] == 1 and sweeps[1] > 1 and not capped.any()
     assert np.array_equal(out.resp_t[0], start.resp_t[0])
     assert np.array_equal(out.mass[0], products[0][0])
     assert products[0].shape[0] == 2
@@ -218,6 +220,45 @@ def test_e_step_falls_back_to_best_iterate():
         == pytest.approx(max(bounds), abs=1e-9)
 
 
+def _stacked_e_step(graph, features, params, start, cfg):
+    """``e_step``'s result with the sweeps it ran and whether it capped."""
+    stats = ClassStats.of(graph, features, start)
+    stack = ParamStack.of(params.clamped())
+    d2 = squared_distances(stack.mu, features.values)
+    out, sweeps, capped = em._e_step(stats, stack, d2,
+                                     stats.bound(stack, "joint", d2), cfg,
+                                     "joint")
+    return out.resp[0], int(sweeps[0]), bool(capped[0])
+
+
+def test_guarded_e_step_settles_where_plain_jacobi_oscillates():
+    # The instance of test_e_step_falls_back_to_best_iterate. Plain Jacobi
+    # sweeps oscillate up to the cap and fall back to an early iterate; the
+    # guard blends the sweeps that stop contracting, and they settle.
+    rng = np.random.default_rng(56)
+    graph, features, params = random_instance(rng, n=12, n_classes=3, p=2)
+    start = random_responsibilities(12, 3, rng)
+    bound = lambda r: variational_lower_bound(graph, features, r, params)
+    plain, plain_sweeps, plain_capped = _stacked_e_step(
+        graph, features, params, start, EMConfig(damping=0.0))
+    guarded, sweeps, capped = _stacked_e_step(graph, features, params, start,
+                                              EMConfig())
+    assert plain_capped and plain_sweeps == 50
+    assert not capped and sweeps < 50
+    assert np.array_equal(guarded, e_step(graph, features, params, start))
+    assert bound(guarded) > bound(plain) > bound(start)
+    refreshed = responsibility_update_oracle(graph, features, params, guarded)
+    assert np.abs(guarded - refreshed).max() <= em.FIXEDPOINT_TOL
+
+
+def test_e_step_rejects_a_class_of_proportion_zero(rng):
+    # Every bound is -inf then, so the guard against lowering it cannot act.
+    graph, features, params = random_instance(rng, n=8, n_classes=3, p=2)
+    params = replace(params, alpha=np.array([0.0, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="class 0 has proportion 0"):
+        e_step(graph, features, params, random_responsibilities(8, 3, rng))
+
+
 def test_e_step_rejects_params_of_another_feature_width(rng):
     graph, features, _ = random_instance(rng, n=6, n_classes=2, p=2)
     params = random_params(2, 3, rng)
@@ -242,6 +283,34 @@ def test_e_step_sweeps_under_clamped_params(rng):
     assert out.min() >= 0
     assert np.array_equal(out,
                           e_step(graph, features, params.clamped(), start))
+
+
+@pytest.mark.parametrize("cap", [1, 50])
+def test_fit_counts_sweeps_and_cap_hits(monkeypatch, cap):
+    spec = AffiliationSpec(n_classes=3, n=60, n_features=2, within_prob=0.4,
+                           between_prob=0.1, mean_gap=1.5, seed=2)
+    graph, features, _ = generate(spec)
+    calls = []
+    stacked = em._e_step
+
+    def recorded(*args, track=False, **kwargs):
+        out = stacked(*args, track=track, **kwargs)
+        if not track:
+            calls.append((int(out[1][0]), bool(out[2][0])))
+        return out
+
+    # A fallback replay calls the stacked E-step again with ``track`` set;
+    # the counters leave it out.
+    monkeypatch.setattr(em, "_e_step", recorded)
+    result = fit(graph, features, 3,
+                 EMConfig(rng_seed=0, max_fixedpoint_sweeps=cap))
+    assert len(calls) >= len(result.bound_trace) - 1
+    assert all(1 <= sweeps <= cap for sweeps, _ in calls)
+    assert result.e_step_sweeps == sum(sweeps for sweeps, _ in calls)
+    assert result.sweep_cap_hits == sum(capped for _, capped in calls)
+    assert result.sweep_cap_hits <= len(calls)
+    if cap == 1:
+        assert result.e_step_sweeps == len(calls)
 
 
 def test_fit_computes_one_adjacency_product_per_iterate(monkeypatch):
@@ -294,18 +363,22 @@ def test_neighbour_mass_is_the_adjacency_product(n):
     assert np.array_equal(stats.mass[0], mass)
 
 
-def reference_e_step(graph, features, params, start, cfg, mode):
-    """The documented E-step, one oracle update and damped blend per sweep."""
+def reference_e_step(graph, features, params, start, cfg, mode,
+                     update_of=responsibility_update_oracle):
+    """The documented E-step: one ``update_of`` per sweep, blended with the
+    old iterate only when its residual is not below the previous sweep's."""
     bound = lambda r: mode_lower_bound(graph, features, r, params, mode)
     iterates = [start]
+    previous = np.inf
     for _ in range(cfg.max_fixedpoint_sweeps):
-        update = responsibility_update_oracle(graph, features, params,
-                                              iterates[-1], mode)
+        update = update_of(graph, features, params, iterates[-1], mode)
         residual = np.abs(update - iterates[-1]).max()
         if residual == 0.0:
             break
-        iterates.append((1.0 - cfg.damping) * update
-                        + cfg.damping * iterates[-1])
+        if residual >= previous:
+            update = (1.0 - cfg.damping) * update + cfg.damping * iterates[-1]
+        iterates.append(update)
+        previous = residual
         if residual <= em.FIXEDPOINT_TOL:
             break
     final = iterates[-1]
@@ -338,6 +411,49 @@ def test_e_step_matches_reference_loop(seed, n, n_classes, p, mode, damping,
     assert np.abs(out - expected).max() <= 1e-12
     bound = lambda r: mode_lower_bound(graph, features, r, params, mode)
     assert bound(out) >= bound(start) - 1e-9
+
+
+def sweep_update(graph, features, params, resp, mode):
+    """One undamped update in the E-step's own arithmetic on the (Q, n)
+    transpose, so that a loop of them is plain Jacobi bit for bit."""
+    use_edges, use_features = mode_terms(mode)
+    stack = ParamStack.of(params.clamped())
+    cur = np.ascontiguousarray(resp.T)[None]
+    logits = np.repeat(np.log(stack.alpha)[:, :, None], graph.n, axis=2)
+    if use_features and features.p:
+        logits -= squared_distances(stack.mu, features.values) \
+            / (2.0 * stack.sigma2[:, None, None])
+    if use_edges:
+        log_not = np.log1p(-stack.pi)
+        edges = (np.log(stack.pi) - log_not) @ graph.neighbour_mass(cur)
+        edges += logits
+        edges += log_not @ (cur.sum(axis=2)[:, :, None] - cur)
+        logits = edges
+    logits -= logits.max(axis=1, keepdims=True)
+    update = np.exp(logits)
+    update /= update.sum(axis=1, keepdims=True)
+    return update[0].T
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+       n_classes=st.integers(2, 4), p=st.sampled_from([0, 2]),
+       mode=st.sampled_from(["joint", "graph-only", "features-only"]),
+       cap=st.integers(1, 50))
+def test_e_step_without_damping_is_plain_jacobi(seed, n, n_classes, p, mode,
+                                                cap):
+    # damping=0.0 blends no sweep, so the E-step is undamped Jacobi with
+    # the stop rules and the fallback, to the last bit.
+    rng = np.random.default_rng(seed)
+    graph, features, params = random_instance(rng, n=n, n_classes=n_classes,
+                                              p=p)
+    start = random_responsibilities(n, n_classes, rng)
+    cfg = EMConfig(damping=0.0, max_fixedpoint_sweeps=cap)
+    expected, _ = reference_e_step(graph, features, params, start, cfg, mode,
+                                   update_of=sweep_update)
+    assert np.array_equal(e_step(graph, features, params, start, cfg, mode),
+                          expected)
 
 
 def test_e_step_softmax_on_extreme_logits():
@@ -476,6 +592,23 @@ def test_fit_rejects_more_classes_than_vertices(rng):
     empty = Graph(np.zeros((0, 0)))
     with pytest.raises(ValueError, match=r"n_classes=2 with n=0"):
         fit(empty, FeatureMatrix.empty(0), 2)
+
+
+@pytest.mark.parametrize("entry", [fit, fit_multi_restart])
+def test_fit_rejects_all_constant_features(entry):
+    # Their variance would sit on its floor and the bound turn positive.
+    rng = np.random.default_rng(0)
+    graph = random_graph(60, rng)
+    features = FeatureMatrix(np.ones((60, 2)))
+    cfg = EMConfig(rng_seed=0, n_restarts=2)
+    for mode in ("joint", "features-only"):
+        with pytest.raises(ValueError, match=r"features: all 2 columns are "
+                           r"constant.*mode=\"graph-only\""):
+            entry(graph, features, 2, cfg, mode=mode)
+    entry(graph, features, 2, cfg, mode="graph-only")
+    # One constant column among varying ones is a valid input.
+    values = np.column_stack([np.ones(60), rng.normal(size=60)])
+    entry(graph, FeatureMatrix(values), 2, cfg)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -624,6 +757,8 @@ def _assert_lockstep_matches_sequential(monkeypatch, graph, features,
         assert np.array_equal(run.partition, one.partition)
         assert len(run.bound_trace) == len(one.bound_trace)
         assert run.final_bound == pytest.approx(one.final_bound, rel=1e-9)
+        assert (run.e_step_sweeps, run.sweep_cap_hits) \
+            == (one.e_step_sweeps, one.sweep_cap_hits)
     return best, runs, alone
 
 

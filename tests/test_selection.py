@@ -149,6 +149,16 @@ def test_select_rejects_q_max_above_vertex_count(rng):
         select_q(graph, FeatureMatrix.empty(5), 2, 6)
 
 
+def test_select_rejects_all_constant_features(rng):
+    graph = random_graph(30, rng)
+    features = FeatureMatrix(np.full((30, 3), 2.5))
+    with pytest.raises(ValueError, match=r"constant.*graph-only"):
+        select_q(graph, features, 1, 4, EMConfig(rng_seed=0))
+    scan = select_q(graph, features, 1, 2, EMConfig(rng_seed=0, n_restarts=2),
+                    mode="graph-only")
+    assert scan.selected_q in (1, 2)
+
+
 def test_select_noise_prefers_smallest(rng):
     picked_smallest = 0
     runs = 10
