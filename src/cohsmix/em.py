@@ -4,12 +4,14 @@ The E-step iterates a Jacobi fixed-point update of the vertex
 responsibilities in the log domain, undamped while it contracts and blended
 with the previous iterate once it stops contracting; the M-step maximises
 the lower bound in closed form. One driver alternates the two until the
-bound stalls, for every start of a fit at once: the starts advance in
-lockstep on an (R, Q, n) stack of transposed responsibilities, so each
-E-step sweep and each M-step is one stacked computation, and a start that
-stops leaves the stack. ``fit`` runs it from one start and
-``fit_multi_restart`` from several, keeping the best. Ablation modes drop
-the edge or feature terms from both steps.
+bound stalls, for every start of a scan at once: the starts advance in
+lockstep on an (R, Q, n) stack of transposed responsibilities, those of
+fewer classes padded with empty ones, so each E-step sweep and each M-step
+is one stacked computation, and a start that stops leaves the stack.
+``fit`` runs it from one start, ``fit_multi_restart`` from several,
+keeping the best, and ``selection.select_q`` from the restarts of every
+candidate class count. Ablation modes drop the edge or feature terms from
+both steps.
 """
 
 from __future__ import annotations
@@ -157,9 +159,14 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
         return rng.permutation(np.arange(n, dtype=np.int64) % k)
     idx = rng.choice(n, size=k, replace=n < k)
     centers = points[idx].copy()
-    labels = np.zeros(n, dtype=np.int64)
+    labels = None
     for _ in range(n_iters):
-        labels = np.argmin(squared_distances(points, centers), axis=1)
+        new = np.argmin(squared_distances(points, centers), axis=1)
+        # Labels that repeat give the centres they were computed from, so
+        # every later iteration would repeat them too.
+        if labels is not None and np.array_equal(new, labels):
+            break
+        labels = new
         for q in range(k):
             members = labels == q
             if members.any():
@@ -224,7 +231,10 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
             cfg: EMConfig, mode: str, track: bool = False):
     """The E-step of every matrix of a stack, swept in lockstep.
 
-    Row r of the stack is swept under row r of ``params``; ``d2`` is the
+    Row r of the stack is swept under row r of ``params``; a padded class
+    of a row (see :class:`ClassStats`) has proportion 0 there, so its logits
+    are ``-inf`` and it stays empty, and a padded one-class row ends at its
+    first sweep, which changes nothing. ``d2`` is the
     (R, Q, n) ``squared_distances(params.mu, features.values)``, or None when
     the mode reads no features, and ``start_bounds`` the bounds of the
     start, which the fit driver already has. Each sweep is one
@@ -343,9 +353,10 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
             for k, product in zip(unknown,
                                   graph.neighbour_mass(resp_t[unknown])):
                 products[k] = product
-        out = ClassStats(graph, features, resp_t, np.stack(products))
+        out = ClassStats(graph, features, resp_t, np.stack(products),
+                         stats.n_classes)
     else:
-        out = ClassStats(graph, features, resp_t)
+        out = ClassStats(graph, features, resp_t, n_classes=stats.n_classes)
 
     final_bounds = out.bound(params, mode, d2)
     rows = np.nonzero(final_bounds < start_bounds - 1e-9)[0]
@@ -393,7 +404,8 @@ def m_step(graph: Graph, features: FeatureMatrix, resp: np.ndarray,
 def _m_step(stats: ClassStats, mode: str):
     """Closed forms of every matrix of a stack, whose classes all have mass.
 
-    Returns the :class:`ParamStack` and, when the mode reads features, the
+    A padded class gets proportion 0, connection probabilities 0.5 and mean
+    0. Returns the :class:`ParamStack` and, when the mode reads features, the
     squared distances of the feature rows to its means.
     """
     use_edges, use_features = mode_terms(mode)
@@ -414,7 +426,11 @@ def _m_step(stats: ClassStats, mode: str):
     p = stats.features.p
     d2 = None
     if use_features and p:
-        mu = (stats.resp_t @ values) / col[:, :, None]
+        # A padded class has no mass: its mean is 0 rather than 0 / 0. Every
+        # other class has at least EMPTY_CLASS_MASS after the rescue.
+        mu = np.einsum("rkn,pn->rkp", stats.resp_t,
+                       np.ascontiguousarray(values.T)) \
+            / np.maximum(col, EMPTY_CLASS_MASS)[:, :, None]
         d2 = squared_distances(mu, values)
         sigma2 = np.maximum(stats.scatter(mu, d2) / (p * n), SIGMA2_FLOOR)
     else:
@@ -445,21 +461,24 @@ def _reseed_empty_classes(resp: np.ndarray, empty_classes) -> np.ndarray:
 
 def _rescue(stats: ClassStats, attempts: int = _RESCUE_ATTEMPTS):
     """Re-seed the empty classes of each matrix of a stack, up to
-    ``attempts`` times.
+    ``attempts`` times; padded classes are not classes of their matrix.
 
     Returns the statistics after the last re-seed and, by row, the
     :class:`EmptyClassError` of each matrix whose classes are still empty.
     """
+    real = np.arange(stats.col.shape[1]) < stats.n_classes[:, None]
     for attempt in range(attempts + 1):
-        empty = stats.col < EMPTY_CLASS_MASS
+        empty = (stats.col < EMPTY_CLASS_MASS) & real
         rows = np.nonzero(empty.any(axis=1))[0]
         if attempt == attempts or not rows.size:
             return stats, {int(row): EmptyClassError(
                 np.nonzero(empty[row])[0].tolist()) for row in rows}
-        stats = stats.with_rows(rows, np.stack([
-            _reseed_empty_classes(stats.resp_t[row].T,
-                                  np.nonzero(empty[row])[0]).T
-            for row in rows]))
+        resp_t = stats.resp_t[rows]
+        for resp, row in zip(resp_t, rows):
+            width = stats.n_classes[row]
+            resp[:width] = _reseed_empty_classes(
+                resp[:width].T, np.nonzero(empty[row])[0]).T
+        stats = stats.with_rows(rows, resp_t)
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +510,21 @@ def _em(graph: Graph, features: FeatureMatrix, starts, cfg: EMConfig,
         mode: str) -> list:
     """EM from each (n, Q) start, all advancing in lockstep.
 
+    Starts of different class counts share the stack: each is padded with
+    empty classes up to the largest count. A padded class gets proportion
+    0 from the M-step, so the E-step never gives it mass, and the rescue
+    passes it over (see :class:`ClassStats`); each :class:`FitResult` is
+    sliced back to its start's own classes, and a start gives what it gives
+    in a stack of its own width.
+
     Every start records the lower bound after each M-step and stops on its
     own: when the relative bound change drops below ``BOUND_REL_TOL``
     (converged), at the iteration cap, or when an iteration would lower its
     bound (possible only after an empty-class re-seed), which is rolled
     back. A start whose classes stay empty after the re-seeds fails. A start
     that stops or fails leaves the stack. Each start counts its E-step sweeps
-    and sweep-cap hits. Returns, by start, its :class:`FitResult` or its
-    :class:`EmptyClassError`.
+    and sweep-cap hits (a one-class start none). Returns, by start, its
+    :class:`FitResult` or its :class:`EmptyClassError`.
     """
     outcomes: list = [None] * len(starts)
     traces: list[list[float]] = [[] for _ in starts]
@@ -519,9 +545,10 @@ def _em(graph: Graph, features: FeatureMatrix, starts, cfg: EMConfig,
         return stats, params, d2, rows, stats.bound(params, mode, d2)
 
     def finish(stats, params, row, start, converged):
-        resp = np.ascontiguousarray(stats.resp_t[row].T)
+        width = stats.n_classes[row]
+        resp = np.ascontiguousarray(stats.resp_t[row, :width].T)
         outcomes[start] = FitResult(
-            params=params.unstack(row),
+            params=params.unstack(row, width),
             responsibilities=resp,
             partition=partition_from_responsibilities(resp),
             bound_trace=traces[start],
@@ -533,8 +560,11 @@ def _em(graph: Graph, features: FeatureMatrix, starts, cfg: EMConfig,
 
     # The start of each stack row.
     idx = np.arange(len(starts))
-    stats = ClassStats(graph, features,
-                       np.stack([start.T for start in starts]))
+    widths = np.array([start.shape[1] for start in starts])
+    resp_t = np.zeros((len(starts), widths.max(), graph.n))
+    for row, start in enumerate(starts):
+        resp_t[row, :widths[row]] = start.T
+    stats = ClassStats(graph, features, resp_t, n_classes=widths)
     stats, params, d2, rows, bounds = m_step_and_bound(stats)
     idx = idx[rows]
     for start, value in zip(idx, bounds.tolist()):
@@ -544,7 +574,9 @@ def _em(graph: Graph, features: FeatureMatrix, starts, cfg: EMConfig,
             break
         stepped, row_sweeps, capped = _e_step(stats, params, d2, bounds, cfg,
                                               mode)
-        sweeps[idx] += row_sweeps
+        # A one-class start needs no sweep; padded, it runs one that
+        # changes nothing, which is not counted.
+        sweeps[idx] += np.where(stats.n_classes > 1, row_sweeps, 0)
         cap_hits[idx] += capped
         new_stats, new_params, new_d2, rows, values = m_step_and_bound(stepped)
         previous = bounds.tolist()
@@ -624,6 +656,46 @@ def restart_configs(cfg: EMConfig, has_features: bool,
     ]
 
 
+def _best_restart(outcomes) -> FitResult:
+    """The restart with the best final bound, ties to the earliest, with the
+    messages of the failed ones; raises if every restart failed."""
+    results = [r for r in outcomes if isinstance(r, FitResult)]
+    failed = [f"restart {r}: {err}" for r, err in enumerate(outcomes)
+              if isinstance(err, EmptyClassError)]
+    if not results:
+        raise RuntimeError(f"all {len(outcomes)} restarts failed: {failed}")
+    best = max(results, key=lambda result: result.final_bound)
+    best.failed_restarts = failed
+    return best
+
+
+def _fit_candidates(graph: Graph, features: FeatureMatrix, candidates,
+                    cfg: EMConfig, mode: str) -> list:
+    """The restarts of every candidate class count in one lockstep driver.
+
+    ``candidates`` holds ``(n_classes, candidate_cfg)`` pairs, the config
+    giving the candidate's restart seeds and strategies; ``cfg`` gives the
+    driver's caps, which every candidate shares. Returns, by candidate, the
+    best restart or the ``RuntimeError`` of every restart failing.
+    """
+    use_edges, use_features = mode_terms(mode)
+    groups = [
+        [_init(graph, features, n_classes, restart_cfg, mode)
+         for restart_cfg in restart_configs(
+             candidate_cfg, features.p > 0 and use_features, use_edges)]
+        for n_classes, candidate_cfg in candidates]
+    outcomes = iter(_em(graph, features,
+                        [start for group in groups for start in group],
+                        cfg, mode))
+    best = []
+    for group in groups:
+        try:
+            best.append(_best_restart([next(outcomes) for _ in group]))
+        except RuntimeError as err:
+            best.append(err)
+    return best
+
+
 def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
                       cfg: EMConfig | None = None,
                       mode: str = "joint") -> FitResult:
@@ -640,16 +712,7 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
     """
     cfg = cfg or EMConfig()
     _check_fit(graph, features, n_classes, mode)
-    use_edges, use_features = mode_terms(mode)
-    configs = restart_configs(cfg, features.p > 0 and use_features, use_edges)
-    outcomes = _em(graph, features,
-                   [_init(graph, features, n_classes, restart_cfg, mode)
-                    for restart_cfg in configs], cfg, mode)
-    results = [r for r in outcomes if isinstance(r, FitResult)]
-    failed = [f"restart {r}: {err}" for r, err in enumerate(outcomes)
-              if isinstance(err, EmptyClassError)]
-    if not results:
-        raise RuntimeError(f"all {cfg.n_restarts} restarts failed: {failed}")
-    best = max(results, key=lambda result: result.final_bound)
-    best.failed_restarts = failed
+    best, = _fit_candidates(graph, features, [(n_classes, cfg)], cfg, mode)
+    if isinstance(best, RuntimeError):
+        raise best
     return best

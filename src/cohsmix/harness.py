@@ -31,7 +31,8 @@ THREADS_ENV = "COHSMIX_THREADS"
 RESULTS_COLUMNS = (
     "setting", "spec_index", "replicate", "n", "n_classes_true", "n_features",
     "within_prob", "between_prob", "mean_gap", "fitted_q", "final_bound",
-    "icl", "ari", "status",
+    "icl", "ari", "converged", "em_iters", "e_step_sweeps", "sweep_cap_hits",
+    "failed_restarts", "status",
 )
 
 AGGREGATE_COLUMNS = (
@@ -57,6 +58,13 @@ class ExperimentRecord:
     final_bound: float | None
     icl: float | None
     ari: float | None
+    # Counters of the reported fit (a scan's selected candidate), empty for
+    # a replicate that failed; failed_restarts counts its failed restarts.
+    converged: bool | None
+    em_iters: int | None
+    e_step_sweeps: int | None
+    sweep_cap_hits: int | None
+    failed_restarts: int | None
     status: str
     wall_time_s: float
 
@@ -81,6 +89,7 @@ def _run_replicate(task) -> ExperimentRecord:
     started = time.perf_counter()
     sim_seed, fit_seed = _replicate_seeds(seed, spec_index, replicate)
     fitted_q = final_bound = icl = ari = None
+    converged = em_iters = sweeps = cap_hits = failed_restarts = None
     status = "ok"
     try:
         graph, features, truth = generate(replace(spec, seed=sim_seed))
@@ -95,6 +104,10 @@ def _run_replicate(task) -> ExperimentRecord:
         final_bound = result.final_bound
         icl = result.icl
         ari = adjusted_rand_index(truth, result.partition)
+        converged = result.converged
+        em_iters = len(result.bound_trace) - 1
+        sweeps, cap_hits = result.e_step_sweeps, result.sweep_cap_hits
+        failed_restarts = len(result.failed_restarts)
         diffs = np.diff(result.bound_trace)
         if diffs.size and diffs.min() < -1e-8:
             status = "trace-violation"
@@ -105,7 +118,9 @@ def _run_replicate(task) -> ExperimentRecord:
         n=spec.n, n_classes_true=spec.n_classes, n_features=spec.n_features,
         within_prob=spec.within_prob, between_prob=spec.between_prob,
         mean_gap=spec.mean_gap, fitted_q=fitted_q, final_bound=final_bound,
-        icl=icl, ari=ari, status=status,
+        icl=icl, ari=ari, converged=converged, em_iters=em_iters,
+        e_step_sweeps=sweeps, sweep_cap_hits=cap_hits,
+        failed_restarts=failed_restarts, status=status,
         wall_time_s=time.perf_counter() - started,
     )
 

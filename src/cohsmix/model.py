@@ -334,9 +334,12 @@ class ParamStack(NamedTuple):
     def take(self, rows) -> "ParamStack":
         return ParamStack(*(field[rows] for field in self))
 
-    def unstack(self, row: int) -> ModelParams:
-        return ModelParams(alpha=self.alpha[row], pi=self.pi[row],
-                           mu=self.mu[row], sigma2=float(self.sigma2[row]))
+    def unstack(self, row: int, n_classes: int | None = None) -> ModelParams:
+        """The parameters of one row, with its first ``n_classes`` classes
+        only (all by default), which drops a padded row's padding."""
+        q = slice(n_classes)
+        return ModelParams(alpha=self.alpha[row, q], pi=self.pi[row, q, q],
+                           mu=self.mu[row, q], sigma2=float(self.sigma2[row]))
 
 
 class ClassStats:
@@ -355,10 +358,21 @@ class ClassStats:
     edge counted from both ends; ``pairs`` the expected counts of ordered
     pairs of distinct vertices. ``resp_t`` is taken as given: callers
     validate it.
+
+    Matrices of different class counts share a stack by padding: matrix r
+    has ``n_classes[r]`` classes (every class of the stack by default), and
+    its classes past that are zero rows of ``resp_t``. A zero row adds
+    nothing to any statistic, and given the adjacency product no statistic
+    of a matrix depends on the width of its stack in any bit: the products
+    over vertices are ``np.einsum`` contractions, which sum each entry in
+    the same order whatever the other rows (the BLAS product's rounding
+    changes with the matrix shape), and sums over classes add the classes
+    in order (see :func:`_class_sum`). Only the adjacency product is BLAS.
     """
 
     def __init__(self, graph: Graph, features: FeatureMatrix,
-                 resp_t: np.ndarray, mass: np.ndarray | None = None):
+                 resp_t: np.ndarray, mass: np.ndarray | None = None,
+                 n_classes: np.ndarray | None = None):
         check_rows(graph, features)
         if resp_t.ndim != 3 or resp_t.shape[2] != graph.n:
             raise ValueError(f"resp_t must be an (R, Q, {graph.n}) stack, got "
@@ -369,6 +383,8 @@ class ClassStats:
         self.resp_t = resp_t
         self.col = resp_t.sum(axis=2)
         self._mass = mass
+        self.n_classes = np.full(resp_t.shape[0], resp_t.shape[1]) \
+            if n_classes is None else n_classes
 
     @classmethod
     def of(cls, graph: Graph, features: FeatureMatrix, resp) -> "ClassStats":
@@ -390,21 +406,22 @@ class ClassStats:
 
     @_lazy
     def on(self) -> np.ndarray:
-        return self.resp_t @ self.mass.transpose(0, 2, 1)
+        return np.einsum("rkn,rln->rkl", self.resp_t, self.mass)
 
     @_lazy
     def pairs(self) -> np.ndarray:
         return (self.col[:, :, None] * self.col[:, None, :]
-                - self.resp_t @ self.resp_t.transpose(0, 2, 1))
+                - np.einsum("rkn,rln->rkl", self.resp_t, self.resp_t))
 
     @_lazy
     def entropy(self) -> np.ndarray:
-        return responsibility_entropy(self.resp_t, axis=(1, 2))
+        return _class_sum(responsibility_entropy(self.resp_t, axis=2))
 
     def take(self, rows) -> "ClassStats":
         """The statistics of the matrices at ``rows``, with their products."""
         return ClassStats(self.graph, self.features, self.resp_t[rows],
-                          None if self._mass is None else self._mass[rows])
+                          None if self._mass is None else self._mass[rows],
+                          self.n_classes[rows])
 
     def with_rows(self, rows, resp_t: np.ndarray,
                   mass: np.ndarray | None = None) -> "ClassStats":
@@ -418,7 +435,8 @@ class ClassStats:
             new_mass = new_mass.copy()
             new_mass[rows] = self.graph.neighbour_mass(resp_t) \
                 if mass is None else mass
-        return ClassStats(self.graph, self.features, new_resp, new_mass)
+        return ClassStats(self.graph, self.features, new_resp, new_mass,
+                          self.n_classes)
 
     def scatter(self, mu, d2: np.ndarray | None = None) -> np.ndarray:
         """Responsibility-weighted squared distance of the rows to ``mu``.
@@ -429,7 +447,7 @@ class ClassStats:
         """
         if d2 is None:
             d2 = squared_distances(mu, self.features.values)
-        return (self.resp_t * d2).sum(axis=(1, 2))
+        return _class_sum((self.resp_t * d2).sum(axis=2))
 
     def log_likelihood(self, params: ParamStack, mode: str = "joint",
                        d2: np.ndarray | None = None) -> np.ndarray:
@@ -443,16 +461,17 @@ class ClassStats:
         """
         check_params(self.features, params)
         use_edges, use_features = mode_terms(mode)
-        total = xlogy(self.col, params.alpha).sum(axis=1)
+        total = _class_sum(xlogy(self.col, params.alpha))
         if use_edges:
             on = self.on
             off = self.pairs - on
-            total += 0.5 * (xlogy(on, params.pi).sum(axis=(1, 2))
-                            + xlogy(off, 1.0 - params.pi).sum(axis=(1, 2)))
+            total += 0.5 * _class_sum(
+                (xlogy(on, params.pi) + xlogy(off, 1.0 - params.pi))
+                .sum(axis=1))
         p = self.features.p
         if use_features and p:
             const = -0.5 * p * np.log(2.0 * np.pi * params.sigma2)
-            total += (const * self.col.sum(axis=1)
+            total += (const * _class_sum(self.col)
                       - self.scatter(params.mu, d2) / (2.0 * params.sigma2))
         return total
 
@@ -463,15 +482,30 @@ class ClassStats:
         return self.log_likelihood(params, mode, d2) + self.entropy
 
 
+def _class_sum(x: np.ndarray) -> np.ndarray:
+    """The sum of each row of an (R, Q) stack, adding the classes in order.
+
+    numpy sums a row of eight or more values pairwise, so zeros appended by
+    padding would regroup the others; a running sum adds them in order, and
+    trailing zeros leave it unchanged in every bit.
+    """
+    return x.cumsum(axis=1)[:, -1]
+
+
 def squared_distances(points, centers) -> np.ndarray:
     """Pairwise squared Euclidean distances, shape (..., n_points,
-    n_centers); ``points`` may carry leading stack axes."""
+    n_centers); ``points`` may carry leading stack axes.
+
+    The cross term is an ``np.einsum`` contraction, so a point's distances
+    do not depend on the other points in any bit (see :class:`ClassStats`).
+    """
     points = np.asarray(points, dtype=np.float64)
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
     pp = (points * points).sum(axis=-1)[..., None]
     cc = (centers * centers).sum(axis=1)[None, :]
-    d2 = pp + cc - 2.0 * points @ centers.T
-    return np.maximum(d2, 0.0)
+    cross = np.einsum("...ip,pj->...ij", points,
+                      np.ascontiguousarray(centers.T))
+    return np.maximum(pp + cc - 2.0 * cross, 0.0)
 
 
 def complete_log_likelihood(graph: Graph, features: FeatureMatrix,

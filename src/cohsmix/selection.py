@@ -12,11 +12,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .em import EMConfig, FitResult, fit_multi_restart
+from .em import EMConfig, FitResult, _fit_candidates
 from .model import (
     FeatureMatrix,
     Graph,
     check_features_vary,
+    check_rows,
     complete_log_likelihood,
     mode_terms,
 )
@@ -101,27 +102,31 @@ def select_q(graph: Graph, features: FeatureMatrix, q_min: int, q_max: int,
 
     Each candidate gets its own deterministic seed derived from
     ``cfg.rng_seed``, so the whole scan replays bit-for-bit, and is scored
-    by :func:`icl_score` on its soft responsibilities. Candidates
-    whose every restart fails are recorded and excluded; if all candidates
-    fail the scan raises.
+    by :func:`icl_score` on its soft responsibilities. The restarts of
+    every candidate run in one lockstep EM driver, each candidate giving
+    what :func:`~cohsmix.em.fit_multi_restart` gives it alone, to rounding.
+    Candidates whose every restart fails are recorded and excluded; if all
+    candidates fail the scan raises.
     """
     if not 1 <= q_min <= q_max:
         raise ValueError(f"need 1 <= q_min <= q_max, got {q_min}..{q_max}")
     if q_max > graph.n:
         raise ValueError(f"need q_max <= n, got q_max={q_max} "
                          f"with n={graph.n} vertices")
+    check_rows(graph, features)
     check_features_vary(features, mode)
     cfg = cfg or EMConfig()
+    candidates = [
+        (q, replace(cfg, rng_seed=int(np.random.SeedSequence(
+            cfg.rng_seed, spawn_key=(q,)).generate_state(1)[0])))
+        for q in range(q_min, q_max + 1)]
     results: dict[int, FitResult] = {}
     scores: dict[int, float] = {}
     failures: dict[int, str] = {}
-    for q in range(q_min, q_max + 1):
-        seed = np.random.SeedSequence(cfg.rng_seed, spawn_key=(q,))
-        q_cfg = replace(cfg, rng_seed=int(seed.generate_state(1)[0]))
-        try:
-            result = fit_multi_restart(graph, features, q, q_cfg, mode=mode)
-        except RuntimeError as err:
-            failures[q] = str(err)
+    for (q, _), result in zip(candidates, _fit_candidates(
+            graph, features, candidates, cfg, mode)):
+        if isinstance(result, RuntimeError):
+            failures[q] = str(result)
             continue
         result.icl = icl_score(result, graph, features)
         results[q] = result

@@ -155,18 +155,19 @@ def test_select_q_end_to_end(capsys, tmp_path):
 
 def test_select_q_failed_candidate_round_trips(capsys, tmp_path,
                                                monkeypatch):
-    import cohsmix.selection as selection
+    import cohsmix.em as em
 
     data = simulate_dataset(capsys, tmp_path)
-    original = selection.fit_multi_restart
+    original = em._best_restart
     status = "all 2 restarts failed: ['classes [0, 2] have no mass']"
 
-    def fail_at_three(graph, features, n_classes, *args, **kwargs):
-        if n_classes == 3:
+    def fail_at_three(outcomes):
+        # The scan picks each candidate's best restart here.
+        if outcomes[0].params.n_classes == 3:
             raise RuntimeError(status)
-        return original(graph, features, n_classes, *args, **kwargs)
+        return original(outcomes)
 
-    monkeypatch.setattr(selection, "fit_multi_restart", fail_at_three)
+    monkeypatch.setattr(em, "_best_restart", fail_at_three)
     out_dir = tmp_path / "scan"
     code, _, err = run_cli(
         capsys, "select-q", "--graph", str(data / "graph.tsv"),

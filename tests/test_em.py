@@ -95,6 +95,40 @@ def test_init_unknown_strategy(rng):
         init_responsibilities(graph, FeatureMatrix.empty(4), 2, "bogus", rng)
 
 
+def kmeans_reference(points, k, rng, n_iters=20):
+    """``em._kmeans_labels`` without its early stop: every iteration runs."""
+    n = points.shape[0]
+    if points.shape[1] == 0:
+        return rng.permutation(np.arange(n, dtype=np.int64) % k)
+    idx = rng.choice(n, size=k, replace=n < k)
+    centers = points[idx].copy()
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(n_iters):
+        labels = np.argmin(squared_distances(points, centers), axis=1)
+        for q in range(k):
+            members = labels == q
+            if members.any():
+                centers[q] = points[members].mean(axis=0)
+    return labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+       p=st.integers(0, 3), k=st.integers(1, 8),
+       levels=st.integers(1, 4))
+def test_kmeans_stopping_on_repeated_labels_changes_nothing(seed, n, p, k,
+                                                            levels):
+    # Few distinct values: duplicated points, k above the number of
+    # distinct points (or of points) and clusters left empty.
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, levels, size=(n, p)).astype(float)
+    ours, theirs = np.random.default_rng(seed + 1), \
+        np.random.default_rng(seed + 1)
+    labels = em._kmeans_labels(points, k, ours)
+    assert np.array_equal(labels, kmeans_reference(points, k, theirs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # E-step
 
@@ -311,6 +345,88 @@ def test_fit_counts_sweeps_and_cap_hits(monkeypatch, cap):
     assert result.sweep_cap_hits <= len(calls)
     if cap == 1:
         assert result.e_step_sweeps == len(calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       p=st.integers(0, 4), widths=st.lists(st.integers(1, 10), min_size=1,
+                                            max_size=5),
+       mode=st.sampled_from(MODES))
+def test_padded_rows_get_the_statistics_they_get_alone(seed, n, p, widths,
+                                                       mode):
+    # Each matrix padded with empty classes to the widest of the stack
+    # gets, bit for bit, the statistics, M-step and bound of a stack of
+    # itself. The adjacency product is a BLAS call whose rounding may
+    # change with the stack's shape, so each row is given its own.
+    rng = np.random.default_rng(seed)
+    graph, features = random_graph(n, rng), random_features(n, p, rng)
+    starts = [random_responsibilities(n, q, rng) for q in widths]
+    alone = [ClassStats.of(graph, features, start) for start in starts]
+    resp_t = np.zeros((len(starts), max(widths), n))
+    mass = np.zeros_like(resp_t)
+    for row, (start, one) in enumerate(zip(starts, alone)):
+        resp_t[row, :start.shape[1]] = start.T
+        mass[row, :start.shape[1]] = one.mass[0]
+    padded = ClassStats(graph, features, resp_t, mass, np.array(widths))
+    params, d2 = em._m_step(padded, mode)
+    bounds = padded.bound(params, mode, d2)
+    for row, (q, one) in enumerate(zip(widths, alone)):
+        one_params, one_d2 = em._m_step(one, mode)
+        assert np.array_equal(padded.on[row, :q, :q], one.on[0])
+        assert np.array_equal(padded.pairs[row, :q, :q], one.pairs[0])
+        assert padded.entropy[row] == one.entropy[0]
+        assert np.array_equal(params.alpha[row, :q], one_params.alpha[0])
+        assert np.array_equal(params.pi[row, :q, :q], one_params.pi[0])
+        assert np.array_equal(params.mu[row, :q], one_params.mu[0])
+        assert params.sigma2[row] == one_params.sigma2[0]
+        # A padded class: proportion 0, connection probability 0.5, mean 0.
+        assert not params.alpha[row, q:].any()
+        assert (params.pi[row, q:] == 0.5).all()
+        assert (params.pi[row, :, q:] == 0.5).all()
+        assert not params.mu[row, q:].any()
+        if d2 is not None:
+            assert np.array_equal(d2[row, :q], one_d2[0])
+        assert bounds[row] == one.bound(one_params, mode, one_d2)[0]
+
+
+def _row_by_row_mass(graph, resp_t):
+    """``Graph.neighbour_mass`` with each row's entries summed in an order
+    that does not depend on the other rows."""
+    return np.einsum("...n,nm->...m", resp_t, graph.adjacency)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 30),
+       p=st.sampled_from([0, 2]),
+       widths=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+       mode=st.sampled_from(MODES))
+def test_padded_starts_fit_as_they_fit_alone(seed, n, p, widths, mode):
+    # With an adjacency product whose rounding does not depend on the
+    # stack's shape, a start padded into a stack of wider ones gives, bit
+    # for bit, the fit it gives alone. A one-class start is all ones, as
+    # init_responsibilities makes it: padded, its one sweep changes nothing.
+    rng = np.random.default_rng(seed)
+    graph, features = random_graph(n, rng), random_features(n, p, rng)
+    starts = [random_responsibilities(n, q, rng) if q > 1 else np.ones((n, 1))
+              for q in widths]
+    cfg = EMConfig(max_em_iters=15)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Graph, "neighbour_mass", _row_by_row_mass)
+        padded = em._em(graph, features, starts, cfg, mode)
+        alone = [em._em(graph, features, [start], cfg, mode)[0]
+                 for start in starts]
+    for run, one in zip(padded, alone):
+        assert type(run) is type(one)
+        if isinstance(one, EmptyClassError):
+            assert str(run) == str(one)
+            continue
+        assert np.array_equal(run.responsibilities, one.responsibilities)
+        assert run.bound_trace == one.bound_trace
+        assert (run.converged, run.e_step_sweeps, run.sweep_cap_hits) \
+            == (one.converged, one.e_step_sweeps, one.sweep_cap_hits)
+        for field in ("alpha", "pi", "mu", "sigma2"):
+            assert np.array_equal(getattr(run.params, field),
+                                  getattr(one.params, field))
 
 
 def test_fit_computes_one_adjacency_product_per_iterate(monkeypatch):

@@ -1,15 +1,21 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cohsmix.em import EMConfig, EmptyClassError
+from cohsmix.em import EMConfig, EmptyClassError, fit_multi_restart
 from cohsmix.harness import (
     RESULTS_COLUMNS,
+    _replicate_seeds,
     run_grid,
     worker_count,
 )
-from cohsmix.simulate import AffiliationSpec
+from cohsmix.selection import select_q
+from cohsmix.simulate import AffiliationSpec, generate
+
+COUNTERS = ("converged", "em_iters", "e_step_sweeps", "sweep_cap_hits",
+            "failed_restarts")
 
 FAST_CFG = EMConfig(max_em_iters=30, n_restarts=2)
 
@@ -98,6 +104,48 @@ def test_failure_rows_round_trip_through_csv_reader(tmp_path, monkeypatch):
     assert [len(row) for row in rows] == [len(RESULTS_COLUMNS)] * 2
     status = "error:EmptyClassError:classes [0, 2] have no mass"
     assert rows[1][-1] == records[0].status == status
+
+
+def _read_results(path):
+    with path.open(newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def _counters(result):
+    return [str(result.converged), str(len(result.bound_trace) - 1),
+            str(result.e_step_sweeps), str(result.sweep_cap_hits),
+            str(len(result.failed_restarts))]
+
+
+@pytest.mark.parametrize("scan_range", [None, (2, 3)])
+def test_results_carry_the_fit_counters(tmp_path, scan_range):
+    run_grid("a", replicates=2, cfg=FAST_CFG, seed=4, specs=SMALL_SPECS[:1],
+             out_dir=tmp_path, scan_range=scan_range)
+    rows = _read_results(tmp_path / "results.csv")
+    assert list(rows[0])[-len(COUNTERS) - 1:] == [*COUNTERS, "status"]
+    for replicate, row in enumerate(rows):
+        sim_seed, fit_seed = _replicate_seeds(4, 0, replicate)
+        graph, features, _ = generate(replace(SMALL_SPECS[0], seed=sim_seed))
+        cfg = replace(FAST_CFG, rng_seed=fit_seed)
+        result = fit_multi_restart(graph, features, 2, cfg) \
+            if scan_range is None else select_q(graph, features, *scan_range,
+                                                cfg).best
+        assert row["status"] == "ok"
+        assert [row[column] for column in COUNTERS] == _counters(result)
+
+
+def test_failed_rows_leave_the_counters_empty(tmp_path, monkeypatch):
+    import cohsmix.harness as harness
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(harness, "fit_multi_restart", failing)
+    run_grid("a", replicates=1, cfg=FAST_CFG, seed=5, specs=SMALL_SPECS[:1],
+             out_dir=tmp_path)
+    row, = _read_results(tmp_path / "results.csv")
+    assert row["status"] == "error:RuntimeError:injected failure"
+    assert [row[column] for column in COUNTERS] == [""] * len(COUNTERS)
 
 
 def test_aggregate_contains_varied_parameter(tmp_path):

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cohsmix.em import EMConfig
-from cohsmix.model import FeatureMatrix, ModelParams
+import cohsmix.em as em
+from cohsmix.em import EMConfig, EmptyClassError, fit_multi_restart
+from cohsmix.model import MODES, FeatureMatrix, ModelParams
 from cohsmix.selection import icl_penalty, icl_score, select_q
-from cohsmix.simulate import AffiliationSpec, generate
+from cohsmix.simulate import AffiliationSpec, generate, grid_specs
 
 from conftest import random_graph, random_instance
 
@@ -186,3 +188,116 @@ def test_scan_replays_bit_for_bit():
     for q in first.results:
         assert np.array_equal(first.results[q].responsibilities,
                               second.results[q].responsibilities)
+
+
+# ---------------------------------------------------------------------------
+# The scan runs every candidate's restarts in one lockstep driver; each
+# candidate must give what fit_multi_restart gives it alone.
+
+
+def _candidate_cfg(cfg, q):
+    """The config ``select_q`` derives for candidate ``q``."""
+    seed = np.random.SeedSequence(cfg.rng_seed, spawn_key=(q,))
+    return replace(cfg, rng_seed=int(seed.generate_state(1)[0]))
+
+
+def _assert_scan_matches_candidates(graph, features, q_min, q_max, cfg,
+                                    mode="joint"):
+    scan = select_q(graph, features, q_min, q_max, cfg, mode)
+    alone, failures = {}, {}
+    for q in range(q_min, q_max + 1):
+        try:
+            alone[q] = fit_multi_restart(graph, features, q,
+                                         _candidate_cfg(cfg, q), mode)
+        except RuntimeError as err:
+            failures[q] = str(err)
+    assert scan.failures == failures
+    assert sorted(scan.results) == sorted(alone)
+    for q, one in alone.items():
+        run = scan.results[q]
+        assert run.params.n_classes == q
+        assert run.responsibilities.shape == (graph.n, q)
+        assert np.array_equal(run.partition, one.partition)
+        assert len(run.bound_trace) == len(one.bound_trace)
+        assert run.bound_trace == pytest.approx(one.bound_trace, rel=1e-9)
+        assert (run.e_step_sweeps, run.sweep_cap_hits, run.failed_restarts) \
+            == (one.e_step_sweeps, one.sweep_cap_hits, one.failed_restarts)
+        one.icl = icl_score(one, graph, features)
+    # The best score wins, ties to the smaller class count.
+    assert scan.selected_q == max(sorted(alone), key=lambda q: alone[q].icl)
+    return scan
+
+
+def _scan_case(seed=4, n=60):
+    spec = AffiliationSpec(n_classes=3, n=n, n_features=2,
+                           within_prob=0.5, between_prob=0.15,
+                           mean_gap=2.0, seed=seed)
+    graph, features, _ = generate(spec)
+    return graph, features
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_scan_matches_candidates_fitted_alone(mode):
+    graph, features = _scan_case()
+    scan = _assert_scan_matches_candidates(
+        graph, features, 1, 5, EMConfig(rng_seed=8, n_restarts=3), mode)
+    # A one-class candidate sweeps nothing, padded or not.
+    assert scan.results[1].e_step_sweeps == 0
+
+
+@pytest.mark.parametrize("spec_index", [0, 4, 10])
+def test_scan_matches_candidates_on_benchmark_models(spec_index):
+    spec = grid_specs("c", n=150)[spec_index]
+    graph, features, _ = generate(replace(spec, seed=spec_index))
+    _assert_scan_matches_candidates(
+        graph, features, 2, 6,
+        EMConfig(rng_seed=spec_index, n_restarts=1, max_em_iters=25))
+
+
+def test_scan_matches_candidates_with_a_reseeded_restart(monkeypatch):
+    # The degree-quantile start (restart 1) of the 3-class candidate gives
+    # class 1 no mass, so the rescue re-seeds it, in the scan and alone.
+    original = em.init_responsibilities
+
+    def init(graph, features, n_classes, strategy, rng):
+        resp = original(graph, features, n_classes, strategy, rng)
+        if n_classes == 3 and strategy == "graph-degree-quantile":
+            resp[:, 1] = 0.0
+            resp /= resp.sum(axis=1, keepdims=True)
+        return resp
+
+    reseeds = []
+    reseed = em._reseed_empty_classes
+
+    def recorded(resp, empty_classes):
+        reseeds.append((resp.shape[1], list(empty_classes)))
+        return reseed(resp, empty_classes)
+
+    monkeypatch.setattr(em, "init_responsibilities", init)
+    monkeypatch.setattr(em, "_reseed_empty_classes", recorded)
+    graph, features = _scan_case()
+    _assert_scan_matches_candidates(graph, features, 2, 5,
+                                    EMConfig(rng_seed=3, n_restarts=3))
+    # Once in the scan and once alone, each on the candidate's own classes.
+    assert reseeds == [(3, [1]), (3, [1])]
+
+
+def test_scan_candidate_whose_restarts_all_fail(monkeypatch):
+    # Every restart of the 3-class candidate fails its first rescue; the
+    # scan records the message fit_multi_restart raises for it alone.
+    original = em._rescue
+
+    def rescue(stats, attempts=em._RESCUE_ATTEMPTS):
+        stats, errors = original(stats, attempts)
+        for row in np.flatnonzero(stats.n_classes == 3).tolist():
+            errors.setdefault(row, EmptyClassError([2]))
+        return stats, errors
+
+    monkeypatch.setattr(em, "_rescue", rescue)
+    graph, features = _scan_case()
+    scan = _assert_scan_matches_candidates(graph, features, 2, 4,
+                                           EMConfig(rng_seed=5, n_restarts=2))
+    assert scan.failures == {3: "all 2 restarts failed: ["
+                                "'restart 0: classes [2] have no mass', "
+                                "'restart 1: classes [2] have no mass']"}
+    assert sorted(scan.results) == [2, 4]
