@@ -49,6 +49,9 @@ _RESCUE_ATTEMPTS = 3
 # its relative bound change is at most BOUND_REL_TOL.
 FIXEDPOINT_TOL = 1e-4
 BOUND_REL_TOL = 1e-6
+# Final bounds within this relative distance of the best count as tied when
+# the best restart is chosen; ties go to the earliest restart.
+TIE_REL_TOL = 1e-12
 
 
 class EmptyClassError(RuntimeError):
@@ -152,8 +155,8 @@ def init_responsibilities(graph: Graph, features: FeatureMatrix, n_classes: int,
 
 def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
                    n_iters: int = 20) -> np.ndarray:
-    n = points.shape[0]
-    if points.shape[1] == 0:
+    n, p = points.shape
+    if p == 0:
         # Nothing to cluster; a balanced random hard partition at least
         # breaks label symmetry.
         return rng.permutation(np.arange(n, dtype=np.int64) % k)
@@ -167,10 +170,14 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
         if labels is not None and np.array_equal(new, labels):
             break
         labels = new
-        for q in range(k):
-            members = labels == q
-            if members.any():
-                centers[q] = points[members].mean(axis=0)
+        # Each class's coordinate sums in one bincount, the members added in
+        # row order as the mean over them adds them (for p >= 2; numpy sums
+        # a single column pairwise).
+        counts = np.bincount(labels, minlength=k)
+        sums = np.bincount((labels[:, None] * p + np.arange(p)).ravel(),
+                           weights=points.ravel(), minlength=k * p)
+        full = counts > 0
+        centers[full] = sums.reshape(k, p)[full] / counts[full, None]
     return labels
 
 
@@ -195,10 +202,12 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     first sweep takes this update as it is, and so does every later sweep
     whose sup-norm residual (the largest change of the update) is below the
     previous sweep's; a sweep that has stopped contracting is instead
-    blended with the old values using ``cfg.damping``. Iteration stops once
-    the residual drops to ``FIXEDPOINT_TOL`` (so the per-sweep change is at
-    most it too) or after ``cfg.max_fixedpoint_sweeps`` sweeps; a sweep
-    that changes nothing ends it on the iterate it started from. Params
+    blended with the old values using ``cfg.damping``. Iteration stops at
+    the first sweep whose residual is at most ``FIXEDPOINT_TOL`` and ends on
+    the iterate that sweep started from, so the update of the returned
+    matrix lies within ``FIXEDPOINT_TOL`` of it; a sweep that changes
+    nothing thus returns its start. After ``cfg.max_fixedpoint_sweeps``
+    sweeps without that, iteration ends on the last update. Params
     with a class proportion of 0 raise ``ValueError``: every bound is then
     ``-inf``, so no two iterates compare. The returned matrix
     never lowers the bound relative to the start: if the final sweep does,
@@ -220,7 +229,7 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     start = ClassStats.of(graph, features, check_responsibilities(
         resp, graph.n, params.n_classes))
     stack = ParamStack.of(params.clamped())
-    d2 = squared_distances(stack.mu, features.values) \
+    d2 = features.squared_distances(stack.mu) \
         if mode_terms(mode)[1] and features.p else None
     stats, _, _ = _e_step(start, stack, d2, start.bound(stack, mode, d2), cfg,
                           mode)
@@ -241,9 +250,11 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     stacked computation, its only n^2 work one :meth:`Graph.neighbour_mass`
     of the rows still sweeping; the logits of the vertex terms (proportions
     and features) are computed once. Each row keeps the stop rules of
-    :func:`e_step`, and a row that stops leaves the stack. Returns the
-    statistics of the result (``stats`` itself when no row moved) and, by
-    row, the sweeps it ran and whether it ended at the sweep cap.
+    :func:`e_step`, and a row that stops leaves the stack. A row that meets
+    the tolerance ends on an iterate whose product its last sweep computed,
+    so only the rows at the sweep cap are multiplied after the loop. Returns
+    the statistics of the result (``stats`` itself when no row moved) and,
+    by row, the sweeps it ran and whether it ended at the sweep cap.
 
     The best-iterate fallback keeps no iterate: a row whose final bound
     falls below its start's is swept again alone from its start with
@@ -309,33 +320,30 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
         update = np.exp(logits, out=logits)
         update /= update.sum(axis=1, keepdims=True)
         residuals = np.abs(update - cur).max(axis=(1, 2))
-        # A row whose residual is not below its previous sweep's has stopped
-        # contracting; only such rows are blended with their old values.
-        weight = np.where(residuals >= previous, cfg.damping, 0.0)
-        if weight.any():
-            weight = weight[:, None, None]
-            update = (1.0 - weight) * update + weight * cur
-        previous = residuals
-        stopped = np.flatnonzero(residuals <= FIXEDPOINT_TOL)
-        # A row whose sweep changes nothing ends on the iterate it started
-        # from, with its product; the others on the new iterate.
-        for row in stopped.tolist():
-            k = live[row]
-            sweeps[k] = sweep + 1
-            if residuals[row] == 0.0:
+        # A row within the tolerance ends on the iterate whose residual this
+        # sweep measured, with the product the sweep already computed.
+        stopped = residuals <= FIXEDPOINT_TOL
+        if stopped.any():
+            for row in np.nonzero(stopped)[0].tolist():
+                k = live[row]
+                sweeps[k] = sweep + 1
                 finals[k] = cur[row]
                 products[k] = None if mass is None else mass[row]
                 moved[k] = sweep > 0
-            else:
-                finals[k], products[k] = update[row], None
-        if stopped.size == live.size:
-            break
-        if stopped.size:
-            keep = np.ones(live.size, dtype=bool)
-            keep[stopped] = False
-            live, update, previous = live[keep], update[keep], previous[keep]
+            if stopped.all():
+                break
+            keep = ~stopped
+            live, update, cur = live[keep], update[keep], cur[keep]
+            residuals, previous = residuals[keep], previous[keep]
             base, log_ratio = base[keep], log_ratio[keep]
             log_not = log_not[keep]
+        # A row whose residual is not below its previous sweep's has stopped
+        # contracting; only such rows are blended with their old values.
+        blend = residuals >= previous
+        if blend.any():
+            weight = np.where(blend, cfg.damping, 0.0)[:, None, None]
+            update = (1.0 - weight) * update + weight * cur
+        previous = residuals
         cur, mass = update, None
     else:
         # The sweep cap: the rows still sweeping end on their last iterate.
@@ -422,16 +430,15 @@ def _m_step(stats: ClassStats, mode: str):
     else:
         pi = np.full((n_rows, n_classes, n_classes), 0.5)
 
-    values = stats.features.values
-    p = stats.features.p
+    features = stats.features
+    p = features.p
     d2 = None
     if use_features and p:
         # A padded class has no mass: its mean is 0 rather than 0 / 0. Every
         # other class has at least EMPTY_CLASS_MASS after the rescue.
-        mu = np.einsum("rkn,pn->rkp", stats.resp_t,
-                       np.ascontiguousarray(values.T)) \
+        mu = np.einsum("rkn,pn->rkp", stats.resp_t, features.values_t) \
             / np.maximum(col, EMPTY_CLASS_MASS)[:, :, None]
-        d2 = squared_distances(mu, values)
+        d2 = features.squared_distances(mu)
         sigma2 = np.maximum(stats.scatter(mu, d2) / (p * n), SIGMA2_FLOOR)
     else:
         mu = np.zeros((n_rows, n_classes, p))
@@ -657,14 +664,21 @@ def restart_configs(cfg: EMConfig, has_features: bool,
 
 
 def _best_restart(outcomes) -> FitResult:
-    """The restart with the best final bound, ties to the earliest, with the
-    messages of the failed ones; raises if every restart failed."""
+    """The earliest restart whose final bound is within ``TIE_REL_TOL`` of
+    the best, with the messages of the failed ones; raises if every restart
+    failed.
+
+    Restarts that reach one optimum relabelled end on bounds a few ulps
+    apart, so a strict maximum would pick among them by rounding.
+    """
     results = [r for r in outcomes if isinstance(r, FitResult)]
     failed = [f"restart {r}: {err}" for r, err in enumerate(outcomes)
               if isinstance(err, EmptyClassError)]
     if not results:
         raise RuntimeError(f"all {len(outcomes)} restarts failed: {failed}")
-    best = max(results, key=lambda result: result.final_bound)
+    top = max(result.final_bound for result in results)
+    floor = top - TIE_REL_TOL * max(1.0, abs(top))
+    best = next(result for result in results if result.final_bound >= floor)
     best.failed_restarts = failed
     return best
 
@@ -705,7 +719,8 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
     the structured initialisers the mode can read, the rest
     ``cfg.init_strategy`` (k-means on the adjacency rows when there are no
     usable features). The restarts run in lockstep, each as :func:`fit`
-    would run it alone. Ties keep the earliest restart. A restart whose
+    would run it alone. Final bounds within ``TIE_REL_TOL`` (relative) of
+    the best tie, and ties keep the earliest restart. A restart whose
     classes stay empty fails while the others go on; the returned result
     lists the failures in ``failed_restarts``. Raises if every restart
     fails.

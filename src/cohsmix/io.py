@@ -30,7 +30,7 @@ _COMMENT_RE = re.compile(r"#[^\n]*")
 _HEADER_LINE_RE = re.compile(r"\n[ \t]*n[ \t]*=[ \t]*([0-9]+)[ \t]*(?=\n|\Z)")
 # Only these characters reach np.loadtxt, which would read more than the
 # grammar: form feeds as separators, and floats on numpy 1.x.
-_NON_EDGE_CHAR_RE = re.compile(r"[^0-9+\- \t\n]")
+_EDGE_CHARS = b"0123456789+- \t\n"
 _INDEX_RE = re.compile(r"[+-]?[0-9]+")
 _FIELD_SEP_RE = re.compile(r"[ \t]+")
 _BAD_LINE_RE = re.compile(
@@ -62,7 +62,9 @@ def _read_edge_list(path: Path) -> Graph:
     parts = _HEADER_LINE_RE.split("\n" + _COMMENT_RE.sub("", text))
     body = "".join(parts[::2])
     declared_n = int(parts[-2]) if len(parts) > 1 else None
-    if _NON_EDGE_CHAR_RE.search(body):
+    # Deleting the allowed characters leaves any other; every character
+    # outside ASCII encodes to bytes outside the allowed set.
+    if body.encode("utf-8").translate(None, _EDGE_CHARS):
         _raise_first_bad_line(path, text)
     idx = np.empty((0, 2), dtype=np.int64)
     if body.strip():
@@ -268,6 +270,9 @@ def write_result(fit: FitResult, out_dir) -> dict[str, Path]:
         f"mode: {fit.mode}",
         f"converged: {fit.converged}",
         f"em iterations: {len(fit.bound_trace) - 1}",
+        f"e-step sweeps: {fit.e_step_sweeps}",
+        f"sweep-cap hits: {fit.sweep_cap_hits}",
+        f"failed restarts: {len(fit.failed_restarts)}",
         f"final lower bound: {fit.final_bound!r}",
         f"icl: {fit.icl!r}",
         f"class sizes: {sizes}",

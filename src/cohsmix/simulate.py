@@ -72,12 +72,14 @@ def generate(spec: AffiliationSpec):
     n = spec.n
     labels = rng.integers(0, spec.n_classes, size=n)
 
-    rows, cols = np.triu_indices(n, k=1)
-    same = labels[rows] == labels[cols]
-    probs = np.where(same, spec.within_prob, spec.between_prob)
-    flips = rng.random(rows.size) < probs
+    # A boolean mask selects the pairs i < j in row-major order, the order
+    # of the coin flips.
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    same = (labels[:, None] == labels)[upper]
+    flips = rng.random(same.size) \
+        < np.where(same, spec.within_prob, spec.between_prob)
     adjacency = np.zeros((n, n))
-    adjacency[rows[flips], cols[flips]] = 1.0
+    adjacency[upper] = flips
     adjacency += adjacency.T
 
     means = spec.class_means()

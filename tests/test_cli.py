@@ -182,6 +182,54 @@ def test_select_q_failed_candidate_round_trips(capsys, tmp_path,
     assert rows[2] == ["3", "", "", status]
 
 
+@pytest.mark.parametrize("command", ["fit", "select-q"])
+def test_summary_reports_the_fit_counters(capsys, tmp_path, monkeypatch,
+                                          command):
+    import cohsmix.em as em
+    from cohsmix.selection import select_q
+
+    # Restart 1, the degree-quantile start, loses class 1 and cannot be
+    # re-seeded, so it fails while the others fit.
+    original = em.init_responsibilities
+
+    def init(graph, features, n_classes, strategy, rng):
+        resp = original(graph, features, n_classes, strategy, rng)
+        if strategy == "graph-degree-quantile":
+            resp[:, 1] = 0.0
+            resp /= resp.sum(axis=1, keepdims=True)
+        return resp
+
+    monkeypatch.setattr(em, "init_responsibilities", init)
+    monkeypatch.setattr(em, "_reseed_empty_classes",
+                        lambda resp, empty_classes: resp)
+    data = simulate_dataset(capsys, tmp_path)
+    graph = read_graph(data / "graph.tsv")
+    features = read_features(data / "features.csv")
+    cfg = EMConfig(rng_seed=0, n_restarts=3)
+    out_dir = tmp_path / "out"
+    args = ["--graph", str(data / "graph.tsv"),
+            "--features", str(data / "features.csv"), "--restarts", "3",
+            "--seed", "0", "--out", str(out_dir)]
+    if command == "fit":
+        args += ["--q", "2"]
+        expected = fit_multi_restart(graph, features, 2, cfg)
+    else:
+        args += ["--qmin", "2", "--qmax", "3"]
+        expected = select_q(graph, features, 2, 3, cfg).best
+    code, _, err = run_cli(capsys, command, *args)
+    assert code == 0, err
+    summary = dict(line.split(": ", 1) for line in
+                   (out_dir / "summary.txt").read_text().splitlines())
+    assert expected.e_step_sweeps > 0
+    assert summary["e-step sweeps"] == str(expected.e_step_sweeps)
+    assert summary["sweep-cap hits"] == str(expected.sweep_cap_hits)
+    assert summary["failed restarts"] == str(len(expected.failed_restarts))
+    assert summary["failed restarts"] == "1"
+    # params.json keeps its fields.
+    assert list(json.loads((out_dir / "params.json").read_text())) \
+        == ["alpha", "pi", "mu", "sigma2", "Q", "j_trace", "icl"]
+
+
 def test_grid_small_run(capsys, tmp_path):
     out_dir = tmp_path / "grid"
     code, out, err = run_cli(

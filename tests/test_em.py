@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import cohsmix.em as em
@@ -129,6 +129,20 @@ def test_kmeans_stopping_on_repeated_labels_changes_nothing(seed, n, p, k,
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+       p=st.integers(1, 4), k=st.integers(1, 8))
+def test_kmeans_labels_match_the_per_class_loop(seed, n, p, k):
+    # Continuous points, whose class sums round: the bincount update must
+    # give the labels of the per-class mean, bit for bit.
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3)
+    ours, theirs = np.random.default_rng(seed + 1), \
+        np.random.default_rng(seed + 1)
+    assert np.array_equal(em._kmeans_labels(points, k, ours),
+                          kmeans_reference(points, k, theirs))
+
+
 # ---------------------------------------------------------------------------
 # E-step
 
@@ -205,6 +219,68 @@ def test_stacked_e_step_leaves_a_row_at_its_fixed_point(monkeypatch):
     assert all(product.shape[0] == 1 for product in products[1:])
     assert len(products) > 1
     assert np.abs(out.resp[1] - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_e_step_multiplies_once_per_sweep_after_the_first(monkeypatch, seed):
+    # The start's product comes with its bound. Each later sweep multiplies
+    # the rows still sweeping once, and a row that meets the tolerance ends
+    # on an iterate its last sweep multiplied, so without a cap hit nothing
+    # is multiplied after the loop.
+    rng = np.random.default_rng(seed)
+    graph, features, params = random_instance(rng, n=30, n_classes=3, p=2)
+    stats = ClassStats(graph, features, np.stack(
+        [random_responsibilities(30, 3, rng).T for _ in range(3)]))
+    stack = ParamStack(*(np.concatenate([field] * 3)
+                         for field in ParamStack.of(params.clamped())))
+    d2 = features.squared_distances(stack.mu)
+    bounds = stats.bound(stack, "joint", d2)
+    compute = Graph.neighbour_mass
+    products = []
+
+    def counted(self, resp_t):
+        products.append(resp_t.shape[0])
+        return compute(self, resp_t)
+
+    monkeypatch.setattr(Graph, "neighbour_mass", counted)
+    out, sweeps, capped = em._e_step(stats, stack, d2, bounds, EMConfig(),
+                                     "joint")
+    assert not capped.any() and sweeps.max() > 1
+    assert len(products) == sweeps.max() - 1
+    # Row r is in the product of sweep s (counted from 0) while s < sweeps[r].
+    assert products == [int((sweeps > s).sum())
+                        for s in range(1, sweeps.max())]
+    assert np.abs(out.mass - compute(graph, out.resp_t)).max() <= 1e-12
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+       n_classes=st.integers(2, 4), p=st.sampled_from([0, 2]),
+       mode=st.sampled_from(MODES), damping=st.sampled_from([0.0, 0.5]),
+       cap=st.integers(2, 50))
+def test_e_step_stopped_below_the_cap_is_within_tolerance_of_its_update(
+        seed, n, n_classes, p, mode, damping, cap):
+    # A row that meets the tolerance ends on the iterate whose residual it
+    # measured, so the oracle update of the result lies within
+    # FIXEDPOINT_TOL of it, unless the never-lower-the-bound fallback
+    # returned an earlier iterate instead.
+    rng = np.random.default_rng(seed)
+    graph, features, params = random_instance(rng, n=n, n_classes=n_classes,
+                                              p=p)
+    start = random_responsibilities(n, n_classes, rng)
+    cfg = EMConfig(damping=damping, max_fixedpoint_sweeps=cap)
+    stats = ClassStats.of(graph, features, start)
+    stack = ParamStack.of(params.clamped())
+    d2 = features.squared_distances(stack.mu) \
+        if mode_terms(mode)[1] and p else None
+    out, _, capped = em._e_step(stats, stack, d2, stats.bound(stack, mode, d2),
+                                cfg, mode)
+    _, fell_back = reference_e_step(graph, features, params, start, cfg, mode)
+    assume(not capped[0] and not fell_back)
+    refreshed = responsibility_update_oracle(graph, features, params,
+                                             out.resp[0], mode)
+    assert np.abs(refreshed - out.resp[0]).max() <= em.FIXEDPOINT_TOL
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -482,21 +558,21 @@ def test_neighbour_mass_is_the_adjacency_product(n):
 def reference_e_step(graph, features, params, start, cfg, mode,
                      update_of=responsibility_update_oracle):
     """The documented E-step: one ``update_of`` per sweep, blended with the
-    old iterate only when its residual is not below the previous sweep's."""
+    old iterate only when its residual is not below the previous sweep's.
+    A sweep whose residual is within the tolerance ends it on the iterate
+    it measured: its update is never appended."""
     bound = lambda r: mode_lower_bound(graph, features, r, params, mode)
     iterates = [start]
     previous = np.inf
     for _ in range(cfg.max_fixedpoint_sweeps):
         update = update_of(graph, features, params, iterates[-1], mode)
         residual = np.abs(update - iterates[-1]).max()
-        if residual == 0.0:
+        if residual <= em.FIXEDPOINT_TOL:
             break
         if residual >= previous:
             update = (1.0 - cfg.damping) * update + cfg.damping * iterates[-1]
         iterates.append(update)
         previous = residual
-        if residual <= em.FIXEDPOINT_TOL:
-            break
     final = iterates[-1]
     if bound(final) >= bound(start) - 1e-9:
         return final, False
@@ -827,8 +903,37 @@ def test_multi_restart_returns_best_bound(monkeypatch):
     best, runs = _fit_with_runs(monkeypatch, graph, features, 3,
                                EMConfig(rng_seed=4, n_restarts=5))
     assert len(runs) == 5
-    finals = [run.final_bound for run in runs]
-    assert best.final_bound == max(finals)
+    assert best is _first_best(runs)
+
+
+def _first_best(runs):
+    """The earliest run whose final bound ties the best within
+    ``TIE_REL_TOL``, relative."""
+    top = max(run.final_bound for run in runs)
+    return next(run for run in runs if run.final_bound
+                >= top - em.TIE_REL_TOL * max(1.0, abs(top)))
+
+
+def _outcome(bound):
+    resp = np.ones((2, 1))
+    return FitResult(params=ModelParams(alpha=[1.0], pi=[[0.5]],
+                                        mu=[[0.0]], sigma2=1.0),
+                     responsibilities=resp, partition=np.zeros(2, dtype=int),
+                     bound_trace=[bound], converged=True)
+
+
+def test_best_restart_keeps_the_earliest_of_a_rounding_tie():
+    # Relabelled twins of one optimum end a few ulps apart; the earliest
+    # is kept. A clearly better bound still wins.
+    bound = -123.456
+    first, twin = _outcome(bound), _outcome(bound + 1e-15 * abs(bound))
+    assert twin.final_bound > first.final_bound
+    err = EmptyClassError([1])
+    best = em._best_restart([err, first, twin])
+    assert best is first
+    assert best.failed_restarts == ["restart 0: classes [1] have no mass"]
+    better = _outcome(bound + 1e-9 * abs(bound))
+    assert em._best_restart([first, twin, better]) is better
 
 
 def test_multi_restart_beats_single_on_structured_data():
@@ -946,7 +1051,7 @@ def test_lockstep_matches_sequential_with_a_failed_restart(monkeypatch):
         monkeypatch, graph, features, 3, cfg)
     assert isinstance(alone[1], EmptyClassError)
     assert len(runs) == 3
-    assert best.final_bound == max(run.final_bound for run in runs)
+    assert best is _first_best(runs)
     assert best.failed_restarts == ["restart 1: classes [1] have no mass"]
 
 

@@ -1,7 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cohsmix.io as cio
 
 from cohsmix.em import EMConfig, fit
 from cohsmix.io import (
@@ -92,10 +97,12 @@ def test_self_loop_warning_points_at_the_caller(tmp_path, name, text):
     ("0\t1\t2", "expected 'i<TAB>j', got '0\\t1\\t2\\n'"),
     ("3\t-1", "negative vertex index"),
     ("0\f1", "expected 'i<TAB>j', got '0\\x0c1\\n'"),
+    ("0\t\u0661", "vertex indices must be integers"),
 ])
 def test_bad_line_named_with_its_number(tmp_path, line, message):
     path = tmp_path / "g.tsv"
-    path.write_text(f"# header comes next\nn=5\n0\t1\n{line}\n2\t3\n")
+    path.write_text(f"# header comes next\nn=5\n0\t1\n{line}\n2\t3\n",
+                    encoding="utf-8")
     with pytest.raises(ValueError) as err:
         read_graph(path)
     assert str(err.value) == f"{path}:4: {message}"
@@ -106,6 +113,19 @@ def test_index_beyond_int64_named(tmp_path):
     path.write_text("n=3\n0\t99999999999999999999\n")
     with pytest.raises(ValueError, match=f"^{path}: .*'99999999999999999999'"):
         read_graph(path)
+
+
+# The character check of the edge-list reader before it used bytes.translate.
+_OLD_NON_EDGE_CHAR_RE = re.compile(r"[^0-9+\- \t\n]")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(st.characters(blacklist_categories=("Cs",)))
+       | st.text(st.sampled_from("0123456789+- \t\n\r\x0c.e#n=\u0661")))
+def test_edge_character_check_matches_the_old_regex(text):
+    # Any text a UTF-8 file decodes to: surrogates never occur.
+    left = text.encode("utf-8").translate(None, cio._EDGE_CHARS)
+    assert bool(left) == bool(_OLD_NON_EDGE_CHAR_RE.search(text))
 
 
 def test_write_graph_bytes(tmp_path):

@@ -13,6 +13,7 @@ from cohsmix.model import (
     one_hot,
     partition_from_responsibilities,
     responsibility_entropy,
+    squared_distances,
     variational_lower_bound,
 )
 
@@ -61,6 +62,26 @@ def test_from_edge_pairs_names_first_bad_pair():
         Graph.from_edge_pairs(3, [(0, 1), (0, 9), (1, 1)])
     with pytest.raises(ValueError, match=r"edge \(-1, 2\) out of range"):
         Graph.from_edge_pairs(3, [(-1, 2)])
+
+
+def from_edge_pairs_reference(n, pairs):
+    """``Graph.from_edge_pairs`` as it scattered through two index arrays."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    adj = np.zeros((n, n))
+    adj[pairs[:, 0], pairs[:, 1]] = 1.0
+    adj[pairs[:, 1], pairs[:, 0]] = 1.0
+    return adj
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 40), data=st.data())
+def test_from_edge_pairs_matches_the_index_array_scatter(n, data):
+    # Flat indices, repeated and reversed pairs included.
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda pair: pair[0] != pair[1]), max_size=3 * n))
+    graph = Graph.from_edge_pairs(n, pairs)
+    assert np.array_equal(graph.adjacency, from_edge_pairs_reference(n, pairs))
 
 
 def test_features_reject_non_finite():
@@ -294,3 +315,37 @@ def test_exact_marginal_enumeration_guard(rng):
     params = random_params(3, 0, rng)
     with pytest.raises(ValueError, match="guard"):
         exact_log_marginal(graph, features, params)
+
+
+# ---------------------------------------------------------------------------
+# Distances
+
+
+def squared_distances_reference(points, centers):
+    """The distance expression before the terms were combined in place."""
+    pp = (points * points).sum(axis=-1)[..., None]
+    cc = (centers * centers).sum(axis=1)[None, :]
+    cross = np.einsum("...ip,pj->...ij", points,
+                      np.ascontiguousarray(centers.T))
+    return np.maximum(pp + cc - 2.0 * cross, 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stack=st.integers(0, 3),
+       q=st.integers(1, 6), n=st.integers(1, 40), p=st.integers(0, 5))
+def test_squared_distances_match_the_old_expression(seed, stack, q, n, p):
+    # Bit for bit, from arrays and from the feature table's cached transpose
+    # and row norms, whose second use reads the cache.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    mu = rng.normal(size=(stack, q, p) if stack else (q, p)) * scale
+    features = FeatureMatrix(rng.normal(size=(n, p)) * scale)
+    expected = squared_distances_reference(mu, features.values)
+    assert np.array_equal(squared_distances(mu, features.values), expected)
+    assert np.array_equal(features.squared_distances(mu), expected)
+    assert np.array_equal(features.squared_distances(mu), expected)
+    # The orientation of k-means: the table's rows to a few centres.
+    centers = rng.normal(size=(q, p)) * scale
+    assert np.array_equal(squared_distances(features.values, centers),
+                          squared_distances_reference(features.values,
+                                                      centers))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from cohsmix.em import EMConfig, fit_multi_restart
@@ -32,6 +34,40 @@ def test_generate_deterministic_replay():
     assert np.array_equal(g1.adjacency, g2.adjacency)
     assert np.array_equal(f1.values, f2.values)
     assert np.array_equal(z1, z2)
+
+
+def generate_reference(spec):
+    """``generate`` as it drew the edge coins over ``np.triu_indices``."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n
+    labels = rng.integers(0, spec.n_classes, size=n)
+    rows, cols = np.triu_indices(n, k=1)
+    probs = np.where(labels[rows] == labels[cols], spec.within_prob,
+                     spec.between_prob)
+    flips = rng.random(rows.size) < probs
+    adjacency = np.zeros((n, n))
+    adjacency[rows[flips], cols[flips]] = 1.0
+    adjacency += adjacency.T
+    noise = rng.normal(0.0, spec.noise_std, size=(n, spec.n_features))
+    return adjacency, spec.class_means()[labels] + noise, labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(1, 4),
+       extra=st.integers(0, 60), p=st.integers(0, 3),
+       probs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_generate_matches_the_index_array_draw(seed, n_classes, extra, p,
+                                               probs):
+    # The mask draws the same stream, so graph, features and labels are
+    # unchanged in every bit.
+    spec = AffiliationSpec(n_classes=n_classes, n=n_classes + extra,
+                           n_features=p, within_prob=max(probs),
+                           between_prob=min(probs), mean_gap=1.5, seed=seed)
+    graph, features, labels = generate(spec)
+    adjacency, values, expected_labels = generate_reference(spec)
+    assert np.array_equal(graph.adjacency, adjacency)
+    assert np.array_equal(features.values, values)
+    assert np.array_equal(labels, expected_labels)
 
 
 def test_generate_shapes_and_labels():
