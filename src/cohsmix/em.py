@@ -16,7 +16,7 @@ both steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,10 +43,16 @@ INIT_STRATEGIES = ("random-dirichlet", "feature-kmeans", "graph-degree-quantile"
 
 EMPTY_CLASS_MASS = 1e-10
 _RESCUE_ATTEMPTS = 3
+_KMEANS_ITERS = 20
 
-# Stop rules of the study protocol: an E-step stops once the sup-norm
-# residual of its undamped update is at most FIXEDPOINT_TOL, and a fit once
-# its relative bound change is at most BOUND_REL_TOL.
+# Solver settings and stop rules of the study protocol. An E-step runs at
+# most MAX_FIXEDPOINT_SWEEPS sweeps, blends a sweep that has stopped
+# contracting with weight DAMPING on the previous iterate (0.0 would give
+# plain Jacobi sweeps), and stops once the sup-norm residual of its undamped
+# update is at most FIXEDPOINT_TOL; a fit stops once its relative bound
+# change is at most BOUND_REL_TOL.
+MAX_FIXEDPOINT_SWEEPS = 50
+DAMPING = 0.5
 FIXEDPOINT_TOL = 1e-4
 BOUND_REL_TOL = 1e-6
 # Final bounds within this relative distance of the best count as tied when
@@ -64,29 +70,26 @@ class EmptyClassError(RuntimeError):
 
 @dataclass(frozen=True)
 class EMConfig:
-    """Knobs of the EM driver; defaults follow the study protocol.
-
-    ``damping`` is the weight of the previous iterate in the blend that an
-    E-step sweep gets once it stops contracting (see :func:`e_step`); 0.0
-    selects plain Jacobi sweeps.
+    """What a caller chooses of a fit: the EM iteration cap, the number of
+    restarts and the seed they derive from; defaults follow the study
+    protocol. Each is an integer (a numpy one too, ``bool`` not); the seed
+    may also be None, for fresh entropy.
     """
 
     max_em_iters: int = 100
-    max_fixedpoint_sweeps: int = 50
-    damping: float = 0.5
     n_restarts: int = 10
     rng_seed: int | None = None
-    init_strategy: str = "random-dirichlet"
 
     def __post_init__(self):
-        if self.max_em_iters < 1 or self.max_fixedpoint_sweeps < 1:
-            raise ValueError("iteration caps must be at least 1")
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError("damping must lie in [0, 1)")
-        if self.n_restarts < 1:
-            raise ValueError("n_restarts must be at least 1")
-        if self.init_strategy not in INIT_STRATEGIES:
-            raise ValueError(f"unknown init strategy {self.init_strategy!r}")
+        for name, low in (("max_em_iters", 1), ("n_restarts", 1),
+                          ("rng_seed", 0)):
+            value = getattr(self, name)
+            if name == "rng_seed" and value is None:
+                continue
+            if isinstance(value, bool) \
+                    or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer of at least "
+                                 f"{low}, got {value!r}")
 
 
 @dataclass
@@ -153,8 +156,8 @@ def init_responsibilities(graph: Graph, features: FeatureMatrix, n_classes: int,
     return 0.9 * one_hot(labels, n_classes) + 0.1 / n_classes
 
 
-def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
-                   n_iters: int = 20) -> np.ndarray:
+def _kmeans_labels(points: np.ndarray, k: int,
+                   rng: np.random.Generator) -> np.ndarray:
     n, p = points.shape
     if p == 0:
         # Nothing to cluster; a balanced random hard partition at least
@@ -163,7 +166,7 @@ def _kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator,
     idx = rng.choice(n, size=k, replace=n < k)
     centers = points[idx].copy()
     labels = None
-    for _ in range(n_iters):
+    for _ in range(_KMEANS_ITERS):
         new = np.argmin(squared_distances(points, centers), axis=1)
         # Labels that repeat give the centres they were computed from, so
         # every later iteration would repeat them too.
@@ -194,20 +197,19 @@ def _degree_quantile_labels(graph: Graph, k: int) -> np.ndarray:
 
 
 def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
-           resp: np.ndarray, cfg: EMConfig | None = None,
-           mode: str = "joint") -> np.ndarray:
+           resp: np.ndarray, mode: str = "joint") -> np.ndarray:
     """Jacobi iteration of the responsibility fixed point, residual-guarded.
 
     Every sweep recomputes all rows from the previous sweep's values. The
     first sweep takes this update as it is, and so does every later sweep
     whose sup-norm residual (the largest change of the update) is below the
     previous sweep's; a sweep that has stopped contracting is instead
-    blended with the old values using ``cfg.damping``. Iteration stops at
+    blended with the old values using ``DAMPING``. Iteration stops at
     the first sweep whose residual is at most ``FIXEDPOINT_TOL`` and ends on
     the iterate that sweep started from, so the update of the returned
     matrix lies within ``FIXEDPOINT_TOL`` of it; a sweep that changes
-    nothing thus returns its start. After ``cfg.max_fixedpoint_sweeps``
-    sweeps without that, iteration ends on the last update. Params
+    nothing thus returns its start. After ``MAX_FIXEDPOINT_SWEEPS`` sweeps
+    without that, iteration ends on the last update. Params
     with a class proportion of 0 raise ``ValueError``: every bound is then
     ``-inf``, so no two iterates compare. The returned matrix
     never lowers the bound relative to the start: if the final sweep does,
@@ -221,7 +223,6 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     vanishing variance give finite rows. This is the fit's stacked E-step on
     a stack of one.
     """
-    cfg = cfg or EMConfig()
     check_params(features, params)
     empty = np.flatnonzero(params.alpha == 0)
     if empty.size:
@@ -231,13 +232,12 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     stack = ParamStack.of(params.clamped())
     d2 = features.squared_distances(stack.mu) \
         if mode_terms(mode)[1] and features.p else None
-    stats, _, _ = _e_step(start, stack, d2, start.bound(stack, mode, d2), cfg,
-                          mode)
+    stats, _, _ = _e_step(start, stack, d2, start.bound(stack, mode, d2), mode)
     return np.ascontiguousarray(stats.resp[0])
 
 
 def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
-            cfg: EMConfig, mode: str, track: bool = False):
+            mode: str, track: bool = False):
     """The E-step of every matrix of a stack, swept in lockstep.
 
     Row r of the stack is swept under row r of ``params``; a padded class
@@ -298,7 +298,7 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     products = list(mass) if use_edges else [None] * n_rows
     moved = np.ones(n_rows, dtype=bool)
     best, best_bounds = {}, np.array(start_bounds, dtype=np.float64)
-    for sweep in range(cfg.max_fixedpoint_sweeps):
+    for sweep in range(MAX_FIXEDPOINT_SWEEPS):
         if use_edges:
             if mass is None:
                 mass = graph.neighbour_mass(cur)
@@ -341,13 +341,13 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
         # contracting; only such rows are blended with their old values.
         blend = residuals >= previous
         if blend.any():
-            weight = np.where(blend, cfg.damping, 0.0)[:, None, None]
+            weight = np.where(blend, DAMPING, 0.0)[:, None, None]
             update = (1.0 - weight) * update + weight * cur
         previous = residuals
         cur, mass = update, None
     else:
         # The sweep cap: the rows still sweeping end on their last iterate.
-        sweeps[live] = cfg.max_fixedpoint_sweeps
+        sweeps[live] = MAX_FIXEDPOINT_SWEEPS
         capped[live] = True
         for row, k in enumerate(live):
             finals[k], products[k] = cur[row], None
@@ -371,7 +371,7 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     if rows.size and not track:
         again, _, _ = _e_step(stats.take(rows), params.take(rows),
                               None if d2 is None else d2[rows],
-                              start_bounds[rows], cfg, mode, track=True)
+                              start_bounds[rows], mode, track=True)
         return out.with_rows(rows, again.resp_t,
                              again.mass if use_edges else None), sweeps, capped
     rows = [k for k in rows if best_bounds[k] > final_bounds[k]]
@@ -466,18 +466,19 @@ def _reseed_empty_classes(resp: np.ndarray, empty_classes) -> np.ndarray:
     return resp
 
 
-def _rescue(stats: ClassStats, attempts: int = _RESCUE_ATTEMPTS):
+def _rescue(stats: ClassStats):
     """Re-seed the empty classes of each matrix of a stack, up to
-    ``attempts`` times; padded classes are not classes of their matrix.
+    ``_RESCUE_ATTEMPTS`` times; padded classes are not classes of their
+    matrix.
 
     Returns the statistics after the last re-seed and, by row, the
     :class:`EmptyClassError` of each matrix whose classes are still empty.
     """
     real = np.arange(stats.col.shape[1]) < stats.n_classes[:, None]
-    for attempt in range(attempts + 1):
+    for attempt in range(_RESCUE_ATTEMPTS + 1):
         empty = (stats.col < EMPTY_CLASS_MASS) & real
         rows = np.nonzero(empty.any(axis=1))[0]
-        if attempt == attempts or not rows.size:
+        if attempt == _RESCUE_ATTEMPTS or not rows.size:
             return stats, {int(row): EmptyClassError(
                 np.nonzero(empty[row])[0].tolist()) for row in rows}
         resp_t = stats.resp_t[rows]
@@ -502,18 +503,17 @@ def _check_fit(graph: Graph, features: FeatureMatrix, n_classes: int,
 
 
 def _init(graph: Graph, features: FeatureMatrix, n_classes: int,
-          cfg: EMConfig, mode: str) -> np.ndarray:
-    """The start that ``cfg``'s seed and strategy give."""
-    rng = np.random.default_rng(cfg.rng_seed)
+          seed: int | None, strategy: str, mode: str) -> np.ndarray:
+    """The start that ``seed`` and ``strategy`` give."""
     # The graph-only mode must not see the features anywhere, the
     # initialisation included.
     init_features = features if mode_terms(mode)[1] \
         else FeatureMatrix.empty(graph.n)
-    return init_responsibilities(graph, init_features, n_classes,
-                                 cfg.init_strategy, rng)
+    return init_responsibilities(graph, init_features, n_classes, strategy,
+                                 np.random.default_rng(seed))
 
 
-def _em(graph: Graph, features: FeatureMatrix, starts, cfg: EMConfig,
+def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
         mode: str) -> list:
     """EM from each (n, Q) start, all advancing in lockstep.
 
@@ -526,12 +526,13 @@ def _em(graph: Graph, features: FeatureMatrix, starts, cfg: EMConfig,
 
     Every start records the lower bound after each M-step and stops on its
     own: when the relative bound change drops below ``BOUND_REL_TOL``
-    (converged), at the iteration cap, or when an iteration would lower its
-    bound (possible only after an empty-class re-seed), which is rolled
-    back. A start whose classes stay empty after the re-seeds fails. A start
-    that stops or fails leaves the stack. Each start counts its E-step sweeps
-    and sweep-cap hits (a one-class start none). Returns, by start, its
-    :class:`FitResult` or its :class:`EmptyClassError`.
+    (converged), after ``max_em_iters`` iterations, or when an iteration
+    would lower its bound (possible only after an empty-class re-seed),
+    which is rolled back. A start whose classes stay empty after the
+    re-seeds fails. A start that stops or fails leaves the stack. Each start
+    counts its E-step sweeps and sweep-cap hits (a one-class start none).
+    Returns, by start, its :class:`FitResult` or its
+    :class:`EmptyClassError`.
     """
     outcomes: list = [None] * len(starts)
     traces: list[list[float]] = [[] for _ in starts]
@@ -576,11 +577,10 @@ def _em(graph: Graph, features: FeatureMatrix, starts, cfg: EMConfig,
     idx = idx[rows]
     for start, value in zip(idx, bounds.tolist()):
         traces[start].append(value)
-    for _ in range(cfg.max_em_iters):
+    for _ in range(max_em_iters):
         if not idx.size:
             break
-        stepped, row_sweeps, capped = _e_step(stats, params, d2, bounds, cfg,
-                                              mode)
+        stepped, row_sweeps, capped = _e_step(stats, params, d2, bounds, mode)
         # A one-class start needs no sweep; padded, it runs one that
         # changes nothing, which is not counted.
         sweeps[idx] += np.where(stats.n_classes > 1, row_sweeps, 0)
@@ -615,52 +615,51 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
         mode: str = "joint") -> FitResult:
     """Run EM from one starting point: the lockstep driver on one start.
 
-    Records the lower bound after every M-step; stops when the relative
-    bound change drops below ``BOUND_REL_TOL`` (converged) or the
-    iteration cap is hit. The recorded trace is non-decreasing: an
-    iteration that would lower the bound (possible only after an
-    empty-class re-seed) is rolled back and the run stops there. Raises
+    The start is ``resp_init`` when given, else flat Dirichlet rows drawn
+    from ``cfg.rng_seed``. Records the lower bound after every M-step;
+    stops when the relative bound change drops below ``BOUND_REL_TOL``
+    (converged) or the iteration cap is hit. The recorded trace is
+    non-decreasing: an iteration that would lower the bound (possible only
+    after an empty-class re-seed) is rolled back and the run stops there.
+    Raises
     ``ValueError`` unless ``1 <= n_classes <= graph.n``, and
     :class:`EmptyClassError` if a class stays empty after the re-seeds.
     """
     cfg = cfg or EMConfig()
     _check_fit(graph, features, n_classes, mode)
-    start = _init(graph, features, n_classes, cfg, mode) if resp_init is None \
-        else check_responsibilities(resp_init, graph.n, n_classes)
-    outcome, = _em(graph, features, [start], cfg, mode)
+    if resp_init is None:
+        start = _init(graph, features, n_classes, cfg.rng_seed,
+                      "random-dirichlet", mode)
+    else:
+        start = check_responsibilities(resp_init, graph.n, n_classes)
+    outcome, = _em(graph, features, [start], cfg.max_em_iters, mode)
     if isinstance(outcome, EmptyClassError):
         raise outcome
     return outcome
 
 
-def _restart_strategy(index: int, cfg: EMConfig, has_features: bool,
-                      has_edges: bool) -> str:
+def _restart_plan(seed: int | None, n_restarts: int, has_features: bool,
+                  has_edges: bool) -> list[tuple[int, str]]:
+    """The (seed, init strategy) of each restart.
+
+    The seeds are distinct, derived from ``seed``. The first restarts use
+    the structured initialisers the data can feed, the rest flat Dirichlet
+    rows.
+    """
     if has_features:
-        if index == 0:
-            return "feature-kmeans"
-        if index == 1 and has_edges:
-            return "graph-degree-quantile"
-        return cfg.init_strategy
-    if not has_edges:
-        return cfg.init_strategy
-    # Without usable features, k-means falls back to the adjacency rows;
-    # those hard starts escape the symmetric fixed point that traps soft
-    # random rows.
-    return "graph-degree-quantile" if index == 0 else "feature-kmeans"
-
-
-def restart_configs(cfg: EMConfig, has_features: bool,
-                    has_edges: bool = True) -> list[EMConfig]:
-    """Per-restart configs: distinct derived seeds, varied init strategies."""
-    children = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.n_restarts)
-    return [
-        replace(
-            cfg,
-            rng_seed=int(child.generate_state(1)[0]),
-            init_strategy=_restart_strategy(r, cfg, has_features, has_edges),
-        )
-        for r, child in enumerate(children)
-    ]
+        head = ("feature-kmeans", "graph-degree-quantile")[:1 + has_edges]
+        rest = "random-dirichlet"
+    elif has_edges:
+        # Without usable features, k-means falls back to the adjacency rows;
+        # those hard starts escape the symmetric fixed point that traps soft
+        # random rows.
+        head, rest = ("graph-degree-quantile",), "feature-kmeans"
+    else:
+        head, rest = (), "random-dirichlet"
+    children = np.random.SeedSequence(seed).spawn(n_restarts)
+    return [(int(child.generate_state(1)[0]),
+             head[r] if r < len(head) else rest)
+            for r, child in enumerate(children)]
 
 
 def _best_restart(outcomes) -> FitResult:
@@ -687,20 +686,22 @@ def _fit_candidates(graph: Graph, features: FeatureMatrix, candidates,
                     cfg: EMConfig, mode: str) -> list:
     """The restarts of every candidate class count in one lockstep driver.
 
-    ``candidates`` holds ``(n_classes, candidate_cfg)`` pairs, the config
-    giving the candidate's restart seeds and strategies; ``cfg`` gives the
-    driver's caps, which every candidate shares. Returns, by candidate, the
-    best restart or the ``RuntimeError`` of every restart failing.
+    ``candidates`` holds ``(n_classes, seed)`` pairs, the seed giving the
+    candidate's restart plan (see :func:`_restart_plan`); ``cfg`` gives the
+    restart count and the iteration cap, which every candidate shares.
+    Returns, by candidate, the best restart or the ``RuntimeError`` of every
+    restart failing.
     """
     use_edges, use_features = mode_terms(mode)
+    has_features = features.p > 0 and use_features
     groups = [
-        [_init(graph, features, n_classes, restart_cfg, mode)
-         for restart_cfg in restart_configs(
-             candidate_cfg, features.p > 0 and use_features, use_edges)]
-        for n_classes, candidate_cfg in candidates]
+        [_init(graph, features, n_classes, restart_seed, strategy, mode)
+         for restart_seed, strategy in _restart_plan(
+             seed, cfg.n_restarts, has_features, use_edges)]
+        for n_classes, seed in candidates]
     outcomes = iter(_em(graph, features,
                         [start for group in groups for start in group],
-                        cfg, mode))
+                        cfg.max_em_iters, mode))
     best = []
     for group in groups:
         try:
@@ -716,10 +717,10 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
     """Best-of-``cfg.n_restarts`` EM runs, selected by final bound.
 
     Restart seeds derive from ``cfg.rng_seed``; the first two restarts use
-    the structured initialisers the mode can read, the rest
-    ``cfg.init_strategy`` (k-means on the adjacency rows when there are no
-    usable features). The restarts run in lockstep, each as :func:`fit`
-    would run it alone. Final bounds within ``TIE_REL_TOL`` (relative) of
+    the structured initialisers the mode can read, the rest flat Dirichlet
+    rows (k-means on the adjacency rows when there are no usable features).
+    The restarts run in lockstep, each as :func:`fit` would run it alone
+    from its planned start. Final bounds within ``TIE_REL_TOL`` (relative) of
     the best tie, and ties keep the earliest restart. A restart whose
     classes stay empty fails while the others go on; the returned result
     lists the failures in ``failed_restarts``. Raises if every restart
@@ -727,7 +728,8 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
     """
     cfg = cfg or EMConfig()
     _check_fit(graph, features, n_classes, mode)
-    best, = _fit_candidates(graph, features, [(n_classes, cfg)], cfg, mode)
+    best, = _fit_candidates(graph, features, [(n_classes, cfg.rng_seed)], cfg,
+                            mode)
     if isinstance(best, RuntimeError):
         raise best
     return best

@@ -290,12 +290,20 @@ def read_params(path):
     missing = [key for key in _PARAMS_KEYS if key not in payload]
     if missing:
         raise ValueError(f"{path}: missing keys {missing}")
-    n_classes = int(payload["Q"])
+    n_classes = payload["Q"]
+    if isinstance(n_classes, bool) or not isinstance(n_classes, int) \
+            or n_classes < 1:
+        raise ValueError(f"{path}: Q must be a positive integer, "
+                         f"got {n_classes!r}")
+    alpha = np.array(payload["alpha"])
+    if alpha.ndim == 1 and alpha.size != n_classes:
+        raise ValueError(f"{path}: Q is {n_classes} but alpha has "
+                         f"{alpha.size} classes")
     mu = np.array(payload["mu"], dtype=np.float64)
     if mu.size == 0:
         mu = np.zeros((n_classes, 0))
     params = ModelParams(
-        alpha=np.array(payload["alpha"]),
+        alpha=alpha,
         pi=np.array(payload["pi"]),
         mu=mu,
         sigma2=payload["sigma2"],

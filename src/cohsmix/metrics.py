@@ -31,10 +31,10 @@ def contingency_table(a, b) -> ContingencyTable:
     b = np.asarray(b).ravel()
     if a.shape != b.shape:
         raise ValueError(f"partitions differ in length: {a.size} vs {b.size}")
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    k1, k2 = ai.max() + 1, bi.max() + 1
-    counts = np.zeros((k1, k2), dtype=np.int64)
+    # Empty partitions give a 0 x 0 table.
+    rows, ai = np.unique(a, return_inverse=True)
+    cols, bi = np.unique(b, return_inverse=True)
+    counts = np.zeros((rows.size, cols.size), dtype=np.int64)
     np.add.at(counts, (ai, bi), 1)
     return ContingencyTable(counts=counts,
                             row_totals=counts.sum(axis=1),

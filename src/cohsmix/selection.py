@@ -8,7 +8,7 @@ candidate count with the highest score wins, ties going to the smaller one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,8 +117,8 @@ def select_q(graph: Graph, features: FeatureMatrix, q_min: int, q_max: int,
     check_features_vary(features, mode)
     cfg = cfg or EMConfig()
     candidates = [
-        (q, replace(cfg, rng_seed=int(np.random.SeedSequence(
-            cfg.rng_seed, spawn_key=(q,)).generate_state(1)[0])))
+        (q, int(np.random.SeedSequence(
+            cfg.rng_seed, spawn_key=(q,)).generate_state(1)[0]))
         for q in range(q_min, q_max + 1)]
     results: dict[int, FitResult] = {}
     scores: dict[int, float] = {}

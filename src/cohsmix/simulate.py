@@ -18,8 +18,8 @@ from .model import FeatureMatrix, Graph
 SETTINGS = ("a", "b", "c", "d")
 
 # Midpoint of the within/between edge probabilities; the benchmark families
-# specify only their separation, so the pair is centred here by default.
-DEFAULT_PROB_CENTER = 0.3
+# specify only their separation, so the pair is centred here.
+PROB_CENTER = 0.3
 
 
 @dataclass(frozen=True)
@@ -88,19 +88,7 @@ def generate(spec: AffiliationSpec):
     return Graph(adjacency), features, labels
 
 
-def _prob_pair(gap: float, center: float) -> tuple[float, float]:
-    within = center + gap / 2.0
-    between = center - gap / 2.0
-    if not 0.0 <= between <= within <= 1.0:
-        raise ValueError(
-            f"probability gap {gap} does not fit around center {center}"
-        )
-    return within, between
-
-
-def grid_specs(setting: str, n: int = 150,
-               prob_center: float = DEFAULT_PROB_CENTER,
-               noise_std: float = 1.0) -> list[AffiliationSpec]:
+def grid_specs(setting: str, n: int = 150) -> list[AffiliationSpec]:
     """Benchmark family for one setting letter.
 
     a: class count 2..12 (11 models); b: feature count 2..15 (14 models);
@@ -112,11 +100,10 @@ def grid_specs(setting: str, n: int = 150,
         raise ValueError(f"unknown setting {setting!r}; expected one of {SETTINGS}")
 
     def spec(n_classes, n_features, prob_gap, mean_gap):
-        within, between = _prob_pair(prob_gap, prob_center)
         return AffiliationSpec(
             n_classes=n_classes, n=n, n_features=n_features,
-            within_prob=within, between_prob=between,
-            mean_gap=mean_gap, noise_std=noise_std,
+            within_prob=PROB_CENTER + prob_gap / 2.0,
+            between_prob=PROB_CENTER - prob_gap / 2.0, mean_gap=mean_gap,
         )
 
     if setting == "a":

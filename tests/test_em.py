@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 from dataclasses import replace
 
@@ -17,7 +18,6 @@ from cohsmix.em import (
     init_responsibilities,
     m_step,
     mode_lower_bound,
-    restart_configs,
     _reseed_empty_classes,
 )
 from cohsmix.metrics import adjusted_rand_index
@@ -48,10 +48,37 @@ from oracles import maximize_bound_numerically, responsibility_update_oracle
 def test_config_validation():
     with pytest.raises(ValueError):
         EMConfig(max_em_iters=0)
-    with pytest.raises(ValueError):
-        EMConfig(damping=1.0)
-    with pytest.raises(ValueError):
-        EMConfig(init_strategy="nope")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_em_iters", 2.5), ("max_em_iters", "5"), ("max_em_iters", True),
+    ("max_em_iters", 0), ("n_restarts", 2.0), ("n_restarts", True),
+    ("n_restarts", np.int64(0)), ("n_restarts", None), ("rng_seed", -1),
+    ("rng_seed", 1.5), ("rng_seed", False), ("rng_seed", "7"),
+])
+def test_config_rejects_settings_that_are_not_counts(field, value):
+    # Caught where the config is built, each message naming the field,
+    # rather than inside range() or numpy's SeedSequence at fit time.
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        EMConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = EMConfig(max_em_iters=np.int32(3), n_restarts=np.uint8(2),
+                   rng_seed=np.uint32(2**32 - 1))
+    assert (cfg.max_em_iters, cfg.n_restarts, cfg.rng_seed) \
+        == (3, 2, 2**32 - 1)
+    assert EMConfig(rng_seed=0).rng_seed == 0
+    assert EMConfig().rng_seed is None
+
+
+@contextlib.contextmanager
+def e_step_protocol(damping, cap):
+    """Run the E-step with blend weight ``damping`` and sweep cap ``cap``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(em, "DAMPING", damping)
+        patch.setattr(em, "MAX_FIXEDPOINT_SWEEPS", cap)
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +237,7 @@ def test_stacked_e_step_leaves_a_row_at_its_fixed_point(monkeypatch):
                          for field in ParamStack.of(params)))
     d2 = squared_distances(stack.mu, features.values)
     out, sweeps, capped = em._e_step(start, stack, d2,
-                                     start.bound(stack, "joint", d2),
-                                     EMConfig(), "joint")
+                                     start.bound(stack, "joint", d2), "joint")
     assert sweeps[0] == 1 and sweeps[1] > 1 and not capped.any()
     assert np.array_equal(out.resp_t[0], start.resp_t[0])
     assert np.array_equal(out.mass[0], products[0][0])
@@ -243,8 +269,7 @@ def test_e_step_multiplies_once_per_sweep_after_the_first(monkeypatch, seed):
         return compute(self, resp_t)
 
     monkeypatch.setattr(Graph, "neighbour_mass", counted)
-    out, sweeps, capped = em._e_step(stats, stack, d2, bounds, EMConfig(),
-                                     "joint")
+    out, sweeps, capped = em._e_step(stats, stack, d2, bounds, "joint")
     assert not capped.any() and sweeps.max() > 1
     assert len(products) == sweeps.max() - 1
     # Row r is in the product of sweep s (counted from 0) while s < sweeps[r].
@@ -269,14 +294,15 @@ def test_e_step_stopped_below_the_cap_is_within_tolerance_of_its_update(
     graph, features, params = random_instance(rng, n=n, n_classes=n_classes,
                                               p=p)
     start = random_responsibilities(n, n_classes, rng)
-    cfg = EMConfig(damping=damping, max_fixedpoint_sweeps=cap)
     stats = ClassStats.of(graph, features, start)
     stack = ParamStack.of(params.clamped())
     d2 = features.squared_distances(stack.mu) \
         if mode_terms(mode)[1] and p else None
-    out, _, capped = em._e_step(stats, stack, d2, stats.bound(stack, mode, d2),
-                                cfg, mode)
-    _, fell_back = reference_e_step(graph, features, params, start, cfg, mode)
+    with e_step_protocol(damping, cap):
+        out, _, capped = em._e_step(stats, stack, d2,
+                                    stats.bound(stack, mode, d2), mode)
+    _, fell_back = reference_e_step(graph, features, params, start, damping,
+                                    cap, mode)
     assume(not capped[0] and not fell_back)
     refreshed = responsibility_update_oracle(graph, features, params,
                                              out.resp[0], mode)
@@ -288,8 +314,7 @@ def test_e_step_residual_and_bound_improvement(seed):
     rng = np.random.default_rng(seed)
     graph, features, params = random_instance(rng, n=8, n_classes=2, p=2)
     start = random_responsibilities(8, 2, rng)
-    cfg = EMConfig()
-    out = e_step(graph, features, params, start, cfg)
+    out = e_step(graph, features, params, start)
 
     before = variational_lower_bound(graph, features, start, params)
     after = variational_lower_bound(graph, features, out, params)
@@ -307,16 +332,17 @@ def test_e_step_rows_stay_stochastic(rng):
     assert out.min() >= 0
 
 
-def test_e_step_falls_back_to_best_iterate():
+def test_e_step_falls_back_to_best_iterate(monkeypatch):
     # Undamped sweeps on this instance oscillate: the fifth iterate's bound
     # (-117.02) is below the start's (-113.98), so e_step must return the
     # best iterate seen, here the first.
     rng = np.random.default_rng(56)
     graph, features, params = random_instance(rng, n=12, n_classes=3, p=2)
     start = random_responsibilities(12, 3, rng)
-    cfg = EMConfig(damping=0.0, max_fixedpoint_sweeps=5)
+    monkeypatch.setattr(em, "DAMPING", 0.0)
+    monkeypatch.setattr(em, "MAX_FIXEDPOINT_SWEEPS", 5)
     iterates = [start]
-    for _ in range(cfg.max_fixedpoint_sweeps):
+    for _ in range(5):
         iterates.append(responsibility_update_oracle(graph, features, params,
                                                      iterates[-1]))
     bounds = [variational_lower_bound(graph, features, r, params)
@@ -324,20 +350,19 @@ def test_e_step_falls_back_to_best_iterate():
     assert bounds[-1] < bounds[0]
     assert int(np.argmax(bounds)) == 1
 
-    out = e_step(graph, features, params, start, cfg)
+    out = e_step(graph, features, params, start)
     assert np.abs(out - iterates[1]).max() <= 1e-12
     assert variational_lower_bound(graph, features, out, params) \
         == pytest.approx(max(bounds), abs=1e-9)
 
 
-def _stacked_e_step(graph, features, params, start, cfg):
+def _stacked_e_step(graph, features, params, start):
     """``e_step``'s result with the sweeps it ran and whether it capped."""
     stats = ClassStats.of(graph, features, start)
     stack = ParamStack.of(params.clamped())
     d2 = squared_distances(stack.mu, features.values)
     out, sweeps, capped = em._e_step(stats, stack, d2,
-                                     stats.bound(stack, "joint", d2), cfg,
-                                     "joint")
+                                     stats.bound(stack, "joint", d2), "joint")
     return out.resp[0], int(sweeps[0]), bool(capped[0])
 
 
@@ -349,10 +374,10 @@ def test_guarded_e_step_settles_where_plain_jacobi_oscillates():
     graph, features, params = random_instance(rng, n=12, n_classes=3, p=2)
     start = random_responsibilities(12, 3, rng)
     bound = lambda r: variational_lower_bound(graph, features, r, params)
-    plain, plain_sweeps, plain_capped = _stacked_e_step(
-        graph, features, params, start, EMConfig(damping=0.0))
-    guarded, sweeps, capped = _stacked_e_step(graph, features, params, start,
-                                              EMConfig())
+    with e_step_protocol(0.0, 50):
+        plain, plain_sweeps, plain_capped = _stacked_e_step(
+            graph, features, params, start)
+    guarded, sweeps, capped = _stacked_e_step(graph, features, params, start)
     assert plain_capped and plain_sweeps == 50
     assert not capped and sweeps < 50
     assert np.array_equal(guarded, e_step(graph, features, params, start))
@@ -412,8 +437,8 @@ def test_fit_counts_sweeps_and_cap_hits(monkeypatch, cap):
     # A fallback replay calls the stacked E-step again with ``track`` set;
     # the counters leave it out.
     monkeypatch.setattr(em, "_e_step", recorded)
-    result = fit(graph, features, 3,
-                 EMConfig(rng_seed=0, max_fixedpoint_sweeps=cap))
+    monkeypatch.setattr(em, "MAX_FIXEDPOINT_SWEEPS", cap)
+    result = fit(graph, features, 3, EMConfig(rng_seed=0))
     assert len(calls) >= len(result.bound_trace) - 1
     assert all(1 <= sweeps <= cap for sweeps, _ in calls)
     assert result.e_step_sweeps == sum(sweeps for sweeps, _ in calls)
@@ -485,11 +510,10 @@ def test_padded_starts_fit_as_they_fit_alone(seed, n, p, widths, mode):
     graph, features = random_graph(n, rng), random_features(n, p, rng)
     starts = [random_responsibilities(n, q, rng) if q > 1 else np.ones((n, 1))
               for q in widths]
-    cfg = EMConfig(max_em_iters=15)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Graph, "neighbour_mass", _row_by_row_mass)
-        padded = em._em(graph, features, starts, cfg, mode)
-        alone = [em._em(graph, features, [start], cfg, mode)[0]
+        padded = em._em(graph, features, starts, 15, mode)
+        alone = [em._em(graph, features, [start], 15, mode)[0]
                  for start in starts]
     for run, one in zip(padded, alone):
         assert type(run) is type(one)
@@ -555,22 +579,23 @@ def test_neighbour_mass_is_the_adjacency_product(n):
     assert np.array_equal(stats.mass[0], mass)
 
 
-def reference_e_step(graph, features, params, start, cfg, mode,
+def reference_e_step(graph, features, params, start, damping, cap, mode,
                      update_of=responsibility_update_oracle):
-    """The documented E-step: one ``update_of`` per sweep, blended with the
-    old iterate only when its residual is not below the previous sweep's.
-    A sweep whose residual is within the tolerance ends it on the iterate
-    it measured: its update is never appended."""
+    """The documented E-step: at most ``cap`` sweeps of one ``update_of``,
+    blended with weight ``damping`` on the old iterate only when its
+    residual is not below the previous sweep's. A sweep whose residual is
+    within the tolerance ends it on the iterate it measured: its update is
+    never appended."""
     bound = lambda r: mode_lower_bound(graph, features, r, params, mode)
     iterates = [start]
     previous = np.inf
-    for _ in range(cfg.max_fixedpoint_sweeps):
+    for _ in range(cap):
         update = update_of(graph, features, params, iterates[-1], mode)
         residual = np.abs(update - iterates[-1]).max()
         if residual <= em.FIXEDPOINT_TOL:
             break
         if residual >= previous:
-            update = (1.0 - cfg.damping) * update + cfg.damping * iterates[-1]
+            update = (1.0 - damping) * update + damping * iterates[-1]
         iterates.append(update)
         previous = residual
     final = iterates[-1]
@@ -596,9 +621,10 @@ def test_e_step_matches_reference_loop(seed, n, n_classes, p, mode, damping,
     graph, features, params = random_instance(rng, n=n, n_classes=n_classes,
                                               p=p)
     start = random_responsibilities(n, n_classes, rng)
-    cfg = EMConfig(damping=damping, max_fixedpoint_sweeps=cap)
-    expected, _ = reference_e_step(graph, features, params, start, cfg, mode)
-    out = e_step(graph, features, params, start, cfg, mode)
+    expected, _ = reference_e_step(graph, features, params, start, damping,
+                                   cap, mode)
+    with e_step_protocol(damping, cap):
+        out = e_step(graph, features, params, start, mode)
     assert out.shape == expected.shape
     assert np.abs(out - expected).max() <= 1e-12
     bound = lambda r: mode_lower_bound(graph, features, r, params, mode)
@@ -635,20 +661,20 @@ def sweep_update(graph, features, params, resp, mode):
        cap=st.integers(1, 50))
 def test_e_step_without_damping_is_plain_jacobi(seed, n, n_classes, p, mode,
                                                 cap):
-    # damping=0.0 blends no sweep, so the E-step is undamped Jacobi with
+    # DAMPING = 0.0 blends no sweep, so the E-step is undamped Jacobi with
     # the stop rules and the fallback, to the last bit.
     rng = np.random.default_rng(seed)
     graph, features, params = random_instance(rng, n=n, n_classes=n_classes,
                                               p=p)
     start = random_responsibilities(n, n_classes, rng)
-    cfg = EMConfig(damping=0.0, max_fixedpoint_sweeps=cap)
-    expected, _ = reference_e_step(graph, features, params, start, cfg, mode,
-                                   update_of=sweep_update)
-    assert np.array_equal(e_step(graph, features, params, start, cfg, mode),
-                          expected)
+    expected, _ = reference_e_step(graph, features, params, start, 0.0, cap,
+                                   mode, update_of=sweep_update)
+    with e_step_protocol(0.0, cap):
+        out = e_step(graph, features, params, start, mode)
+    assert np.array_equal(out, expected)
 
 
-def test_e_step_softmax_on_extreme_logits():
+def test_e_step_softmax_on_extreme_logits(monkeypatch):
     # With a tiny variance every class logit lies far below -745, where exp
     # underflows to 0; only the row-max shift keeps the rows finite.
     rng = np.random.default_rng(3)
@@ -660,7 +686,8 @@ def test_e_step_softmax_on_extreme_logits():
                          pi=np.array([[0.6, 0.2], [0.2, 0.5]]),
                          mu=means, sigma2=1e-6)
     start = random_responsibilities(10, 2, rng)
-    out = e_step(graph, features, params, start, EMConfig(damping=0.0))
+    monkeypatch.setattr(em, "DAMPING", 0.0)
+    out = e_step(graph, features, params, start)
     assert np.all(np.isfinite(out))
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
     expected = responsibility_update_oracle(graph, features, params, start)
@@ -870,10 +897,9 @@ def test_multi_restart_single_equals_fit():
     graph, features, _ = generate(spec)
     cfg = EMConfig(rng_seed=9, n_restarts=1)
     best = fit_multi_restart(graph, features, 2, cfg)
-    from cohsmix.em import restart_configs
-
-    only_cfg = restart_configs(cfg, has_features=True)[0]
-    again = fit(graph, features, 2, only_cfg)
+    (seed, strategy), = em._restart_plan(cfg.rng_seed, 1, True, True)
+    again = fit(graph, features, 2, cfg, resp_init=em._init(
+        graph, features, 2, seed, strategy, "joint"))
     assert best.final_bound == again.final_bound
     assert np.array_equal(best.partition, again.partition)
 
@@ -957,11 +983,13 @@ def _sequential_fits(graph, features, n_classes, cfg, mode):
     """What each restart of fit_multi_restart gives when fitted alone."""
     use_edges, use_features = mode_terms(mode)
     outcomes = []
-    for restart_cfg in restart_configs(cfg, features.p > 0 and use_features,
-                                       use_edges):
+    for seed, strategy in em._restart_plan(
+            cfg.rng_seed, cfg.n_restarts, features.p > 0 and use_features,
+            use_edges):
+        start = em._init(graph, features, n_classes, seed, strategy, mode)
         try:
-            outcomes.append(fit(graph, features, n_classes, restart_cfg,
-                                mode=mode))
+            outcomes.append(fit(graph, features, n_classes, cfg,
+                                resp_init=start, mode=mode))
         except EmptyClassError as err:
             outcomes.append(err)
     return outcomes
@@ -1066,8 +1094,8 @@ def test_restart_failing_mid_fit_leaves_the_others(monkeypatch):
     stack_sizes = []
     original = em._rescue
 
-    def rescue(stats, attempts=em._RESCUE_ATTEMPTS):
-        stats, errors = original(stats, attempts)
+    def rescue(stats):
+        stats, errors = original(stats)
         stack_sizes.append(stats.resp_t.shape[0])
         if len(stack_sizes) == lengths[3]:
             # Restarts 0 and 1 have stopped: row 0 is restart 2.
@@ -1089,19 +1117,21 @@ def test_iteration_lowering_the_bound_is_rolled_back(monkeypatch):
     # that iteration is rolled back and restart 0 stops after one; the
     # other restarts are not touched.
     graph, features, cfg = _lockstep_case()
-    configs = restart_configs(cfg, has_features=True)
+    (seed, strategy), *_ = em._restart_plan(cfg.rng_seed, cfg.n_restarts,
+                                            True, True)
     alone = _sequential_fits(graph, features, 3, cfg, "joint")
-    one_iteration = fit(graph, features, 3,
-                        replace(configs[0], max_em_iters=1))
+    one_iteration = fit(graph, features, 3, replace(cfg, max_em_iters=1),
+                        resp_init=em._init(graph, features, 3, seed,
+                                           strategy, "joint"))
     calls = []
     original = em._rescue
 
-    def rescue(stats, attempts=em._RESCUE_ATTEMPTS):
+    def rescue(stats):
         calls.append(stats.resp_t.shape[0])
         if len(calls) == 3:
             flat = np.full(stats.resp_t[:1].shape, 1 / 3)
             stats = stats.with_rows([0], flat)
-        return original(stats, attempts)
+        return original(stats)
 
     monkeypatch.setattr(em, "_rescue", rescue)
     _, runs = _fit_with_runs(monkeypatch, graph, features, 3, cfg)

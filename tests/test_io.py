@@ -263,6 +263,25 @@ def test_params_json_round_trip(fitted):
     assert icl == result.icl
 
 
+@pytest.mark.parametrize("q,message", [
+    (7, r"Q is 7 but alpha has 2 classes"),
+    (1, r"Q is 1 but alpha has 2 classes"),
+    (0, r"Q must be a positive integer, got 0"),
+    (2.0, r"Q must be a positive integer, got 2\.0"),
+    (True, r"Q must be a positive integer, got True"),
+    ("2", r"Q must be a positive integer, got '2'"),
+])
+def test_read_params_rejects_a_class_count_alpha_disagrees_with(fitted, q,
+                                                                message):
+    _, paths = fitted
+    payload = json.loads(paths["params"].read_text())
+    payload["Q"] = q
+    paths["params"].write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(str(paths["params"]))
+                       + ": " + message):
+        read_params(paths["params"])
+
+
 def test_params_json_key_order(fitted):
     _, paths = fitted
     payload = json.loads(paths["params"].read_text())

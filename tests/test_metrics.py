@@ -82,3 +82,12 @@ def test_contingency_table_contents():
     assert table.row_totals.tolist() == [2, 2]
     assert table.col_totals.tolist() == [3, 1]
     assert table.n == 4
+
+
+def test_empty_partitions_give_an_empty_table():
+    # The ARI's own check names the problem, not a numpy reduction.
+    table = contingency_table([], [])
+    assert table.counts.shape == (0, 0)
+    assert table.n == 0
+    with pytest.raises(ValueError, match="need at least 2 items"):
+        adjusted_rand_index([], [])

@@ -287,8 +287,8 @@ def test_scan_candidate_whose_restarts_all_fail(monkeypatch):
     # scan records the message fit_multi_restart raises for it alone.
     original = em._rescue
 
-    def rescue(stats, attempts=em._RESCUE_ATTEMPTS):
-        stats, errors = original(stats, attempts)
+    def rescue(stats):
+        stats, errors = original(stats)
         for row in np.flatnonzero(stats.n_classes == 3).tolist():
             errors.setdefault(row, EmptyClassError([2]))
         return stats, errors
