@@ -14,20 +14,21 @@ from pathlib import Path
 
 from cohsmix import EMConfig, run_grid
 
-out_dir = Path(tempfile.mkdtemp(prefix="cohsmix-grid-"))
-records = run_grid(
-    "c",
-    replicates=3,
-    cfg=EMConfig(n_restarts=2, max_em_iters=50),
-    out_dir=out_dir,
-    seed=42,
-)
+with tempfile.TemporaryDirectory(prefix="cohsmix-grid-") as tmp:
+    out_dir = Path(tmp)
+    records = run_grid(
+        "c",
+        replicates=3,
+        cfg=EMConfig(n_restarts=2, max_em_iters=50),
+        out_dir=out_dir,
+        seed=42,
+    )
+    failures = [r for r in records if r.status != "ok"]
+    print(f"{len(records)} replicates finished, {len(failures)} failures\n")
+    # The grid also wrote results.csv and timings.csv; the directory goes
+    # when this block ends, so the table is read here.
+    print((out_dir / "aggregate.csv").read_text())
 
-failures = [r for r in records if r.status != "ok"]
-print(f"{len(records)} replicates finished, {len(failures)} failures")
-print(f"outputs: {out_dir}/results.csv, aggregate.csv, timings.csv\n")
-
-print((out_dir / "aggregate.csv").read_text())
 print("columns: swept parameter value, replicates used, mean and median")
 print("adjusted Rand index; rerunning with the same seed reproduces")
 print("results.csv byte for byte.")

@@ -18,11 +18,27 @@ from .selection import icl_score, select_q
 from .simulate import AffiliationSpec, SETTINGS, generate, grid_specs
 
 
+def _int_from(low: int):
+    """An argparse type for integers of at least ``low``; argparse names
+    the flag in its usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer of at least {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--restarts", type=int, default=10,
+    parser.add_argument("--seed", type=_int_from(0), default=0,
+                        help="master RNG seed")
+    parser.add_argument("--restarts", type=_int_from(1), default=10,
                         help="independent EM restarts per fit")
-    parser.add_argument("--max-iters", type=int, default=100,
+    parser.add_argument("--max-iters", type=_int_from(1), default=100,
                         help="EM iteration cap")
     parser.add_argument("--out", default="results", help="output directory")
 

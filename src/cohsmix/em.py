@@ -232,7 +232,8 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     stack = ParamStack.of(params.clamped())
     d2 = features.squared_distances(stack.mu) \
         if mode_terms(mode)[1] and features.p else None
-    stats, _, _ = _e_step(start, stack, d2, start.bound(stack, mode, d2), mode)
+    stats, _, _, _ = _e_step(start, stack, d2, start.bound(stack, mode, d2),
+                             mode)
     return np.ascontiguousarray(stats.resp[0])
 
 
@@ -254,7 +255,9 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     the tolerance ends on an iterate whose product its last sweep computed,
     so only the rows at the sweep cap are multiplied after the loop. Returns
     the statistics of the result (``stats`` itself when no row moved) and,
-    by row, the sweeps it ran and whether it ended at the sweep cap.
+    by row, the sweeps it ran, whether it ended at the sweep cap and whether
+    it moved: a row whose first sweep is within the tolerance returns its
+    start.
 
     The best-iterate fallback keeps no iterate: a row whose final bound
     falls below its start's is swept again alone from its start with
@@ -268,8 +271,10 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     n_rows, n_classes, n = stats.resp_t.shape
     sweeps = np.zeros(n_rows, dtype=np.int64)
     capped = np.zeros(n_rows, dtype=bool)
+    moved = np.ones(n_rows, dtype=bool)
     if n_classes == 1:
-        return stats, sweeps, capped
+        moved[:] = False
+        return stats, sweeps, capped, moved
 
     with np.errstate(divide="ignore"):
         log_alpha = np.log(params.alpha)
@@ -291,12 +296,11 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     cur = stats.resp_t
     mass = stats.mass if use_edges else None
     previous = np.full(n_rows, np.inf)
-    # Per row: the final iterate, its product when known, and whether it
-    # left the start; with ``track``, the best iterate after the start, with
+    # Per row: the final iterate and its product, unknown for the rows at
+    # the sweep cap; with ``track``, the best iterate after the start, with
     # its product and bound.
-    finals = list(cur)
-    products = list(mass) if use_edges else [None] * n_rows
-    moved = np.ones(n_rows, dtype=bool)
+    finals = np.empty_like(cur)
+    products = np.empty_like(cur) if use_edges else None
     best, best_bounds = {}, np.array(start_bounds, dtype=np.float64)
     for sweep in range(MAX_FIXEDPOINT_SWEEPS):
         if use_edges:
@@ -324,12 +328,12 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
         # sweep measured, with the product the sweep already computed.
         stopped = residuals <= FIXEDPOINT_TOL
         if stopped.any():
-            for row in np.nonzero(stopped)[0].tolist():
-                k = live[row]
-                sweeps[k] = sweep + 1
-                finals[k] = cur[row]
-                products[k] = None if mass is None else mass[row]
-                moved[k] = sweep > 0
+            done = live[stopped]
+            sweeps[done] = sweep + 1
+            finals[done] = cur[stopped]
+            if use_edges:
+                products[done] = mass[stopped]
+            moved[done] = sweep > 0
             if stopped.all():
                 break
             keep = ~stopped
@@ -349,39 +353,30 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
         # The sweep cap: the rows still sweeping end on their last iterate.
         sweeps[live] = MAX_FIXEDPOINT_SWEEPS
         capped[live] = True
-        for row, k in enumerate(live):
-            finals[k], products[k] = cur[row], None
+        finals[live] = cur
+        if use_edges:
+            products[live] = graph.neighbour_mass(cur)
 
     if not moved.any():
-        return stats, sweeps, capped
-    resp_t = np.stack(finals)
-    if use_edges:
-        unknown = [k for k, product in enumerate(products) if product is None]
-        if unknown:
-            for k, product in zip(unknown,
-                                  graph.neighbour_mass(resp_t[unknown])):
-                products[k] = product
-        out = ClassStats(graph, features, resp_t, np.stack(products),
-                         stats.n_classes)
-    else:
-        out = ClassStats(graph, features, resp_t, n_classes=stats.n_classes)
-
+        return stats, sweeps, capped, moved
+    out = ClassStats(graph, features, finals, products, stats.n_classes)
     final_bounds = out.bound(params, mode, d2)
     rows = np.nonzero(final_bounds < start_bounds - 1e-9)[0]
     if rows.size and not track:
-        again, _, _ = _e_step(stats.take(rows), params.take(rows),
-                              None if d2 is None else d2[rows],
-                              start_bounds[rows], mode, track=True)
+        again, _, _, _ = _e_step(stats.take(rows), params.take(rows),
+                                 None if d2 is None else d2[rows],
+                                 start_bounds[rows], mode, track=True)
         return out.with_rows(rows, again.resp_t,
-                             again.mass if use_edges else None), sweeps, capped
+                             again.mass if use_edges else None), \
+            sweeps, capped, moved
     rows = [k for k in rows if best_bounds[k] > final_bounds[k]]
     if not rows:
-        return out, sweeps, capped
+        return out, sweeps, capped, moved
     choices = [best.get(k) or (stats.resp_t[k], stats.mass[k] if use_edges
                                else None) for k in rows]
     return out.with_rows(rows, np.stack([it for it, _ in choices]),
                          np.stack([m for _, m in choices]) if use_edges
-                         else None), sweeps, capped
+                         else None), sweeps, capped, moved
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +508,42 @@ def _init(graph: Graph, features: FeatureMatrix, n_classes: int,
                                  np.random.default_rng(seed))
 
 
+@dataclass
+class _Run:
+    """How one start of :func:`_em` ended, before it is a
+    :class:`FitResult`: its (padded) row of the final stack, the parameter
+    stack and row it ended with, its class count, trace and counters.
+    Only the runs a caller returns are turned into results."""
+
+    resp_t: np.ndarray
+    params: ParamStack
+    row: int
+    n_classes: int
+    bound_trace: list[float]
+    converged: bool
+    e_step_sweeps: int
+    sweep_cap_hits: int
+    mode: str
+
+    @property
+    def final_bound(self) -> float:
+        return self.bound_trace[-1]
+
+    def result(self, failed_restarts=()) -> FitResult:
+        resp = np.ascontiguousarray(self.resp_t[:self.n_classes].T)
+        return FitResult(
+            params=self.params.unstack(self.row, self.n_classes),
+            responsibilities=resp,
+            partition=partition_from_responsibilities(resp),
+            bound_trace=self.bound_trace,
+            converged=self.converged,
+            mode=self.mode,
+            failed_restarts=list(failed_restarts),
+            e_step_sweeps=self.e_step_sweeps,
+            sweep_cap_hits=self.sweep_cap_hits,
+        )
+
+
 def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
         mode: str) -> list:
     """EM from each (n, Q) start, all advancing in lockstep.
@@ -520,19 +551,20 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
     Starts of different class counts share the stack: each is padded with
     empty classes up to the largest count. A padded class gets proportion
     0 from the M-step, so the E-step never gives it mass, and the rescue
-    passes it over (see :class:`ClassStats`); each :class:`FitResult` is
-    sliced back to its start's own classes, and a start gives what it gives
-    in a stack of its own width.
+    passes it over (see :class:`ClassStats`); each run's result is sliced
+    back to its start's own classes, and a start gives what it gives in a
+    stack of its own width.
 
     Every start records the lower bound after each M-step and stops on its
     own: when the relative bound change drops below ``BOUND_REL_TOL``
-    (converged), after ``max_em_iters`` iterations, or when an iteration
-    would lower its bound (possible only after an empty-class re-seed),
-    which is rolled back. A start whose classes stay empty after the
-    re-seeds fails. A start that stops or fails leaves the stack. Each start
-    counts its E-step sweeps and sweep-cap hits (a one-class start none).
-    Returns, by start, its :class:`FitResult` or its
-    :class:`EmptyClassError`.
+    (converged), when its E-step returns its start (converged: the M-step
+    would give back the params and the bound it has), after
+    ``max_em_iters`` iterations, or when an iteration would lower its bound
+    (possible only after an empty-class re-seed), which is rolled back. A
+    start whose classes stay empty after the re-seeds fails. A start that
+    stops or fails leaves the stack. Each start counts its E-step sweeps and
+    sweep-cap hits (a one-class start none). Returns, by start, its
+    :class:`_Run` or its :class:`EmptyClassError`.
     """
     outcomes: list = [None] * len(starts)
     traces: list[list[float]] = [[] for _ in starts]
@@ -553,18 +585,11 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
         return stats, params, d2, rows, stats.bound(params, mode, d2)
 
     def finish(stats, params, row, start, converged):
-        width = stats.n_classes[row]
-        resp = np.ascontiguousarray(stats.resp_t[row, :width].T)
-        outcomes[start] = FitResult(
-            params=params.unstack(row, width),
-            responsibilities=resp,
-            partition=partition_from_responsibilities(resp),
-            bound_trace=traces[start],
-            converged=converged,
-            mode=mode,
-            e_step_sweeps=int(sweeps[start]),
-            sweep_cap_hits=int(cap_hits[start]),
-        )
+        outcomes[start] = _Run(
+            resp_t=stats.resp_t[row], params=params, row=row,
+            n_classes=int(stats.n_classes[row]), bound_trace=traces[start],
+            converged=converged, e_step_sweeps=int(sweeps[start]),
+            sweep_cap_hits=int(cap_hits[start]), mode=mode)
 
     # The start of each stack row.
     idx = np.arange(len(starts))
@@ -580,11 +605,23 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
     for _ in range(max_em_iters):
         if not idx.size:
             break
-        stepped, row_sweeps, capped = _e_step(stats, params, d2, bounds, mode)
+        stepped, row_sweeps, capped, moved = _e_step(stats, params, d2, bounds,
+                                                     mode)
         # A one-class start needs no sweep; padded, it runs one that
         # changes nothing, which is not counted.
         sweeps[idx] += np.where(stats.n_classes > 1, row_sweeps, 0)
         cap_hits[idx] += capped
+        if not moved.all():
+            # A row whose E-step returned its start has converged: the rest
+            # of the iteration would rebuild its params and bound.
+            for row in np.flatnonzero(~moved).tolist():
+                finish(stats, params, row, idx[row], True)
+            keep = np.flatnonzero(moved)
+            idx, bounds = idx[keep], bounds[keep]
+            if not idx.size:
+                break
+            stats, params = stats.take(keep), params.take(keep)
+            stepped = stepped.take(keep)
         new_stats, new_params, new_d2, rows, values = m_step_and_bound(stepped)
         previous = bounds.tolist()
         going = []
@@ -635,7 +672,7 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
     outcome, = _em(graph, features, [start], cfg.max_em_iters, mode)
     if isinstance(outcome, EmptyClassError):
         raise outcome
-    return outcome
+    return outcome.result()
 
 
 def _restart_plan(seed: int | None, n_restarts: int, has_features: bool,
@@ -663,23 +700,22 @@ def _restart_plan(seed: int | None, n_restarts: int, has_features: bool,
 
 
 def _best_restart(outcomes) -> FitResult:
-    """The earliest restart whose final bound is within ``TIE_REL_TOL`` of
-    the best, with the messages of the failed ones; raises if every restart
-    failed.
+    """The result of the earliest restart whose final bound is within
+    ``TIE_REL_TOL`` of the best, with the messages of the failed ones;
+    raises if every restart failed. ``outcomes`` holds, by restart, its
+    :class:`_Run` or its :class:`EmptyClassError`.
 
     Restarts that reach one optimum relabelled end on bounds a few ulps
     apart, so a strict maximum would pick among them by rounding.
     """
-    results = [r for r in outcomes if isinstance(r, FitResult)]
+    runs = [run for run in outcomes if isinstance(run, _Run)]
     failed = [f"restart {r}: {err}" for r, err in enumerate(outcomes)
               if isinstance(err, EmptyClassError)]
-    if not results:
+    if not runs:
         raise RuntimeError(f"all {len(outcomes)} restarts failed: {failed}")
-    top = max(result.final_bound for result in results)
+    top = max(run.final_bound for run in runs)
     floor = top - TIE_REL_TOL * max(1.0, abs(top))
-    best = next(result for result in results if result.final_bound >= floor)
-    best.failed_restarts = failed
-    return best
+    return next(run for run in runs if run.final_bound >= floor).result(failed)
 
 
 def _fit_candidates(graph: Graph, features: FeatureMatrix, candidates,

@@ -56,6 +56,15 @@ class Graph:
             raise ValueError("self-loops are not allowed (diagonal must be zero)")
         object.__setattr__(self, "adjacency", _freeze(adj))
 
+    @classmethod
+    def _built(cls, adjacency: np.ndarray) -> "Graph":
+        """A graph whose builder made its float64 adjacency valid by
+        construction and hands it over: frozen as it is, with no copy and no
+        check."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "adjacency", _freeze(adjacency))
+        return graph
+
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
@@ -88,7 +97,7 @@ class Graph:
         adj = np.zeros(n * n)
         adj[i * n + j] = 1.0
         adj[j * n + i] = 1.0
-        return cls(adj.reshape(n, n))
+        return cls._built(adj.reshape(n, n))
 
     def neighbour_mass(self, resp_t: np.ndarray) -> np.ndarray:
         """(..., Q, n) expected number of neighbours of each vertex per class.
@@ -193,9 +202,9 @@ class ModelParams:
         alpha = np.array(self.alpha, dtype=np.float64, copy=True)
         pi = np.array(self.pi, dtype=np.float64, copy=True)
         mu = np.atleast_2d(np.array(self.mu, dtype=np.float64, copy=True))
-        q = alpha.shape[0]
-        if alpha.ndim != 1 or q < 1:
+        if alpha.ndim != 1 or alpha.shape[0] < 1:
             raise ValueError("alpha must be a non-empty vector")
+        q = alpha.shape[0]
         if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > 1e-8:
             raise ValueError("alpha must be a probability vector")
         if pi.shape != (q, q):
@@ -208,10 +217,14 @@ class ModelParams:
             raise ValueError(f"mu must have {q} rows, got {mu.shape[0]}")
         if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError("sigma2 must be a positive finite scalar")
+        self._store(alpha, pi, mu, self.sigma2)
+
+    def _store(self, alpha, pi, mu, sigma2):
+        """Set the fields from float64 copies the instance may keep."""
         object.__setattr__(self, "alpha", _freeze(alpha))
         object.__setattr__(self, "pi", _freeze((pi + pi.T) / 2.0))
         object.__setattr__(self, "mu", _freeze(mu))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        object.__setattr__(self, "sigma2", float(sigma2))
 
     @property
     def n_classes(self) -> int:
@@ -336,8 +349,8 @@ class ParamStack(NamedTuple):
     """The parameters of R fits at once, each with a leading restart axis.
 
     ``alpha`` is (R, Q), ``pi`` (R, Q, Q), ``mu`` (R, Q, p) and ``sigma2``
-    (R,). A stack is not validated: the fit builds one :class:`ModelParams`
-    per restart when it returns.
+    (R,). A stack is not validated: the M-step builds valid parameters, and
+    the fit unstacks the row of each fit it returns.
     """
 
     alpha: np.ndarray
@@ -356,10 +369,17 @@ class ParamStack(NamedTuple):
 
     def unstack(self, row: int, n_classes: int | None = None) -> ModelParams:
         """The parameters of one row, with its first ``n_classes`` classes
-        only (all by default), which drops a padded row's padding."""
+        only (all by default), which drops a padded row's padding.
+
+        The row is the M-step's output, valid by construction, so the
+        :class:`ModelParams` is built without the constructor's checks; it
+        gets the same copies, symmetrised ``pi`` and frozen fields.
+        """
         q = slice(n_classes)
-        return ModelParams(alpha=self.alpha[row, q], pi=self.pi[row, q, q],
-                           mu=self.mu[row, q], sigma2=float(self.sigma2[row]))
+        params = object.__new__(ModelParams)
+        params._store(self.alpha[row, q].copy(), self.pi[row, q, q],
+                      self.mu[row, q].copy(), self.sigma2[row])
+        return params
 
 
 class ClassStats:
@@ -438,10 +458,15 @@ class ClassStats:
         return _class_sum(responsibility_entropy(self.resp_t, axis=2))
 
     def take(self, rows) -> "ClassStats":
-        """The statistics of the matrices at ``rows``, with their products."""
-        return ClassStats(self.graph, self.features, self.resp_t[rows],
-                          None if self._mass is None else self._mass[rows],
-                          self.n_classes[rows])
+        """The statistics of the matrices at ``rows``, with their products
+        and whichever of ``on``, ``pairs`` and the entropy are computed."""
+        taken = ClassStats(self.graph, self.features, self.resp_t[rows],
+                           None if self._mass is None else self._mass[rows],
+                           self.n_classes[rows])
+        for name in ("on", "pairs", "entropy"):
+            if name in self.__dict__:
+                taken.__dict__[name] = self.__dict__[name][rows]
+        return taken
 
     def with_rows(self, rows, resp_t: np.ndarray,
                   mass: np.ndarray | None = None) -> "ClassStats":

@@ -85,7 +85,7 @@ def generate(spec: AffiliationSpec):
     means = spec.class_means()
     noise = rng.normal(0.0, spec.noise_std, size=(n, spec.n_features))
     features = FeatureMatrix(means[labels] + noise)
-    return Graph(adjacency), features, labels
+    return Graph._built(adjacency), features, labels
 
 
 def grid_specs(setting: str, n: int = 150) -> list[AffiliationSpec]:

@@ -163,7 +163,7 @@ def test_select_q_failed_candidate_round_trips(capsys, tmp_path,
 
     def fail_at_three(outcomes):
         # The scan picks each candidate's best restart here.
-        if outcomes[0].params.n_classes == 3:
+        if outcomes[0].n_classes == 3:
             raise RuntimeError(status)
         return original(outcomes)
 
@@ -256,3 +256,30 @@ def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code != 0
+
+
+@pytest.mark.parametrize("flag, value, low", [
+    ("--seed", "-1", 0), ("--restarts", "0", 1), ("--max-iters", "0", 1),
+    ("--restarts", "2.5", 1)])
+def test_bad_count_flag_is_a_usage_error_naming_the_flag(capsys, tmp_path,
+                                                         flag, value, low):
+    # argparse bounds the flag itself: a usage error (status 2) that names
+    # the flag, raised before any input file is read.
+    with pytest.raises(SystemExit) as info:
+        main(["fit", "--graph", "missing.tsv", "--features", "missing.csv",
+              "--q", "2", flag, value, "--out", str(tmp_path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be an integer of at least {low}, " \
+        f"got '{value}'" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "0"), ("--restarts", "1"), ("--max-iters", "1")])
+def test_count_flag_accepts_its_lower_end(capsys, tmp_path, flag, value):
+    data = simulate_dataset(capsys, tmp_path)
+    code, _, err = run_cli(
+        capsys, "fit", "--graph", str(data / "graph.tsv"),
+        "--features", str(data / "features.csv"), "--q", "2",
+        "--restarts", "2", flag, value, "--out", str(tmp_path / "fit"))
+    assert code == 0, err

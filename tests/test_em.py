@@ -236,9 +236,10 @@ def test_stacked_e_step_leaves_a_row_at_its_fixed_point(monkeypatch):
     stack = ParamStack(*(np.concatenate([field, field])
                          for field in ParamStack.of(params)))
     d2 = squared_distances(stack.mu, features.values)
-    out, sweeps, capped = em._e_step(start, stack, d2,
-                                     start.bound(stack, "joint", d2), "joint")
+    out, sweeps, capped, moved = em._e_step(
+        start, stack, d2, start.bound(stack, "joint", d2), "joint")
     assert sweeps[0] == 1 and sweeps[1] > 1 and not capped.any()
+    assert moved.tolist() == [False, True]
     assert np.array_equal(out.resp_t[0], start.resp_t[0])
     assert np.array_equal(out.mass[0], products[0][0])
     assert products[0].shape[0] == 2
@@ -269,7 +270,7 @@ def test_e_step_multiplies_once_per_sweep_after_the_first(monkeypatch, seed):
         return compute(self, resp_t)
 
     monkeypatch.setattr(Graph, "neighbour_mass", counted)
-    out, sweeps, capped = em._e_step(stats, stack, d2, bounds, "joint")
+    out, sweeps, capped, _ = em._e_step(stats, stack, d2, bounds, "joint")
     assert not capped.any() and sweeps.max() > 1
     assert len(products) == sweeps.max() - 1
     # Row r is in the product of sweep s (counted from 0) while s < sweeps[r].
@@ -299,8 +300,8 @@ def test_e_step_stopped_below_the_cap_is_within_tolerance_of_its_update(
     d2 = features.squared_distances(stack.mu) \
         if mode_terms(mode)[1] and p else None
     with e_step_protocol(damping, cap):
-        out, _, capped = em._e_step(stats, stack, d2,
-                                    stats.bound(stack, mode, d2), mode)
+        out, _, capped, _ = em._e_step(stats, stack, d2,
+                                       stats.bound(stack, mode, d2), mode)
     _, fell_back = reference_e_step(graph, features, params, start, damping,
                                     cap, mode)
     assume(not capped[0] and not fell_back)
@@ -361,8 +362,8 @@ def _stacked_e_step(graph, features, params, start):
     stats = ClassStats.of(graph, features, start)
     stack = ParamStack.of(params.clamped())
     d2 = squared_distances(stack.mu, features.values)
-    out, sweeps, capped = em._e_step(stats, stack, d2,
-                                     stats.bound(stack, "joint", d2), "joint")
+    out, sweeps, capped, _ = em._e_step(
+        stats, stack, d2, stats.bound(stack, "joint", d2), "joint")
     return out.resp[0], int(sweeps[0]), bool(capped[0])
 
 
@@ -512,8 +513,8 @@ def test_padded_starts_fit_as_they_fit_alone(seed, n, p, widths, mode):
               for q in widths]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Graph, "neighbour_mass", _row_by_row_mass)
-        padded = em._em(graph, features, starts, 15, mode)
-        alone = [em._em(graph, features, [start], 15, mode)[0]
+        padded = _results(em._em(graph, features, starts, 15, mode))
+        alone = [_results(em._em(graph, features, [start], 15, mode))[0]
                  for start in starts]
     for run, one in zip(padded, alone):
         assert type(run) is type(one)
@@ -904,9 +905,17 @@ def test_multi_restart_single_equals_fit():
     assert np.array_equal(best.partition, again.partition)
 
 
+def _results(outcomes):
+    """The outcomes of ``em._em`` with each run turned into its result."""
+    return [one.result() if isinstance(one, em._Run) else one
+            for one in outcomes]
+
+
 def _fit_with_runs(monkeypatch, *args, **kwargs):
     """``fit_multi_restart``'s result and the fit of each restart that did
-    not fail, in restart order, read from the lockstep driver it calls."""
+    not fail, in restart order, read from the lockstep driver it calls. A
+    run's result shares its ``bound_trace`` list with the run, so the
+    returned fit is the run whose trace it holds."""
     outcomes = []
     driver = em._em
 
@@ -918,7 +927,8 @@ def _fit_with_runs(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(em, "_em", recorded)
         best = fit_multi_restart(*args, **kwargs)
-    return best, [one for one in outcomes if isinstance(one, FitResult)]
+    return best, [one.result() for one in outcomes
+                  if isinstance(one, em._Run)]
 
 
 def test_multi_restart_returns_best_bound(monkeypatch):
@@ -929,7 +939,7 @@ def test_multi_restart_returns_best_bound(monkeypatch):
     best, runs = _fit_with_runs(monkeypatch, graph, features, 3,
                                EMConfig(rng_seed=4, n_restarts=5))
     assert len(runs) == 5
-    assert best is _first_best(runs)
+    assert best.bound_trace is _first_best(runs).bound_trace
 
 
 def _first_best(runs):
@@ -941,11 +951,10 @@ def _first_best(runs):
 
 
 def _outcome(bound):
-    resp = np.ones((2, 1))
-    return FitResult(params=ModelParams(alpha=[1.0], pi=[[0.5]],
-                                        mu=[[0.0]], sigma2=1.0),
-                     responsibilities=resp, partition=np.zeros(2, dtype=int),
-                     bound_trace=[bound], converged=True)
+    return em._Run(resp_t=np.ones((1, 2)), params=ParamStack.of(ModelParams(
+        alpha=[1.0], pi=[[0.5]], mu=[[0.0]], sigma2=1.0)), row=0,
+        n_classes=1, bound_trace=[bound], converged=True, e_step_sweeps=0,
+        sweep_cap_hits=0, mode="joint")
 
 
 def test_best_restart_keeps_the_earliest_of_a_rounding_tie():
@@ -956,10 +965,11 @@ def test_best_restart_keeps_the_earliest_of_a_rounding_tie():
     assert twin.final_bound > first.final_bound
     err = EmptyClassError([1])
     best = em._best_restart([err, first, twin])
-    assert best is first
+    assert best.bound_trace is first.bound_trace
     assert best.failed_restarts == ["restart 0: classes [1] have no mass"]
     better = _outcome(bound + 1e-9 * abs(bound))
-    assert em._best_restart([first, twin, better]) is better
+    assert em._best_restart([first, twin, better]).bound_trace \
+        is better.bound_trace
 
 
 def test_multi_restart_beats_single_on_structured_data():
@@ -1079,7 +1089,7 @@ def test_lockstep_matches_sequential_with_a_failed_restart(monkeypatch):
         monkeypatch, graph, features, 3, cfg)
     assert isinstance(alone[1], EmptyClassError)
     assert len(runs) == 3
-    assert best is _first_best(runs)
+    assert best.bound_trace is _first_best(runs).bound_trace
     assert best.failed_restarts == ["restart 1: classes [1] have no mass"]
 
 
@@ -1264,3 +1274,149 @@ def test_mode_bound_rejects_rows_that_do_not_sum_to_one(rng):
     resp = random_responsibilities(8, 2, rng) * 1.8
     with pytest.raises(ValueError, match="responsibility rows must each sum"):
         mode_lower_bound(graph, features, resp, params, "graph-only")
+
+
+# ---------------------------------------------------------------------------
+# Unmoved E-steps end a fit; results are built for returned fits only
+
+
+def _readme_case(seed):
+    spec = AffiliationSpec(n_classes=3, n=150, n_features=3,
+                           within_prob=0.5, between_prob=0.1,
+                           mean_gap=4.0, seed=seed)
+    return generate(spec)[:2]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_converged_trace_never_ends_on_a_repeated_bound(monkeypatch, mode):
+    # An E-step that returns its start ends the fit before an M-step could
+    # rebuild the params and bound it already has.
+    converged = 0
+    for seed in range(3):
+        graph, features = _readme_case(1000 + seed)
+        _, runs = _fit_with_runs(monkeypatch, graph, features, 3,
+                                 EMConfig(rng_seed=seed), mode=mode)
+        for run in runs:
+            converged += run.converged
+            trace = run.bound_trace
+            assert len(trace) < 2 or trace[-1] != trace[-2]
+    assert converged >= 25
+    graph, features = _readme_case(1000)
+    one_class = fit(graph, features, 1, EMConfig(rng_seed=0), mode=mode)
+    assert one_class.converged and len(one_class.bound_trace) == 1
+
+
+def _count_unstacks(monkeypatch):
+    calls = []
+    original = ParamStack.unstack
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(ParamStack, "unstack", counted)
+    return calls
+
+
+def test_multi_restart_builds_one_model_params(monkeypatch):
+    graph, features = _readme_case(7)
+    calls = _count_unstacks(monkeypatch)
+    built = []
+    monkeypatch.setattr(ModelParams, "__post_init__",
+                        lambda self: built.append(self))
+    best = fit_multi_restart(graph, features, 3, EMConfig(rng_seed=7))
+    assert len(calls) == 1
+    assert not built
+    assert best.params.n_classes == 3
+
+
+def _em_always_stepping(graph, features, start, max_em_iters, mode):
+    """One start fitted by the rule before an unmoved E-step ended a fit:
+    every E-step is followed by the rescue, the M-step and the bound, and
+    the fit stops once the bound changes by at most BOUND_REL_TOL (or when
+    the bound falls, rolled back). Returns the responsibilities, params,
+    trace and convergence."""
+    stats, errors = em._rescue(ClassStats.of(graph, features, start))
+    assert not errors
+    params, d2 = em._m_step(stats, mode)
+    bounds = stats.bound(params, mode, d2)
+    trace, converged = [float(bounds[0])], False
+    for _ in range(max_em_iters):
+        stepped, _, _, _ = em._e_step(stats, params, d2, bounds, mode)
+        new_stats, errors = em._rescue(stepped)
+        assert not errors
+        new_params, new_d2 = em._m_step(new_stats, mode)
+        values = new_stats.bound(new_params, mode, new_d2)
+        if values[0] < bounds[0] - 1e-9:
+            break
+        trace.append(float(values[0]))
+        stats, params, d2 = new_stats, new_params, new_d2
+        if abs(values[0] - bounds[0]) \
+                <= em.BOUND_REL_TOL * max(1.0, abs(bounds[0])):
+            converged = True
+            break
+        bounds = values
+    return stats.resp[0], params.unstack(0), trace, converged
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_unmoved_row_finishes_as_the_full_iteration_did(monkeypatch, mode):
+    # A row whose E-step returns its start finishes on the responsibilities
+    # and params that the full iteration (rescue, M-step, bound) gave it,
+    # bit for bit, with that iteration's repeated bound left off its trace.
+    # The rows share one stack, so some stop while others go on.
+    graph, features = _readme_case(1001)
+    use_edges, use_features = mode_terms(mode)
+    starts = [em._init(graph, features, 3, seed, strategy, mode)
+              for seed, strategy in em._restart_plan(5, 6, use_features,
+                                                     use_edges)]
+    monkeypatch.setattr(Graph, "neighbour_mass", _row_by_row_mass)
+    runs = em._em(graph, features, starts, 100, mode)
+    repeats = 0
+    for start, run in zip(starts, runs):
+        resp, params, trace, converged = _em_always_stepping(
+            graph, features, start, 100, mode)
+        result = run.result()
+        assert np.array_equal(result.responsibilities, resp)
+        for name in ("alpha", "pi", "mu", "sigma2"):
+            assert np.array_equal(getattr(result.params, name),
+                                  getattr(params, name))
+        assert result.converged == converged
+        if trace[-1] == trace[-2]:
+            repeats += 1
+            trace = trace[:-1]
+        assert result.bound_trace == trace
+    assert repeats >= 3
+
+
+def test_rollback_beside_an_unmoved_row_keeps_its_own_iterate(monkeypatch):
+    # A padded one-class start returns its start at the first E-step and
+    # leaves the stack; the other start's first iteration is flattened, so
+    # its bound falls and the iteration is rolled back. That start must
+    # finish on its own first M-step, not on the row that left.
+    graph, features = _readme_case(1002)
+    (seed, strategy), *_ = em._restart_plan(3, 1, True, True)
+    start = em._init(graph, features, 3, seed, strategy, "joint")
+    before = em._em(graph, features, [start], 0, "joint")[0].result()
+    calls = []
+    original = em._rescue
+
+    def rescue(stats):
+        calls.append(stats.resp_t.shape[0])
+        if len(calls) == 2:
+            stats = stats.with_rows([0], np.full(stats.resp_t[:1].shape,
+                                                 1 / 3))
+        return original(stats)
+
+    monkeypatch.setattr(em, "_rescue", rescue)
+    one_class, rolled_back = _results(em._em(
+        graph, features, [np.ones((graph.n, 1)), start], 5, "joint"))
+    assert calls == [2, 1]
+    assert one_class.converged and len(one_class.bound_trace) == 1
+    assert not rolled_back.converged
+    assert rolled_back.bound_trace == before.bound_trace
+    assert np.array_equal(rolled_back.responsibilities,
+                          before.responsibilities)
+    for name in ("alpha", "pi", "mu", "sigma2"):
+        assert np.array_equal(getattr(rolled_back.params, name),
+                              getattr(before.params, name))

@@ -282,6 +282,15 @@ def test_read_params_rejects_a_class_count_alpha_disagrees_with(fitted, q,
         read_params(paths["params"])
 
 
+def test_read_params_rejects_a_scalar_alpha(fitted):
+    _, paths = fitted
+    payload = json.loads(paths["params"].read_text())
+    payload["alpha"] = 1.0
+    paths["params"].write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="alpha must be a non-empty vector"):
+        read_params(paths["params"])
+
+
 def test_params_json_key_order(fitted):
     _, paths = fitted
     payload = json.loads(paths["params"].read_text())

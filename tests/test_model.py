@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohsmix.em import _m_step
 from cohsmix.model import (
+    ClassStats,
     FeatureMatrix,
     Graph,
     ModelParams,
+    ParamStack,
     check_responsibilities,
     complete_log_likelihood,
     exact_log_marginal,
@@ -16,6 +19,7 @@ from cohsmix.model import (
     squared_distances,
     variational_lower_bound,
 )
+from cohsmix.simulate import AffiliationSpec, generate
 
 from conftest import (
     random_features,
@@ -106,6 +110,85 @@ def test_params_validation():
     with pytest.raises(ValueError, match="positive"):
         ModelParams(alpha=[1.0], pi=np.eye(1) * 0.5, mu=np.zeros((1, 1)),
                     sigma2=0.0)
+
+
+@pytest.mark.parametrize("alpha", [1.0, [], [[0.5, 0.5]]])
+def test_params_reject_an_alpha_that_is_not_a_vector(alpha):
+    # A 0-d alpha is named like any other, not an IndexError.
+    with pytest.raises(ValueError, match="alpha must be a non-empty vector"):
+        ModelParams(alpha=alpha, pi=[[0.5]], mu=[[0.0]], sigma2=1.0)
+
+
+def test_unstack_builds_what_the_constructor_builds(rng, monkeypatch):
+    # The M-step's rows are unstacked without the constructor's checks, but
+    # into the same frozen float64 copies, padding dropped.
+    graph, features = random_graph(12, rng), random_features(12, 2, rng)
+    resp_t = np.stack([random_responsibilities(12, 3, rng).T
+                       for _ in range(2)])
+    resp_t[1, 2] = 0.0
+    resp_t[1] /= resp_t[1].sum(axis=0)
+    stack, _ = _m_step(ClassStats(graph, features, resp_t,
+                                  n_classes=np.array([3, 2])), "joint")
+    checked = [ModelParams(alpha=stack.alpha[row, :q], pi=stack.pi[row, :q, :q],
+                           mu=stack.mu[row, :q], sigma2=stack.sigma2[row])
+               for row, q in ((0, 3), (1, 2))]
+    calls = []
+    monkeypatch.setattr(ModelParams, "__post_init__",
+                        lambda self: calls.append(self))
+    trusted = [stack.unstack(0), stack.unstack(1, 2)]
+    assert not calls
+    for one, other in zip(trusted, checked):
+        for name in ("alpha", "pi", "mu"):
+            mine, theirs = getattr(one, name), getattr(other, name)
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            assert np.array_equal(mine, theirs)
+            assert not mine.flags.writeable and mine.flags.c_contiguous
+            assert not np.shares_memory(mine, getattr(stack, name))
+        assert type(one.sigma2) is float and one.sigma2 == other.sigma2
+
+
+def test_take_keeps_the_computed_statistics(rng, monkeypatch):
+    graph, features = random_graph(10, rng), random_features(10, 2, rng)
+    stats = ClassStats(graph, features, np.stack(
+        [random_responsibilities(10, 3, rng).T for _ in range(3)]))
+    on, pairs, entropy = stats.on, stats.pairs, stats.entropy
+    rows = [2, 0]
+    calls = []
+    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args))
+    taken = stats.take(rows)
+    assert np.array_equal(taken.on, on[rows])
+    assert np.array_equal(taken.pairs, pairs[rows])
+    assert np.array_equal(taken.entropy, entropy[rows])
+    assert not calls
+    monkeypatch.undo()
+    fresh = ClassStats(graph, features, stats.resp_t[rows])
+    assert np.array_equal(taken.on, fresh.on)
+    assert np.array_equal(taken.pairs, fresh.pairs)
+    assert np.array_equal(taken.entropy, fresh.entropy)
+    # What was never computed is not carried.
+    bare = ClassStats(graph, features, stats.resp_t).take(rows)
+    assert "on" not in bare.__dict__ and "entropy" not in bare.__dict__
+
+
+def test_built_graphs_freeze_what_the_checked_path_freezes(rng):
+    # from_edge_pairs and generate hand over matrices valid by
+    # construction, frozen without a copy or the checks; Graph(adj) still
+    # copies and checks.
+    spec = AffiliationSpec(n_classes=3, n=40, within_prob=0.5,
+                           between_prob=0.1, seed=3)
+    generated = generate(spec)[0]
+    pairs = random_graph(9, rng).edge_pairs()
+    for built in (generated, Graph.from_edge_pairs(9, pairs)):
+        checked = Graph(built.adjacency)
+        assert checked.adjacency is not built.adjacency
+        assert built.adjacency.dtype == np.float64
+        assert built.adjacency.flags.c_contiguous
+        assert not built.adjacency.flags.writeable
+        assert np.array_equal(built.adjacency, checked.adjacency)
+    bad = generated.adjacency.copy()
+    bad[0, 1] = 1.0 - bad[1, 0]
+    with pytest.raises(ValueError, match="symmetric"):
+        Graph(bad)
 
 
 @pytest.mark.parametrize("excess, accepted", [

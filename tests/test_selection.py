@@ -6,7 +6,7 @@ import pytest
 
 import cohsmix.em as em
 from cohsmix.em import EMConfig, EmptyClassError, fit_multi_restart
-from cohsmix.model import MODES, FeatureMatrix, ModelParams
+from cohsmix.model import MODES, FeatureMatrix, ModelParams, ParamStack
 from cohsmix.selection import icl_penalty, icl_score, select_q
 from cohsmix.simulate import AffiliationSpec, generate, grid_specs
 
@@ -301,3 +301,22 @@ def test_scan_candidate_whose_restarts_all_fail(monkeypatch):
                                 "'restart 0: classes [2] have no mass', "
                                 "'restart 1: classes [2] have no mass']"}
     assert sorted(scan.results) == [2, 4]
+
+
+def test_select_q_builds_one_model_params_per_candidate(monkeypatch):
+    # Only each candidate's best restart becomes a FitResult.
+    spec = AffiliationSpec(n_classes=3, n=60, n_features=2,
+                           within_prob=0.5, between_prob=0.1,
+                           mean_gap=3.0, seed=4)
+    graph, features, _ = generate(spec)
+    calls = []
+    original = ParamStack.unstack
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(ParamStack, "unstack", counted)
+    scan = select_q(graph, features, 1, 4, EMConfig(rng_seed=2, n_restarts=3))
+    assert len(calls) == 4
+    assert sorted(scan.results) == [1, 2, 3, 4]
