@@ -53,37 +53,39 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p = sub.add_parser("fit", help="fit a fixed number of classes")
     fit_p.add_argument("--graph", required=True)
     fit_p.add_argument("--features", required=True)
-    fit_p.add_argument("--q", type=int, required=True, help="number of classes")
+    fit_p.add_argument("--q", type=_int_from(1), required=True,
+                       help="number of classes")
     fit_p.add_argument("--mode", default="joint", choices=MODES)
     _add_common(fit_p)
 
     sel_p = sub.add_parser("select-q", help="scan a class-count range")
     sel_p.add_argument("--graph", required=True)
     sel_p.add_argument("--features", required=True)
-    sel_p.add_argument("--qmin", type=int, required=True)
-    sel_p.add_argument("--qmax", type=int, required=True)
+    sel_p.add_argument("--qmin", type=_int_from(1), required=True)
+    sel_p.add_argument("--qmax", type=_int_from(1), required=True)
     _add_common(sel_p)
 
     sim_p = sub.add_parser("simulate", help="generate synthetic datasets")
     sim_p.add_argument("--setting", choices=SETTINGS,
                        help="emit every model of one benchmark family")
-    sim_p.add_argument("--n", type=int, default=150)
-    sim_p.add_argument("--q", type=int, help="number of classes")
+    sim_p.add_argument("--n", type=_int_from(1), default=150)
+    sim_p.add_argument("--q", type=_int_from(1), help="number of classes")
     sim_p.add_argument("--lambda", dest="lam", type=float,
                        help="within-class edge probability")
     sim_p.add_argument("--epsilon", type=float,
                        help="between-class edge probability")
     sim_p.add_argument("--gap", type=float, default=0.0,
                        help="per-coordinate distance of adjacent class means")
-    sim_p.add_argument("--p", type=int, default=3, help="feature dimension")
+    sim_p.add_argument("--p", type=_int_from(0), default=3,
+                       help="feature dimension")
     _add_common(sim_p)
 
     grid_p = sub.add_parser("grid", help="run one benchmark family")
     grid_p.add_argument("--setting", choices=SETTINGS, required=True)
-    grid_p.add_argument("--replicates", type=int, default=20)
-    grid_p.add_argument("--scan-qmin", type=int,
+    grid_p.add_argument("--replicates", type=_int_from(1), default=20)
+    grid_p.add_argument("--scan-qmin", type=_int_from(1),
                         help="select the class count per replicate (lower end)")
-    grid_p.add_argument("--scan-qmax", type=int,
+    grid_p.add_argument("--scan-qmax", type=_int_from(1),
                         help="select the class count per replicate (upper end)")
     _add_common(grid_p)
 

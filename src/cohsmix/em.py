@@ -105,8 +105,8 @@ class FitResult:
     icl: float | None = None
     # "restart <r>: <message>" for each restart of the fit that failed.
     failed_restarts: list[str] = field(default_factory=list)
-    # The E-step sweeps this run made, fallback replays not counted, and the
-    # E-steps of it that ended at the sweep cap.
+    # The E-step sweeps this run made and the E-steps of it that ended at the
+    # sweep cap.
     e_step_sweeps: int = 0
     sweep_cap_hits: int = 0
 
@@ -211,11 +211,10 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     nothing thus returns its start. After ``MAX_FIXEDPOINT_SWEEPS`` sweeps
     without that, iteration ends on the last update. Params
     with a class proportion of 0 raise ``ValueError``: every bound is then
-    ``-inf``, so no two iterates compare. The returned matrix
-    never lowers the bound relative to the start: if the final sweep does,
-    the best iterate seen (start included, ties to the earliest) is returned
-    instead. Only the start and final bounds are computed unless that
-    fallback fires.
+    ``-inf``, so no two iterates compare. The returned matrix never lowers
+    the bound relative to the start, which the sweeps alone do not promise:
+    if the final iterate's bound is more than 1e-9 below the start's, the
+    start is returned instead. Only those two bounds are computed.
 
     ``resp`` is an (n, Q) responsibility matrix, and so is the result. The
     sweeps and bounds run under ``params.clamped()``, the clamps every
@@ -232,13 +231,13 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     stack = ParamStack.of(params.clamped())
     d2 = features.squared_distances(stack.mu) \
         if mode_terms(mode)[1] and features.p else None
-    stats, _, _, _ = _e_step(start, stack, d2, start.bound(stack, mode, d2),
-                             mode)
-    return np.ascontiguousarray(stats.resp[0])
+    stats, _, _, moved = _e_step(start, stack, d2,
+                                 start.bound(stack, mode, d2), mode)
+    return np.ascontiguousarray((stats if moved[0] else start).resp[0])
 
 
 def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
-            mode: str, track: bool = False):
+            mode: str):
     """The E-step of every matrix of a stack, swept in lockstep.
 
     Row r of the stack is swept under row r of ``params``; a padded class
@@ -254,17 +253,12 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     :func:`e_step`, and a row that stops leaves the stack. A row that meets
     the tolerance ends on an iterate whose product its last sweep computed,
     so only the rows at the sweep cap are multiplied after the loop. Returns
-    the statistics of the result (``stats`` itself when no row moved) and,
-    by row, the sweeps it ran, whether it ended at the sweep cap and whether
-    it moved: a row whose first sweep is within the tolerance returns its
-    start.
-
-    The best-iterate fallback keeps no iterate: a row whose final bound
-    falls below its start's is swept again alone from its start with
-    ``track`` set, which evaluates the bound of every iterate the sweeps
-    multiply and ends on the best one seen (start included, ties to the
-    earliest) if it beats the final one. Without the edge term no iterate
-    is multiplied, so the start alone is compared.
+    the statistics of the final iterates (``stats`` itself when no row
+    moved) and, by row, the sweeps it ran, whether it ended at the sweep cap
+    and whether it moved. A row that did not move returns its start, and
+    the caller takes its result from ``stats``: either its first sweep is
+    within the tolerance, or its final bound is more than 1e-9 below
+    ``start_bounds``.
     """
     graph, features = stats.graph, stats.features
     use_edges, _ = mode_terms(mode)
@@ -297,22 +291,13 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     mass = stats.mass if use_edges else None
     previous = np.full(n_rows, np.inf)
     # Per row: the final iterate and its product, unknown for the rows at
-    # the sweep cap; with ``track``, the best iterate after the start, with
-    # its product and bound.
+    # the sweep cap.
     finals = np.empty_like(cur)
     products = np.empty_like(cur) if use_edges else None
-    best, best_bounds = {}, np.array(start_bounds, dtype=np.float64)
     for sweep in range(MAX_FIXEDPOINT_SWEEPS):
         if use_edges:
             if mass is None:
                 mass = graph.neighbour_mass(cur)
-                if track:
-                    values = ClassStats(graph, features, cur, mass).bound(
-                        params.take(live), mode, None if d2 is None
-                        else d2[live])
-                    for row in np.nonzero(values > best_bounds[live])[0]:
-                        best_bounds[live[row]] = values[row]
-                        best[live[row]] = (cur[row], mass[row])
             logits = log_ratio @ mass
             logits += base
             logits += log_not @ (cur.sum(axis=2)[:, :, None] - cur)
@@ -360,23 +345,8 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     if not moved.any():
         return stats, sweeps, capped, moved
     out = ClassStats(graph, features, finals, products, stats.n_classes)
-    final_bounds = out.bound(params, mode, d2)
-    rows = np.nonzero(final_bounds < start_bounds - 1e-9)[0]
-    if rows.size and not track:
-        again, _, _, _ = _e_step(stats.take(rows), params.take(rows),
-                                 None if d2 is None else d2[rows],
-                                 start_bounds[rows], mode, track=True)
-        return out.with_rows(rows, again.resp_t,
-                             again.mass if use_edges else None), \
-            sweeps, capped, moved
-    rows = [k for k in rows if best_bounds[k] > final_bounds[k]]
-    if not rows:
-        return out, sweeps, capped, moved
-    choices = [best.get(k) or (stats.resp_t[k], stats.mass[k] if use_edges
-                               else None) for k in rows]
-    return out.with_rows(rows, np.stack([it for it, _ in choices]),
-                         np.stack([m for _, m in choices]) if use_edges
-                         else None), sweeps, capped, moved
+    moved[out.bound(params, mode, d2) < start_bounds - 1e-9] = False
+    return out, sweeps, capped, moved
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,9 @@ def run_grid(setting: str, replicates: int = 20, cfg: EMConfig | None = None,
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    if scan_range is not None and not 1 <= scan_range[0] <= scan_range[1]:
+        raise ValueError("scan_range must satisfy 1 <= q_min <= q_max, got "
+                         f"{scan_range[0]}..{scan_range[1]}")
     cfg = cfg or EMConfig()
     if specs is None:
         specs = grid_specs(setting)

@@ -284,7 +284,8 @@ def write_result(fit: FitResult, out_dir) -> dict[str, Path]:
 
 
 def read_params(path):
-    """Load params.json back; returns (params, bound_trace, icl)."""
+    """Load params.json back; returns (params, bound_trace, icl). A field
+    of the wrong type or shape raises a ``ValueError`` naming the file."""
     with Path(path).open(encoding="utf-8") as handle:
         payload = json.load(handle)
     missing = [key for key in _PARAMS_KEYS if key not in payload]
@@ -295,17 +296,42 @@ def read_params(path):
             or n_classes < 1:
         raise ValueError(f"{path}: Q must be a positive integer, "
                          f"got {n_classes!r}")
-    alpha = np.array(payload["alpha"])
+    alpha, pi, mu = (_numbers(path, payload, key)
+                     for key in ("alpha", "pi", "mu"))
     if alpha.ndim == 1 and alpha.size != n_classes:
         raise ValueError(f"{path}: Q is {n_classes} but alpha has "
                          f"{alpha.size} classes")
-    mu = np.array(payload["mu"], dtype=np.float64)
     if mu.size == 0:
         mu = np.zeros((n_classes, 0))
-    params = ModelParams(
-        alpha=alpha,
-        pi=np.array(payload["pi"]),
-        mu=mu,
-        sigma2=payload["sigma2"],
-    )
-    return params, list(payload["j_trace"]), payload["icl"]
+    sigma2 = _numbers(path, payload, "sigma2", ndim=0)
+    trace = _numbers(path, payload, "j_trace", ndim=1).tolist()
+    if payload["icl"] is not None:
+        _numbers(path, payload, "icl", ndim=0)
+    try:
+        params = ModelParams(alpha=alpha, pi=pi, mu=mu, sigma2=sigma2)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    return params, trace, payload["icl"]
+
+
+def _numbers(path, payload, key: str, ndim: int | None = None) -> np.ndarray:
+    """``payload[key]``, JSON numbers in nested lists, as a float64 array."""
+    value = payload[key]
+    leaves = [value]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, list):
+            leaves.extend(leaf)
+        elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise ValueError(f"{path}: {key} must hold numbers only, "
+                             f"got {leaf!r}")
+    try:
+        array = np.array(value, dtype=np.float64)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{path}: {key} must be floats in lists nested to "
+                         "one shape") from None
+    if ndim is not None and array.ndim != ndim:
+        raise ValueError(f"{path}: {key} must be "
+                         f"{('a number', 'a list of numbers')[ndim]}, "
+                         f"got {value!r}")
+    return array

@@ -468,18 +468,16 @@ class ClassStats:
                 taken.__dict__[name] = self.__dict__[name][rows]
         return taken
 
-    def with_rows(self, rows, resp_t: np.ndarray,
-                  mass: np.ndarray | None = None) -> "ClassStats":
+    def with_rows(self, rows, resp_t: np.ndarray) -> "ClassStats":
         """The statistics with the matrices at ``rows`` replaced by
-        ``resp_t``. The other rows keep their products; the new rows take
-        ``mass``, or get theirs in one product, when the stack's are known."""
+        ``resp_t``. The other rows keep their products; the new rows get
+        theirs in one product when the stack's are known."""
         new_resp = self.resp_t.copy()
         new_resp[rows] = resp_t
         new_mass = self._mass
         if new_mass is not None:
             new_mass = new_mass.copy()
-            new_mass[rows] = self.graph.neighbour_mass(resp_t) \
-                if mass is None else mass
+            new_mass[rows] = self.graph.neighbour_mass(resp_t)
         return ClassStats(self.graph, self.features, new_resp, new_mass,
                           self.n_classes)
 

@@ -252,26 +252,57 @@ def test_grid_scan_flags_must_pair(capsys, tmp_path):
     assert "together" in err
 
 
+def test_grid_rejects_a_reversed_scan_range(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "grid", "--setting", "d", "--replicates", "1",
+        "--scan-qmin", "3", "--scan-qmax", "2", "--out", str(tmp_path))
+    assert code == 1
+    assert "scan_range must satisfy 1 <= q_min <= q_max, got 3..2" in err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_unknown_command_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code != 0
 
 
+# The arguments each command needs besides a bounded flag, and the commands
+# that take each flag that not every command takes.
+_COMMAND_ARGS = {
+    "fit": {"--graph": "missing.tsv", "--features": "missing.csv", "--q": "2"},
+    "select-q": {"--graph": "missing.tsv", "--features": "missing.csv",
+                 "--qmin": "1", "--qmax": "2"},
+    "simulate": {},
+    "grid": {"--setting": "a"},
+}
+_FLAG_COMMANDS = {
+    "--q": ("fit", "simulate"), "--qmin": ("select-q",),
+    "--qmax": ("select-q",), "--n": ("simulate",), "--p": ("simulate",),
+    "--replicates": ("grid",), "--scan-qmin": ("grid",),
+    "--scan-qmax": ("grid",),
+}
+
+
 @pytest.mark.parametrize("flag, value, low", [
     ("--seed", "-1", 0), ("--restarts", "0", 1), ("--max-iters", "0", 1),
-    ("--restarts", "2.5", 1)])
+    ("--restarts", "2.5", 1), ("--q", "0", 1), ("--qmin", "0", 1),
+    ("--qmax", "-2", 1), ("--n", "-5", 1), ("--p", "-1", 0),
+    ("--replicates", "0", 1), ("--scan-qmin", "0", 1),
+    ("--scan-qmax", "x", 1)])
 def test_bad_count_flag_is_a_usage_error_naming_the_flag(capsys, tmp_path,
                                                          flag, value, low):
     # argparse bounds the flag itself: a usage error (status 2) that names
-    # the flag, raised before any input file is read.
-    with pytest.raises(SystemExit) as info:
-        main(["fit", "--graph", "missing.tsv", "--features", "missing.csv",
-              "--q", "2", flag, value, "--out", str(tmp_path)])
-    assert info.value.code == 2
-    err = capsys.readouterr().err
-    assert f"argument {flag}: must be an integer of at least {low}, " \
-        f"got '{value}'" in err
+    # the flag, raised before any input file is read or data simulated.
+    for command in _FLAG_COMMANDS.get(flag, ("fit",)):
+        args = {**_COMMAND_ARGS[command], flag: value,
+                "--out": str(tmp_path)}
+        with pytest.raises(SystemExit) as info:
+            main([command, *(part for item in args.items() for part in item)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be an integer of at least {low}, " \
+            f"got '{value}'" in err
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -289,8 +289,8 @@ def test_e_step_stopped_below_the_cap_is_within_tolerance_of_its_update(
         seed, n, n_classes, p, mode, damping, cap):
     # A row that meets the tolerance ends on the iterate whose residual it
     # measured, so the oracle update of the result lies within
-    # FIXEDPOINT_TOL of it, unless the never-lower-the-bound fallback
-    # returned an earlier iterate instead.
+    # FIXEDPOINT_TOL of it, unless the guard against lowering the bound
+    # returned the start instead.
     rng = np.random.default_rng(seed)
     graph, features, params = random_instance(rng, n=n, n_classes=n_classes,
                                               p=p)
@@ -333,10 +333,10 @@ def test_e_step_rows_stay_stochastic(rng):
     assert out.min() >= 0
 
 
-def test_e_step_falls_back_to_best_iterate(monkeypatch):
+def test_e_step_falls_back_to_its_start(monkeypatch):
     # Undamped sweeps on this instance oscillate: the fifth iterate's bound
     # (-117.02) is below the start's (-113.98), so e_step must return the
-    # best iterate seen, here the first.
+    # start, although the first iterate's bound is higher.
     rng = np.random.default_rng(56)
     graph, features, params = random_instance(rng, n=12, n_classes=3, p=2)
     start = random_responsibilities(12, 3, rng)
@@ -352,9 +352,9 @@ def test_e_step_falls_back_to_best_iterate(monkeypatch):
     assert int(np.argmax(bounds)) == 1
 
     out = e_step(graph, features, params, start)
-    assert np.abs(out - iterates[1]).max() <= 1e-12
+    assert np.abs(out - start).max() <= 1e-12
     assert variational_lower_bound(graph, features, out, params) \
-        == pytest.approx(max(bounds), abs=1e-9)
+        == pytest.approx(bounds[0], abs=1e-9)
 
 
 def _stacked_e_step(graph, features, params, start):
@@ -362,15 +362,17 @@ def _stacked_e_step(graph, features, params, start):
     stats = ClassStats.of(graph, features, start)
     stack = ParamStack.of(params.clamped())
     d2 = squared_distances(stack.mu, features.values)
-    out, sweeps, capped, _ = em._e_step(
+    out, sweeps, capped, moved = em._e_step(
         stats, stack, d2, stats.bound(stack, "joint", d2), "joint")
-    return out.resp[0], int(sweeps[0]), bool(capped[0])
+    return (out if moved[0] else stats).resp[0], int(sweeps[0]), \
+        bool(capped[0])
 
 
 def test_guarded_e_step_settles_where_plain_jacobi_oscillates():
-    # The instance of test_e_step_falls_back_to_best_iterate. Plain Jacobi
-    # sweeps oscillate up to the cap and fall back to an early iterate; the
-    # guard blends the sweeps that stop contracting, and they settle.
+    # The instance of test_e_step_falls_back_to_its_start. Plain Jacobi
+    # sweeps oscillate up to the cap and end below the start's bound, so
+    # they return the start; the residual guard blends the sweeps that stop
+    # contracting, and they settle.
     rng = np.random.default_rng(56)
     graph, features, params = random_instance(rng, n=12, n_classes=3, p=2)
     start = random_responsibilities(12, 3, rng)
@@ -382,7 +384,8 @@ def test_guarded_e_step_settles_where_plain_jacobi_oscillates():
     assert plain_capped and plain_sweeps == 50
     assert not capped and sweeps < 50
     assert np.array_equal(guarded, e_step(graph, features, params, start))
-    assert bound(guarded) > bound(plain) > bound(start)
+    assert np.array_equal(plain, start)
+    assert bound(guarded) > bound(start)
     refreshed = responsibility_update_oracle(graph, features, params, guarded)
     assert np.abs(guarded - refreshed).max() <= em.FIXEDPOINT_TOL
 
@@ -429,14 +432,11 @@ def test_fit_counts_sweeps_and_cap_hits(monkeypatch, cap):
     calls = []
     stacked = em._e_step
 
-    def recorded(*args, track=False, **kwargs):
-        out = stacked(*args, track=track, **kwargs)
-        if not track:
-            calls.append((int(out[1][0]), bool(out[2][0])))
+    def recorded(*args, **kwargs):
+        out = stacked(*args, **kwargs)
+        calls.append((int(out[1][0]), bool(out[2][0])))
         return out
 
-    # A fallback replay calls the stacked E-step again with ``track`` set;
-    # the counters leave it out.
     monkeypatch.setattr(em, "_e_step", recorded)
     monkeypatch.setattr(em, "MAX_FIXEDPOINT_SWEEPS", cap)
     result = fit(graph, features, 3, EMConfig(rng_seed=0))
@@ -530,6 +530,74 @@ def test_padded_starts_fit_as_they_fit_alone(seed, n, p, widths, mode):
                                   getattr(one.params, field))
 
 
+def _two_bipartite_components():
+    """A complete bipartite graph on 16 vertices beside one on 6, and a
+    start that leans to each vertex's side on the first and to class 0
+    over the whole second."""
+    adjacency = np.zeros((22, 22))
+    for first, half in ((0, 8), (16, 3)):
+        left = slice(first, first + half)
+        right = slice(first + half, first + 2 * half)
+        adjacency[left, right] = adjacency[right, left] = 1.0
+    start = np.tile([0.6, 0.4], (22, 1))
+    start[:8] = [0.7, 0.3]
+    start[8:16] = [0.3, 0.7]
+    return Graph(adjacency), FeatureMatrix.empty(22), start
+
+
+def test_guarded_start_of_a_stack_ends_on_its_previous_iterate(monkeypatch):
+    # Undamped and capped at 5 sweeps, the E-step flips the whole second
+    # component from one class to the other at every sweep. Once the first
+    # component has settled, such an E-step ends below its start's bound:
+    # the guard returns the start, and its fit ends there, converged.
+    graph, features, guarded = _two_bipartite_components()
+    rng = np.random.default_rng(0)
+    starts = [random_responsibilities(22, 2, rng), guarded,
+              random_responsibilities(22, 3, rng)]
+    calls = []
+    stacked = em._e_step
+
+    def recorded(stats, params, d2, start_bounds, mode):
+        out = stacked(stats, params, d2, start_bounds, mode)
+        calls.append((stats.resp_t, start_bounds, *out[1:]))
+        return out
+
+    monkeypatch.setattr(em, "_e_step", recorded)
+    monkeypatch.setattr(em, "DAMPING", 0.0)
+    monkeypatch.setattr(em, "MAX_FIXEDPOINT_SWEEPS", 5)
+    monkeypatch.setattr(Graph, "neighbour_mass", _row_by_row_mass)
+    alone = []
+    for start in starts:
+        calls.clear()
+        alone.append(_results(em._em(graph, features, [start], 30,
+                                     "graph-only"))[0])
+        if start is guarded:
+            guarded_calls = list(calls)
+    calls.clear()
+    padded = _results(em._em(graph, features, starts, 30, "graph-only"))
+    fired = sum(int((~moved & (sweeps > 1)).sum())
+                for _, _, sweeps, _, moved in calls)
+    assert fired == 1
+
+    ended = alone[1]
+    resp_t, start_bounds, sweeps, _, moved = guarded_calls[-1]
+    assert not moved[0] and sweeps[0] > 1
+    assert all(call[4][0] for call in guarded_calls[:-1])
+    assert ended.converged
+    assert np.array_equal(ended.responsibilities, resp_t[0].T)
+    assert ended.final_bound == start_bounds[0]
+    trace = ended.bound_trace
+    assert len(trace) == len(guarded_calls) >= 2
+    assert all(b > a for a, b in zip(trace, trace[1:]))
+    assert ended.e_step_sweeps \
+        == sum(int(call[2][0]) for call in guarded_calls)
+    for run, one in zip(padded, alone):
+        assert np.array_equal(run.responsibilities, one.responsibilities)
+        assert run.bound_trace == one.bound_trace
+        assert (run.converged, run.e_step_sweeps, run.sweep_cap_hits) \
+            == (one.converged, one.e_step_sweeps, one.sweep_cap_hits)
+
+
 def test_fit_computes_one_adjacency_product_per_iterate(monkeypatch):
     spec = AffiliationSpec(n_classes=3, n=60, n_features=2, within_prob=0.4,
                            between_prob=0.1, mean_gap=1.5, seed=2)
@@ -586,7 +654,9 @@ def reference_e_step(graph, features, params, start, damping, cap, mode,
     blended with weight ``damping`` on the old iterate only when its
     residual is not below the previous sweep's. A sweep whose residual is
     within the tolerance ends it on the iterate it measured: its update is
-    never appended."""
+    never appended. A final iterate whose bound is more than 1e-9 below the
+    start's gives way to the start. Returns the result and whether that
+    guard fired."""
     bound = lambda r: mode_lower_bound(graph, features, r, params, mode)
     iterates = [start]
     previous = np.inf
@@ -602,12 +672,7 @@ def reference_e_step(graph, features, params, start, damping, cap, mode,
     final = iterates[-1]
     if bound(final) >= bound(start) - 1e-9:
         return final, False
-    # Without the edge term the fallback compares the start alone.
-    candidates = iterates[:-1] if mode != "features-only" else [start]
-    values = [bound(r) for r in candidates]
-    best = int(np.argmax(values))  # ties to the earliest
-    return (candidates[best], True) if values[best] > bound(final) \
-        else (final, True)
+    return start, True
 
 
 @settings(max_examples=150, deadline=None,
@@ -663,7 +728,7 @@ def sweep_update(graph, features, params, resp, mode):
 def test_e_step_without_damping_is_plain_jacobi(seed, n, n_classes, p, mode,
                                                 cap):
     # DAMPING = 0.0 blends no sweep, so the E-step is undamped Jacobi with
-    # the stop rules and the fallback, to the last bit.
+    # the stop rules and the guard, to the last bit.
     rng = np.random.default_rng(seed)
     graph, features, params = random_instance(rng, n=n, n_classes=n_classes,
                                               p=p)

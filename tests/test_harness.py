@@ -1,9 +1,11 @@
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cohsmix.harness as harness
 from cohsmix.em import EMConfig, EmptyClassError, fit_multi_restart
 from cohsmix.harness import (
     RESULTS_COLUMNS,
@@ -186,3 +188,18 @@ def test_worker_count_parsing(monkeypatch):
 def test_replicates_validation():
     with pytest.raises(ValueError):
         run_grid("a", replicates=0, specs=SMALL_SPECS)
+
+
+@pytest.mark.parametrize("scan_range", [(3, 2), (0, 2)])
+def test_bad_scan_range_fails_before_any_replicate(monkeypatch, tmp_path,
+                                                    scan_range):
+    def simulated(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(harness, "generate", simulated)
+    with pytest.raises(ValueError, match=re.escape(
+            "scan_range must satisfy 1 <= q_min <= q_max, got "
+            f"{scan_range[0]}..{scan_range[1]}")):
+        run_grid("a", replicates=1, cfg=FAST_CFG, specs=SMALL_SPECS[:1],
+                 out_dir=tmp_path, scan_range=scan_range)
+    assert not list(tmp_path.iterdir())

@@ -291,6 +291,55 @@ def test_read_params_rejects_a_scalar_alpha(fitted):
         read_params(paths["params"])
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("sigma2", "abc", "sigma2 must hold numbers only, got 'abc'"),
+    ("sigma2", None, "sigma2 must hold numbers only, got None"),
+    ("sigma2", True, "sigma2 must hold numbers only, got True"),
+    ("sigma2", [1.0], "sigma2 must be a number, got [1.0]"),
+    ("sigma2", 10**400, "sigma2 must be floats in lists nested to one "
+                        "shape"),
+    ("sigma2", -1.0, "sigma2 must be a positive finite scalar"),
+    ("alpha", ["a", 0.5], "alpha must hold numbers only, got 'a'"),
+    ("alpha", [0.5, None], "alpha must hold numbers only, got None"),
+    ("alpha", [[0.5], [0.5, 0.0]], "alpha must be floats in lists nested "
+                                   "to one shape"),
+    ("alpha", [0.9, 0.9], "alpha must be a probability vector"),
+    ("pi", [[0.5, "x"], [0.5, 0.5]], "pi must hold numbers only, got 'x'"),
+    ("pi", [[0.5, 0.1], [0.1]], "pi must be floats in lists nested to one "
+                                "shape"),
+    ("pi", [[0.5, 0.1], [0.1, 0.5], [0.1, 0.1]], "pi must have shape"),
+    ("mu", "abc", "mu must hold numbers only, got 'abc'"),
+    ("mu", [[0.0, 1.0], [2.0]], "mu must be floats in lists nested to one "
+                                "shape"),
+    ("j_trace", "abc", "j_trace must hold numbers only, got 'abc'"),
+    ("j_trace", [-10.0, "x"], "j_trace must hold numbers only, got 'x'"),
+    ("j_trace", [-10.0, [-9.0]], "j_trace must be floats in lists nested "
+                                 "to one shape"),
+    ("j_trace", [[-10.0]], "j_trace must be a list of numbers, got "
+                           "[[-10.0]]"),
+    ("j_trace", -10.0, "j_trace must be a list of numbers, got -10.0"),
+    ("icl", "abc", "icl must hold numbers only, got 'abc'"),
+    ("icl", [1.0], "icl must be a number, got [1.0]"),
+])
+def test_read_params_names_the_file_and_the_field(fitted, key, value,
+                                                  message):
+    _, paths = fitted
+    payload = json.loads(paths["params"].read_text())
+    payload[key] = value
+    paths["params"].write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{paths['params']}: {message}")):
+        read_params(paths["params"])
+
+
+def test_read_params_takes_a_null_icl(fitted):
+    _, paths = fitted
+    payload = json.loads(paths["params"].read_text())
+    payload["icl"] = None
+    paths["params"].write_text(json.dumps(payload))
+    assert read_params(paths["params"])[2] is None
+
+
 def test_params_json_key_order(fitted):
     _, paths = fitted
     payload = json.loads(paths["params"].read_text())
