@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -43,7 +44,10 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default="results", help="output directory")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: each ``parse_args`` fills a new namespace,
+    so nothing of one call's arguments reaches the next."""
     parser = argparse.ArgumentParser(
         prog="cohsmix",
         description="Cluster graphs with vertex features via variational EM.",

@@ -249,38 +249,37 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     start, which the fit driver already has. Each sweep is one
     stacked computation, its only n^2 work one :meth:`Graph.neighbour_mass`
     of the rows still sweeping; the logits of the vertex terms (proportions
-    and features) are computed once. Each row keeps the stop rules of
-    :func:`e_step`, and a row that stops leaves the stack. A row that meets
-    the tolerance ends on an iterate whose product its last sweep computed,
-    so only the rows at the sweep cap are multiplied after the loop. Returns
-    the statistics of the final iterates (``stats`` itself when no row
-    moved) and, by row, the sweeps it ran, whether it ended at the sweep cap
-    and whether it moved. A row that did not move returns its start, and
-    the caller takes its result from ``stats``: either its first sweep is
-    within the tolerance, or its final bound is more than 1e-9 below
-    ``start_bounds``.
+    and features) are computed once, and the edge term's mass of the other
+    vertices and the residual are written into two buffers allocated once
+    per call, the rows still sweeping in their leading rows. Each row keeps
+    the stop rules of :func:`e_step`, and a row that stops leaves the stack,
+    recorded by the sweeps it ran. A row that meets the tolerance ends on an
+    iterate whose product its last sweep computed, so only the rows at the
+    sweep cap are multiplied after the loop. Returns the statistics of the
+    final iterates (``stats`` itself when no row moved) and, by row, the
+    sweeps it ran, whether it ended at the sweep cap and whether it moved.
+    A row that did not move returns its start, and the caller takes its
+    result from ``stats``: either its first sweep is within the tolerance,
+    or its final bound is more than 1e-9 below ``start_bounds``.
     """
     graph, features = stats.graph, stats.features
     use_edges, _ = mode_terms(mode)
     n_rows, n_classes, n = stats.resp_t.shape
-    sweeps = np.zeros(n_rows, dtype=np.int64)
     capped = np.zeros(n_rows, dtype=bool)
-    moved = np.ones(n_rows, dtype=bool)
     if n_classes == 1:
-        moved[:] = False
-        return stats, sweeps, capped, moved
+        return stats, np.zeros(n_rows, dtype=np.int64), capped, capped.copy()
 
     with np.errstate(divide="ignore"):
         log_alpha = np.log(params.alpha)
         log_pi = np.log(params.pi)
         log_not = np.log1p(-params.pi)
-    # (R, Q, n) logits of the terms no sweep changes. A neighbour of class l
-    # adds log pi, any other vertex of class l log(1 - pi): the sweep applies
-    # their difference to the neighbour mass and log(1 - pi) to the mass of
-    # the other vertices.
-    base = np.repeat(log_alpha[:, :, None], n, axis=2)
+    # (R, Q, 1) logits of the terms no sweep changes, (R, Q, n) with the
+    # features. A neighbour of class l adds log pi, any other vertex of class
+    # l log(1 - pi): the sweep applies their difference to the neighbour mass
+    # and log(1 - pi) to the mass of the other vertices.
+    base = log_alpha[:, :, None]
     if d2 is not None:
-        base -= d2 / (2.0 * params.sigma2[:, None, None])
+        base = base - d2 / (2.0 * params.sigma2[:, None, None])
     log_ratio = log_pi - log_not
 
     # The rows still sweeping, their iterates, the product of those iterates
@@ -290,35 +289,40 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     cur = stats.resp_t
     mass = stats.mass if use_edges else None
     previous = np.full(n_rows, np.inf)
-    # Per row: the final iterate and its product, unknown for the rows at
-    # the sweep cap.
+    # Per row: the sweeps it ran (the cap until it stops sooner), the final
+    # iterate and its product, unknown for the rows at the sweep cap.
+    sweeps = np.full(n_rows, MAX_FIXEDPOINT_SWEEPS)
     finals = np.empty_like(cur)
     products = np.empty_like(cur) if use_edges else None
+    others, change = np.empty_like(cur), np.empty_like(cur)
     for sweep in range(MAX_FIXEDPOINT_SWEEPS):
+        rows = len(cur)
         if use_edges:
             if mass is None:
                 mass = graph.neighbour_mass(cur)
             logits = log_ratio @ mass
             logits += base
-            logits += log_not @ (cur.sum(axis=2)[:, :, None] - cur)
+            logits += log_not @ np.subtract(
+                np.add.reduce(cur, axis=2, keepdims=True), cur,
+                out=others[:rows])
         else:
-            logits = base.copy()
+            logits = np.array(np.broadcast_to(base, cur.shape))
         # Softmax over the classes shifted by the class maximum: exp can
         # neither overflow nor underflow a whole column to zero.
-        logits -= logits.max(axis=1, keepdims=True)
+        logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
         update = np.exp(logits, out=logits)
-        update /= update.sum(axis=1, keepdims=True)
-        residuals = np.abs(update - cur).max(axis=(1, 2))
+        update /= np.add.reduce(update, axis=1, keepdims=True)
+        diff = np.subtract(update, cur, out=change[:rows])
+        residuals = np.maximum.reduce(np.abs(diff, out=diff), axis=(1, 2))
         # A row within the tolerance ends on the iterate whose residual this
         # sweep measured, with the product the sweep already computed.
-        stopped = residuals <= FIXEDPOINT_TOL
-        if stopped.any():
+        if np.minimum.reduce(residuals) <= FIXEDPOINT_TOL:
+            stopped = residuals <= FIXEDPOINT_TOL
             done = live[stopped]
             sweeps[done] = sweep + 1
             finals[done] = cur[stopped]
             if use_edges:
                 products[done] = mass[stopped]
-            moved[done] = sweep > 0
             if stopped.all():
                 break
             keep = ~stopped
@@ -327,21 +331,24 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
             base, log_ratio = base[keep], log_ratio[keep]
             log_not = log_not[keep]
         # A row whose residual is not below its previous sweep's has stopped
-        # contracting; only such rows are blended with their old values.
-        blend = residuals >= previous
-        if blend.any():
-            weight = np.where(blend, DAMPING, 0.0)[:, None, None]
-            update = (1.0 - weight) * update + weight * cur
+        # contracting; only such rows are blended with their old values. The
+        # first sweep has no previous residual.
+        if sweep:
+            blend = residuals >= previous
+            if blend.any():
+                weight = np.where(blend, DAMPING, 0.0)[:, None, None]
+                update = (1.0 - weight) * update + weight * cur
         previous = residuals
         cur, mass = update, None
     else:
         # The sweep cap: the rows still sweeping end on their last iterate.
-        sweeps[live] = MAX_FIXEDPOINT_SWEEPS
         capped[live] = True
         finals[live] = cur
         if use_edges:
             products[live] = graph.neighbour_mass(cur)
 
+    # A row moved unless its first sweep met the tolerance.
+    moved = (sweeps > 1) | capped
     if not moved.any():
         return stats, sweeps, capped, moved
     out = ClassStats(graph, features, finals, products, stats.n_classes)
@@ -379,7 +386,10 @@ def _m_step(stats: ClassStats, mode: str):
 
     A padded class gets proportion 0, connection probabilities 0.5 and mean
     0. Returns the :class:`ParamStack` and, when the mode reads features, the
-    squared distances of the feature rows to its means.
+    squared distances of the feature rows to its means. The scatter that
+    gives the variance stays on ``stats`` with the means, so the bound that
+    follows reads it rather than forming it again (see
+    :meth:`ClassStats.scatter`).
     """
     use_edges, use_features = mode_terms(mode)
     n_rows, n_classes, n = stats.resp_t.shape
@@ -388,10 +398,11 @@ def _m_step(stats: ClassStats, mode: str):
 
     if use_edges:
         on, den = stats.on, stats.pairs
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pi = np.where(den > 0, on / np.where(den > 0, den, 1.0), 0.5)
+        # A pair count of 0 is divided by 1 instead, so no division warns.
+        positive = den > 0
+        pi = np.where(positive, on / np.where(positive, den, 1.0), 0.5)
         pi = (pi + pi.transpose(0, 2, 1)) / 2.0
-        pi = np.clip(pi, PI_EPS, 1.0 - PI_EPS)
+        pi = np.minimum(np.maximum(pi, PI_EPS, out=pi), 1.0 - PI_EPS, out=pi)
     else:
         pi = np.full((n_rows, n_classes, n_classes), 0.5)
 
@@ -438,12 +449,18 @@ def _rescue(stats: ClassStats):
 
     Returns the statistics after the last re-seed and, by row, the
     :class:`EmptyClassError` of each matrix whose classes are still empty.
+    A padded class has no mass, so it is below ``EMPTY_CLASS_MASS``; when
+    the padding is all that is below, no matrix has an empty class and the
+    stack is returned after that one count.
     """
-    real = np.arange(stats.col.shape[1]) < stats.n_classes[:, None]
+    padding = stats.col.size - np.add.reduce(stats.n_classes)
     for attempt in range(_RESCUE_ATTEMPTS + 1):
-        empty = (stats.col < EMPTY_CLASS_MASS) & real
+        below = stats.col < EMPTY_CLASS_MASS
+        if np.count_nonzero(below) == padding:
+            return stats, {}
+        empty = below & (np.arange(below.shape[1]) < stats.n_classes[:, None])
         rows = np.nonzero(empty.any(axis=1))[0]
-        if attempt == _RESCUE_ATTEMPTS or not rows.size:
+        if attempt == _RESCUE_ATTEMPTS:
             return stats, {int(row): EmptyClassError(
                 np.nonzero(empty[row])[0].tolist()) for row in rows}
         resp_t = stats.resp_t[rows]
@@ -581,24 +598,26 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
         # changes nothing, which is not counted.
         sweeps[idx] += np.where(stats.n_classes > 1, row_sweeps, 0)
         cap_hits[idx] += capped
+        # The row of stats and params that each row of stepped came from.
+        origin = range(len(idx))
         if not moved.all():
             # A row whose E-step returned its start has converged: the rest
             # of the iteration would rebuild its params and bound.
             for row in np.flatnonzero(~moved).tolist():
                 finish(stats, params, row, idx[row], True)
-            keep = np.flatnonzero(moved)
-            idx, bounds = idx[keep], bounds[keep]
+            origin = np.flatnonzero(moved)
+            idx, bounds = idx[origin], bounds[origin]
             if not idx.size:
                 break
-            stats, params = stats.take(keep), params.take(keep)
-            stepped = stepped.take(keep)
+            stepped = stepped.take(origin)
         new_stats, new_params, new_d2, rows, values = m_step_and_bound(stepped)
         previous = bounds.tolist()
         going = []
         for new_row, (row, value) in enumerate(zip(rows, values.tolist())):
             start = idx[row]
             if value < previous[row] - 1e-9:
-                finish(stats, params, row, start, False)
+                # Rolled back: the row finishes on the iterate it had.
+                finish(stats, params, origin[row], start, False)
                 continue
             traces[start].append(value)
             if abs(value - previous[row]) \

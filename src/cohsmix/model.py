@@ -190,7 +190,7 @@ class ModelParams:
 
     ``sigma2`` is the per-coordinate variance of the spherical Gaussian
     attached to each class. ``pi`` must be symmetric because the graph is
-    undirected.
+    undirected. Every entry must be finite.
     """
 
     alpha: np.ndarray
@@ -205,6 +205,9 @@ class ModelParams:
         if alpha.ndim != 1 or alpha.shape[0] < 1:
             raise ValueError("alpha must be a non-empty vector")
         q = alpha.shape[0]
+        for name, value in (("alpha", alpha), ("pi", pi), ("mu", mu)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(alpha < 0) or abs(alpha.sum() - 1.0) > 1e-8:
             raise ValueError("alpha must be a probability vector")
         if pi.shape != (q, q):
@@ -410,6 +413,9 @@ class ClassStats:
     in order (see :func:`_class_sum`). Only the adjacency product is BLAS.
     """
 
+    # The last scatter and the means it was formed for (see :meth:`scatter`).
+    _scatter = (None, None)
+
     def __init__(self, graph: Graph, features: FeatureMatrix,
                  resp_t: np.ndarray, mass: np.ndarray | None = None,
                  n_classes: np.ndarray | None = None):
@@ -458,11 +464,16 @@ class ClassStats:
         return _class_sum(responsibility_entropy(self.resp_t, axis=2))
 
     def take(self, rows) -> "ClassStats":
-        """The statistics of the matrices at ``rows``, with their products
-        and whichever of ``on``, ``pairs`` and the entropy are computed."""
-        taken = ClassStats(self.graph, self.features, self.resp_t[rows],
-                           None if self._mass is None else self._mass[rows],
-                           self.n_classes[rows])
+        """The statistics of the matrices at ``rows``, with their products,
+        class masses and whichever of ``on``, ``pairs`` and the entropy are
+        computed. The rows come from checked statistics and every statistic
+        is a row's own, so the taken rows are neither checked nor summed
+        again."""
+        taken = object.__new__(ClassStats)
+        taken.graph, taken.features = self.graph, self.features
+        taken.resp_t, taken.col = self.resp_t[rows], self.col[rows]
+        taken._mass = None if self._mass is None else self._mass[rows]
+        taken.n_classes = self.n_classes[rows]
         for name in ("on", "pairs", "entropy"):
             if name in self.__dict__:
                 taken.__dict__[name] = self.__dict__[name][rows]
@@ -486,11 +497,18 @@ class ClassStats:
 
         ``mu`` is an (R, Q, p) stack of means; ``d2`` is
         ``squared_distances(mu, features.values)`` when the caller already
-        has it.
+        has it. The last scatter is kept with the ``mu`` it was formed for
+        and returned again for that same array: the M-step forms it for the
+        variance, and the bound that follows needs it for the same means.
+        Means are never changed in place.
         """
+        if self._scatter[0] is mu:
+            return self._scatter[1]
         if d2 is None:
             d2 = self.features.squared_distances(mu)
-        return _class_sum((self.resp_t * d2).sum(axis=2))
+        value = _class_sum((self.resp_t * d2).sum(axis=2))
+        self._scatter = (mu, value)
+        return value
 
     def log_likelihood(self, params: ParamStack, mode: str = "joint",
                        d2: np.ndarray | None = None) -> np.ndarray:

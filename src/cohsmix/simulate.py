@@ -47,10 +47,12 @@ class AffiliationSpec:
                 "need 0 <= between_prob <= within_prob <= 1, got "
                 f"{self.between_prob}, {self.within_prob}"
             )
-        if self.noise_std <= 0:
-            raise ValueError("noise_std must be positive")
-        if self.mean_gap < 0:
-            raise ValueError("mean_gap must be non-negative")
+        if not (np.isfinite(self.noise_std) and self.noise_std > 0):
+            raise ValueError("noise_std must be positive and finite, got "
+                             f"{self.noise_std!r}")
+        if not (np.isfinite(self.mean_gap) and self.mean_gap >= 0):
+            raise ValueError("mean_gap must be non-negative and finite, got "
+                             f"{self.mean_gap!r}")
 
     @property
     def prob_gap(self) -> float:

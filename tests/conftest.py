@@ -29,6 +29,12 @@ def random_responsibilities(n, n_classes, rng):
     return rng.dirichlet(np.ones(n_classes), size=n)
 
 
+def row_by_row_mass(graph, resp_t):
+    """``Graph.neighbour_mass`` with each row's entries summed in an order
+    that does not depend on the other rows."""
+    return np.einsum("...n,nm->...m", resp_t, graph.adjacency)
+
+
 def random_instance(rng, n=6, n_classes=2, p=2):
     graph = random_graph(n, rng)
     features = random_features(n, p, rng)

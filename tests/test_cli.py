@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import cohsmix.cli as cli
 from cohsmix.cli import main
 from cohsmix.em import EMConfig, fit_multi_restart
 from cohsmix.io import read_features, read_graph
@@ -51,6 +52,39 @@ def test_simulate_explicit_requires_probabilities(capsys, tmp_path):
                              "--out", str(tmp_path))
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("gap", ["nan", "inf"])
+def test_simulate_rejects_a_non_finite_gap(capsys, tmp_path, gap):
+    code, _, err = run_cli(capsys, "simulate", "--n", "10", "--q", "2",
+                           "--lambda", "0.5", "--epsilon", "0.1", "--gap", gap,
+                           "--out", str(tmp_path / "data"))
+    assert code == 1
+    assert err == f"error: mean_gap must be non-negative and finite, " \
+        f"got {float(gap)!r}\n"
+    assert not (tmp_path / "data").exists()
+
+
+def test_parser_is_built_once_and_keeps_no_arguments(capsys, monkeypatch):
+    # The parser is cached; a usage error on one call and the arguments of
+    # another must not reach a later call, which gets the defaults.
+    parsed = []
+    monkeypatch.setitem(cli._COMMANDS, "simulate",
+                        lambda args: parsed.append(vars(args)) or 0)
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--n", "-5"])
+    assert info.value.code == 2
+    assert "argument --n" in capsys.readouterr().err
+    assert main(["simulate", "--n", "12", "--q", "3", "--seed", "5",
+                 "--gap", "2.5", "--out", "elsewhere"]) == 0
+    assert main(["simulate"]) == 0
+    assert parsed[0] == {**parsed[1], "n": 12, "q": 3, "seed": 5, "gap": 2.5,
+                         "out": "elsewhere"}
+    assert parsed[1] == {"command": "simulate", "setting": None, "n": 150,
+                         "q": None, "lam": None, "epsilon": None, "gap": 0.0,
+                         "p": 3, "seed": 0, "restarts": 10, "max_iters": 100,
+                         "out": "results"}
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_fit_end_to_end(capsys, tmp_path):

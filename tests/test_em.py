@@ -41,6 +41,7 @@ from conftest import (
     random_instance,
     random_params,
     random_responsibilities,
+    row_by_row_mass,
 )
 from oracles import maximize_bound_numerically, responsibility_update_oracle
 
@@ -279,6 +280,43 @@ def test_e_step_multiplies_once_per_sweep_after_the_first(monkeypatch, seed):
     assert np.abs(out.mass - compute(graph, out.resp_t)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("cap", [15, 50])
+@pytest.mark.parametrize("mode", ["joint", "graph-only"])
+def test_stacked_rows_stopping_at_different_sweeps_end_as_alone(
+        monkeypatch, mode, cap):
+    # The sweeps write the mass of the other vertices and the residual into
+    # two buffers that the rows still sweeping share. Rows that stop at
+    # different sweeps, or at the cap, must still end on the iterate and the
+    # product of their E-step alone, bit for bit (the product summed row by
+    # row, as BLAS rounding may change with the stack's shape).
+    monkeypatch.setattr(Graph, "neighbour_mass", row_by_row_mass)
+    monkeypatch.setattr(em, "MAX_FIXEDPOINT_SWEEPS", cap)
+    rng = np.random.default_rng(1)
+    graph, features = random_graph(30, rng), random_features(30, 2, rng)
+    rows = [(ParamStack.of(random_params(3, 2, rng).clamped()),
+             random_responsibilities(30, 3, rng)) for _ in range(5)]
+    stack = ParamStack(*(np.concatenate(field)
+                         for field in zip(*(one for one, _ in rows))))
+    d2 = features.squared_distances(stack.mu) if mode == "joint" else None
+    stats = ClassStats(graph, features, np.ascontiguousarray(
+        np.stack([start.T for _, start in rows])))
+    out, sweeps, capped, moved = em._e_step(
+        stats, stack, d2, stats.bound(stack, mode, d2), mode)
+    assert len(set(sweeps.tolist())) > 1
+    assert moved.all()
+    if cap == 15:
+        assert 0 < capped.sum() < len(rows)
+    for row, (one, start) in enumerate(rows):
+        alone = ClassStats.of(graph, features, start)
+        one_d2 = None if d2 is None else d2[row:row + 1]
+        ended, *flags = em._e_step(alone, one, one_d2,
+                                   alone.bound(one, mode, one_d2), mode)
+        assert [flag[0] for flag in flags] \
+            == [sweeps[row], capped[row], moved[row]]
+        assert np.array_equal(out.resp_t[row], ended.resp_t[0])
+        assert np.array_equal(out.mass[row], ended.mass[0])
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
@@ -491,12 +529,6 @@ def test_padded_rows_get_the_statistics_they_get_alone(seed, n, p, widths,
         assert bounds[row] == one.bound(one_params, mode, one_d2)[0]
 
 
-def _row_by_row_mass(graph, resp_t):
-    """``Graph.neighbour_mass`` with each row's entries summed in an order
-    that does not depend on the other rows."""
-    return np.einsum("...n,nm->...m", resp_t, graph.adjacency)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 30),
        p=st.sampled_from([0, 2]),
@@ -512,7 +544,7 @@ def test_padded_starts_fit_as_they_fit_alone(seed, n, p, widths, mode):
     starts = [random_responsibilities(n, q, rng) if q > 1 else np.ones((n, 1))
               for q in widths]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Graph, "neighbour_mass", _row_by_row_mass)
+        patch.setattr(Graph, "neighbour_mass", row_by_row_mass)
         padded = _results(em._em(graph, features, starts, 15, mode))
         alone = [_results(em._em(graph, features, [start], 15, mode))[0]
                  for start in starts]
@@ -565,7 +597,7 @@ def test_guarded_start_of_a_stack_ends_on_its_previous_iterate(monkeypatch):
     monkeypatch.setattr(em, "_e_step", recorded)
     monkeypatch.setattr(em, "DAMPING", 0.0)
     monkeypatch.setattr(em, "MAX_FIXEDPOINT_SWEEPS", 5)
-    monkeypatch.setattr(Graph, "neighbour_mass", _row_by_row_mass)
+    monkeypatch.setattr(Graph, "neighbour_mass", row_by_row_mass)
     alone = []
     for start in starts:
         calls.clear()
@@ -824,6 +856,58 @@ def test_m_step_raises_on_empty_class(rng):
     with pytest.raises(EmptyClassError) as info:
         m_step(graph, FeatureMatrix.empty(5), resp)
     assert info.value.empty_classes == [1]
+
+
+def _padded_stack(graph, features, widths, rng):
+    resp_t = np.zeros((len(widths), max(widths), graph.n))
+    for row, q in enumerate(widths):
+        resp_t[row, :q] = random_responsibilities(graph.n, q, rng).T
+    return ClassStats(graph, features, resp_t, n_classes=np.array(widths))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bound_after_the_m_step_is_the_bound_of_fresh_statistics(rng, mode):
+    # The M-step keeps the scatter it forms for the variance, and the bound
+    # that follows reads it: that bound is, bit for bit, the bound of fresh
+    # statistics of the same matrices, which form the scatter again.
+    graph, features = random_graph(20, rng), random_features(20, 2, rng)
+    stats = _padded_stack(graph, features, [3, 2, 3], rng)
+    params, d2 = em._m_step(stats, mode)
+    bounds = stats.bound(params, mode, d2)
+
+    def fresh():
+        return ClassStats(graph, features, stats.resp_t.copy(), stats.mass,
+                          stats.n_classes)
+
+    assert np.array_equal(bounds, fresh().bound(params, mode, d2))
+    assert np.array_equal(bounds, fresh().bound(params, mode))
+    if d2 is not None:
+        assert stats._scatter[0] is params.mu
+    # Other means get their own scatter.
+    moved = params._replace(mu=params.mu + 1.0)
+    assert np.array_equal(stats.bound(moved, mode), fresh().bound(moved, mode))
+    assert np.array_equal(stats.bound(params, mode),
+                          fresh().bound(params, mode))
+
+
+def test_rescue_passes_a_padded_stack_without_empty_classes(monkeypatch,
+                                                            rng):
+    # Padded classes have no mass; when nothing else is below
+    # EMPTY_CLASS_MASS, the rescue returns its input as it is.
+    graph, features = random_graph(12, rng), random_features(12, 2, rng)
+    stats = _padded_stack(graph, features, [3, 1, 2], rng)
+    with monkeypatch.context() as patch:
+        patch.setattr(em, "_reseed_empty_classes", None)
+        out, errors = em._rescue(stats)
+    assert out is stats and errors == {}
+    # An empty class of a matrix's own is still re-seeded, in its own row.
+    resp_t = stats.resp_t.copy()
+    resp_t[2, 0], resp_t[2, 1] = 1.0, 0.0
+    empty = ClassStats(graph, features, resp_t, n_classes=stats.n_classes)
+    out, errors = em._rescue(empty)
+    assert errors == {}
+    assert (out.col[2, :2] >= em.EMPTY_CLASS_MASS).all()
+    assert np.array_equal(out.resp_t[:2], resp_t[:2])
 
 
 def test_reseed_assigns_least_confident_vertex():
@@ -1435,7 +1519,7 @@ def test_unmoved_row_finishes_as_the_full_iteration_did(monkeypatch, mode):
     starts = [em._init(graph, features, 3, seed, strategy, mode)
               for seed, strategy in em._restart_plan(5, 6, use_features,
                                                      use_edges)]
-    monkeypatch.setattr(Graph, "neighbour_mass", _row_by_row_mass)
+    monkeypatch.setattr(Graph, "neighbour_mass", row_by_row_mass)
     runs = em._em(graph, features, starts, 100, mode)
     repeats = 0
     for start, run in zip(starts, runs):

@@ -332,6 +332,22 @@ def test_read_params_names_the_file_and_the_field(fitted, key, value,
         read_params(paths["params"])
 
 
+@pytest.mark.parametrize("key", ["alpha", "pi", "mu"])
+def test_read_params_rejects_a_non_finite_field(fitted, key):
+    # json reads NaN; the params constructor rejects it, naming the field,
+    # and the reader names the file.
+    _, paths = fitted
+    payload = json.loads(paths["params"].read_text())
+    value = np.array(payload[key], dtype=float)
+    value.flat[0] = np.nan
+    payload[key] = value.tolist()
+    paths["params"].write_text(json.dumps(payload))
+    assert "NaN" in paths["params"].read_text()
+    with pytest.raises(ValueError, match=re.escape(
+            f"{paths['params']}: {key} must be finite")):
+        read_params(paths["params"])
+
+
 def test_read_params_takes_a_null_icl(fitted):
     _, paths = fitted
     payload = json.loads(paths["params"].read_text())

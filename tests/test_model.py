@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cohsmix.model as model
 from cohsmix.em import _m_step
 from cohsmix.model import (
     ClassStats,
@@ -27,6 +28,7 @@ from conftest import (
     random_instance,
     random_params,
     random_responsibilities,
+    row_by_row_mass,
 )
 from oracles import complete_ll_bruteforce, log_marginal_bruteforce
 
@@ -112,6 +114,19 @@ def test_params_validation():
                     sigma2=0.0)
 
 
+@pytest.mark.parametrize("field", ["alpha", "pi", "mu"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_params_reject_a_non_finite_entry(field, value):
+    # NaN passes every comparison the other checks make, so each field is
+    # checked for finite entries, and the message names it.
+    fields = {"alpha": np.array([0.5, 0.5]),
+              "pi": np.array([[0.5, 0.1], [0.1, 0.5]]),
+              "mu": np.array([[0.0], [1.0]])}
+    fields[field][0] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        ModelParams(**fields, sigma2=1.0)
+
+
 @pytest.mark.parametrize("alpha", [1.0, [], [[0.5, 0.5]]])
 def test_params_reject_an_alpha_that_is_not_a_vector(alpha):
     # A 0-d alpha is named like any other, not an IndexError.
@@ -149,19 +164,26 @@ def test_unstack_builds_what_the_constructor_builds(rng, monkeypatch):
 
 def test_take_keeps_the_computed_statistics(rng, monkeypatch):
     graph, features = random_graph(10, rng), random_features(10, 2, rng)
+    # The products of the stack and of the taken rows alone, summed alike.
+    monkeypatch.setattr(Graph, "neighbour_mass", row_by_row_mass)
     stats = ClassStats(graph, features, np.stack(
         [random_responsibilities(10, 3, rng).T for _ in range(3)]))
     on, pairs, entropy = stats.on, stats.pairs, stats.entropy
     rows = [2, 0]
-    calls = []
-    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args))
-    taken = stats.take(rows)
+    calls, checks = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", lambda *args: calls.append(args))
+        patch.setattr(model, "check_rows", lambda *args: checks.append(args))
+        taken = stats.take(rows)
     assert np.array_equal(taken.on, on[rows])
     assert np.array_equal(taken.pairs, pairs[rows])
     assert np.array_equal(taken.entropy, entropy[rows])
-    assert not calls
-    monkeypatch.undo()
+    assert not calls and not checks
     fresh = ClassStats(graph, features, stats.resp_t[rows])
+    assert np.array_equal(taken.resp_t, fresh.resp_t)
+    assert np.array_equal(taken.col, fresh.col)
+    assert np.array_equal(taken.mass, fresh.mass)
+    assert np.array_equal(taken.n_classes, fresh.n_classes)
     assert np.array_equal(taken.on, fresh.on)
     assert np.array_equal(taken.pairs, fresh.pairs)
     assert np.array_equal(taken.entropy, fresh.entropy)

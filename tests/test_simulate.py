@@ -23,6 +23,11 @@ def test_spec_validation():
         AffiliationSpec(n_classes=2, within_prob=0.2, between_prob=0.4)
     with pytest.raises(ValueError):
         AffiliationSpec(n_classes=2, noise_std=0.0)
+    for name in ("mean_gap", "noise_std"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be .* and "
+                               "finite"):
+                AffiliationSpec(n_classes=2, **{name: value})
 
 
 def test_generate_deterministic_replay():
