@@ -231,13 +231,14 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     stack = ParamStack.of(params.clamped())
     d2 = features.squared_distances(stack.mu) \
         if mode_terms(mode)[1] and features.p else None
-    stats, _, _, moved = _e_step(start, stack, d2,
-                                 start.bound(stack, mode, d2), mode)
-    return np.ascontiguousarray((stats if moved[0] else start).resp[0])
+    stats, _, _, moved = _e_step(start, stack, d2, mode)
+    if moved[0] and stats.bound(stack, mode, d2)[0] \
+            < start.bound(stack, mode, d2)[0] - 1e-9:
+        stats = start
+    return np.ascontiguousarray(stats.resp[0])
 
 
-def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
-            mode: str):
+def _e_step(stats: ClassStats, params: ParamStack, d2, mode: str):
     """The E-step of every matrix of a stack, swept in lockstep.
 
     Row r of the stack is swept under row r of ``params``; a padded class
@@ -245,8 +246,7 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     are ``-inf`` and it stays empty, and a padded one-class row ends at its
     first sweep, which changes nothing. ``d2`` is the
     (R, Q, n) ``squared_distances(params.mu, features.values)``, or None when
-    the mode reads no features, and ``start_bounds`` the bounds of the
-    start, which the fit driver already has. Each sweep is one
+    the mode reads no features. Each sweep is one
     stacked computation, its only n^2 work one :meth:`Graph.neighbour_mass`
     of the rows still sweeping; the logits of the vertex terms (proportions
     and features) are computed once, and the edge term's mass of the other
@@ -257,10 +257,12 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     iterate whose product its last sweep computed, so only the rows at the
     sweep cap are multiplied after the loop. Returns the statistics of the
     final iterates (``stats`` itself when no row moved) and, by row, the
-    sweeps it ran, whether it ended at the sweep cap and whether it moved.
-    A row that did not move returns its start, and the caller takes its
-    result from ``stats``: either its first sweep is within the tolerance,
-    or its final bound is more than 1e-9 below ``start_bounds``.
+    sweeps it ran, whether it ended at the sweep cap and whether it moved:
+    a row moved unless its first sweep was within the tolerance, and one
+    that did not returns its start. No bound is computed here, and no row
+    is held back for lowering its bound: the sweeps need not raise it, and
+    :func:`e_step` returns the start in that case, while the fit rolls back
+    an iteration that ends below its previous bound (see :func:`_em`).
     """
     graph, features = stats.graph, stats.features
     use_edges, _ = mode_terms(mode)
@@ -318,24 +320,25 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
         # sweep measured, with the product the sweep already computed.
         if np.minimum.reduce(residuals) <= FIXEDPOINT_TOL:
             stopped = residuals <= FIXEDPOINT_TOL
-            done = live[stopped]
+            halt, keep = np.flatnonzero(stopped), np.flatnonzero(~stopped)
+            done = live.take(halt)
             sweeps[done] = sweep + 1
-            finals[done] = cur[stopped]
+            finals[done] = cur.take(halt, axis=0)
             if use_edges:
-                products[done] = mass[stopped]
-            if stopped.all():
+                products[done] = mass.take(halt, axis=0)
+            if not keep.size:
                 break
-            keep = ~stopped
-            live, update, cur = live[keep], update[keep], cur[keep]
-            residuals, previous = residuals[keep], previous[keep]
-            base, log_ratio = base[keep], log_ratio[keep]
-            log_not = log_not[keep]
+            live, residuals, previous = live.take(keep), \
+                residuals.take(keep), previous.take(keep)
+            update, cur = update.take(keep, axis=0), cur.take(keep, axis=0)
+            base, log_ratio, log_not = base.take(keep, axis=0), \
+                log_ratio.take(keep, axis=0), log_not.take(keep, axis=0)
         # A row whose residual is not below its previous sweep's has stopped
         # contracting; only such rows are blended with their old values. The
         # first sweep has no previous residual.
         if sweep:
             blend = residuals >= previous
-            if blend.any():
+            if np.count_nonzero(blend):
                 weight = np.where(blend, DAMPING, 0.0)[:, None, None]
                 update = (1.0 - weight) * update + weight * cur
         previous = residuals
@@ -351,9 +354,8 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, start_bounds,
     moved = (sweeps > 1) | capped
     if not moved.any():
         return stats, sweeps, capped, moved
-    out = ClassStats(graph, features, finals, products, stats.n_classes)
-    moved[out.bound(params, mode, d2) < start_bounds - 1e-9] = False
-    return out, sweeps, capped, moved
+    return ClassStats(graph, features, finals, products, stats.n_classes), \
+        sweeps, capped, moved
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +544,16 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
     back to its start's own classes, and a start gives what it gives in a
     stack of its own width.
 
-    Every start records the lower bound after each M-step and stops on its
-    own: when the relative bound change drops below ``BOUND_REL_TOL``
-    (converged), when its E-step returns its start (converged: the M-step
-    would give back the params and the bound it has), after
-    ``max_em_iters`` iterations, or when an iteration would lower its bound
-    (possible only after an empty-class re-seed), which is rolled back. A
+    Every start records the lower bound after each M-step, the one bound
+    an iteration computes, and stops on its own: when the relative bound
+    change drops below ``BOUND_REL_TOL`` (converged), when its E-step
+    returns its start (converged: the M-step would give back the params and
+    the bound it has), after ``max_em_iters`` iterations, or when an
+    iteration would lower its bound by more than 1e-9, which is rolled
+    back: the start ends, not converged, on the iterate, params and bound
+    it had before that iteration. The sweeps need not raise the bound, and
+    an empty-class re-seed may lower it; an E-step that lowered it goes on
+    if the M-step wins it back. So the recorded trace never falls. A
     start whose classes stay empty after the re-seeds fails. A start that
     stops or fails leaves the stack. Each start counts its E-step sweeps and
     sweep-cap hits (a one-class start none). Returns, by start, its
@@ -592,8 +598,7 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
     for _ in range(max_em_iters):
         if not idx.size:
             break
-        stepped, row_sweeps, capped, moved = _e_step(stats, params, d2, bounds,
-                                                     mode)
+        stepped, row_sweeps, capped, moved = _e_step(stats, params, d2, mode)
         # A one-class start needs no sweep; padded, it runs one that
         # changes nothing, which is not counted.
         sweeps[idx] += np.where(stats.n_classes > 1, row_sweeps, 0)
@@ -645,8 +650,9 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
     from ``cfg.rng_seed``. Records the lower bound after every M-step;
     stops when the relative bound change drops below ``BOUND_REL_TOL``
     (converged) or the iteration cap is hit. The recorded trace is
-    non-decreasing: an iteration that would lower the bound (possible only
-    after an empty-class re-seed) is rolled back and the run stops there.
+    non-decreasing: an iteration that would lower the bound (after an
+    E-step or an empty-class re-seed that lowered it) is rolled back and the
+    run stops there, not converged.
     Raises
     ``ValueError`` unless ``1 <= n_classes <= graph.n``, and
     :class:`EmptyClassError` if a class stays empty after the re-seeds.

@@ -304,14 +304,19 @@ def read_params(path):
     if mu.size == 0:
         mu = np.zeros((n_classes, 0))
     sigma2 = _numbers(path, payload, "sigma2", ndim=0)
-    trace = _numbers(path, payload, "j_trace", ndim=1).tolist()
-    if payload["icl"] is not None:
-        _numbers(path, payload, "icl", ndim=0)
+    trace = _numbers(path, payload, "j_trace", ndim=1)
+    icl = None if payload["icl"] is None \
+        else _numbers(path, payload, "icl", ndim=0)
+    # The bounds and the criterion of a fit are finite; json reads NaN and
+    # Infinity.
+    for key, value in (("j_trace", trace), ("icl", icl)):
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{path}: {key} must be finite")
     try:
         params = ModelParams(alpha=alpha, pi=pi, mu=mu, sigma2=sigma2)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    return params, trace, payload["icl"]
+    return params, trace.tolist(), payload["icl"]
 
 
 def _numbers(path, payload, key: str, ndim: int | None = None) -> np.ndarray:

@@ -399,8 +399,11 @@ class ClassStats:
     asks for it; the caller passes it in when it already has it. ``col`` is
     the class mass; ``on`` the expected edge counts between classes, each
     edge counted from both ends; ``pairs`` the expected counts of ordered
-    pairs of distinct vertices. ``resp_t`` is taken as given: callers
-    validate it.
+    pairs of distinct vertices. Callers validate ``resp_t``; it is kept in
+    C order, copied only when it is not: numpy groups the terms of a sum
+    over vertices by the memory layout, so a strided stack (``np.stack``
+    of transposes) would round differently from the same matrices in C
+    order. Every stack the fit builds is C-contiguous already.
 
     Matrices of different class counts share a stack by padding: matrix r
     has ``n_classes[r]`` classes (every class of the stack by default), and
@@ -424,6 +427,7 @@ class ClassStats:
             raise ValueError(f"resp_t must be an (R, Q, {graph.n}) stack, got "
                              f"shape {resp_t.shape}; ClassStats.of takes "
                              "one (n, Q) matrix")
+        resp_t = np.ascontiguousarray(resp_t)
         self.graph = graph
         self.features = features
         self.resp_t = resp_t
@@ -435,8 +439,7 @@ class ClassStats:
     @classmethod
     def of(cls, graph: Graph, features: FeatureMatrix, resp) -> "ClassStats":
         """Statistics of one (n, Q) responsibility matrix."""
-        resp_t = np.asarray(resp, dtype=np.float64).T
-        return cls(graph, features, np.ascontiguousarray(resp_t)[None])
+        return cls(graph, features, np.asarray(resp, dtype=np.float64).T[None])
 
     @property
     def resp(self) -> np.ndarray:

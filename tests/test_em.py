@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import cohsmix.em as em
@@ -28,6 +28,7 @@ from cohsmix.model import (
     Graph,
     ModelParams,
     ParamStack,
+    exact_log_marginal,
     mode_terms,
     one_hot,
     squared_distances,
@@ -216,7 +217,7 @@ def test_e_step_at_fixed_point_multiplies_once(monkeypatch):
 def test_stacked_e_step_leaves_a_row_at_its_fixed_point(monkeypatch):
     # Row 0 is the fixed point of test_e_step_at_fixed_point_multiplies_once;
     # row 1 starts away from it. Row 0 leaves the stack after the first
-    # sweep, keeps its start and is multiplied once, with the start bound.
+    # sweep, keeps its start and is multiplied once, by that sweep.
     graph = Graph(np.array([[0, 1], [1, 0]]))
     features = FeatureMatrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
     params = ModelParams(alpha=[0.5, 0.5],
@@ -237,8 +238,7 @@ def test_stacked_e_step_leaves_a_row_at_its_fixed_point(monkeypatch):
     stack = ParamStack(*(np.concatenate([field, field])
                          for field in ParamStack.of(params)))
     d2 = squared_distances(stack.mu, features.values)
-    out, sweeps, capped, moved = em._e_step(
-        start, stack, d2, start.bound(stack, "joint", d2), "joint")
+    out, sweeps, capped, moved = em._e_step(start, stack, d2, "joint")
     assert sweeps[0] == 1 and sweeps[1] > 1 and not capped.any()
     assert moved.tolist() == [False, True]
     assert np.array_equal(out.resp_t[0], start.resp_t[0])
@@ -251,10 +251,11 @@ def test_stacked_e_step_leaves_a_row_at_its_fixed_point(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_e_step_multiplies_once_per_sweep_after_the_first(monkeypatch, seed):
-    # The start's product comes with its bound. Each later sweep multiplies
-    # the rows still sweeping once, and a row that meets the tolerance ends
-    # on an iterate its last sweep multiplied, so without a cap hit nothing
-    # is multiplied after the loop.
+    # The start's product comes with its statistics: the fit computed it
+    # for the bound after its M-step. Each later sweep multiplies the rows
+    # still sweeping once, and a row that meets the tolerance ends on an
+    # iterate its last sweep multiplied, so without a cap hit nothing is
+    # multiplied after the loop.
     rng = np.random.default_rng(seed)
     graph, features, params = random_instance(rng, n=30, n_classes=3, p=2)
     stats = ClassStats(graph, features, np.stack(
@@ -262,7 +263,7 @@ def test_e_step_multiplies_once_per_sweep_after_the_first(monkeypatch, seed):
     stack = ParamStack(*(np.concatenate([field] * 3)
                          for field in ParamStack.of(params.clamped())))
     d2 = features.squared_distances(stack.mu)
-    bounds = stats.bound(stack, "joint", d2)
+    stats.mass  # computed before the count, as the fit driver has it
     compute = Graph.neighbour_mass
     products = []
 
@@ -271,7 +272,7 @@ def test_e_step_multiplies_once_per_sweep_after_the_first(monkeypatch, seed):
         return compute(self, resp_t)
 
     monkeypatch.setattr(Graph, "neighbour_mass", counted)
-    out, sweeps, capped, _ = em._e_step(stats, stack, d2, bounds, "joint")
+    out, sweeps, capped, _ = em._e_step(stats, stack, d2, "joint")
     assert not capped.any() and sweeps.max() > 1
     assert len(products) == sweeps.max() - 1
     # Row r is in the product of sweep s (counted from 0) while s < sweeps[r].
@@ -300,8 +301,7 @@ def test_stacked_rows_stopping_at_different_sweeps_end_as_alone(
     d2 = features.squared_distances(stack.mu) if mode == "joint" else None
     stats = ClassStats(graph, features, np.ascontiguousarray(
         np.stack([start.T for _, start in rows])))
-    out, sweeps, capped, moved = em._e_step(
-        stats, stack, d2, stats.bound(stack, mode, d2), mode)
+    out, sweeps, capped, moved = em._e_step(stats, stack, d2, mode)
     assert len(set(sweeps.tolist())) > 1
     assert moved.all()
     if cap == 15:
@@ -309,8 +309,7 @@ def test_stacked_rows_stopping_at_different_sweeps_end_as_alone(
     for row, (one, start) in enumerate(rows):
         alone = ClassStats.of(graph, features, start)
         one_d2 = None if d2 is None else d2[row:row + 1]
-        ended, *flags = em._e_step(alone, one, one_d2,
-                                   alone.bound(one, mode, one_d2), mode)
+        ended, *flags = em._e_step(alone, one, one_d2, mode)
         assert [flag[0] for flag in flags] \
             == [sweeps[row], capped[row], moved[row]]
         assert np.array_equal(out.resp_t[row], ended.resp_t[0])
@@ -327,8 +326,8 @@ def test_e_step_stopped_below_the_cap_is_within_tolerance_of_its_update(
         seed, n, n_classes, p, mode, damping, cap):
     # A row that meets the tolerance ends on the iterate whose residual it
     # measured, so the oracle update of the result lies within
-    # FIXEDPOINT_TOL of it, unless the guard against lowering the bound
-    # returned the start instead.
+    # FIXEDPOINT_TOL of it. The stacked E-step has no guard against
+    # lowering the bound that could return the start instead.
     rng = np.random.default_rng(seed)
     graph, features, params = random_instance(rng, n=n, n_classes=n_classes,
                                               p=p)
@@ -338,11 +337,8 @@ def test_e_step_stopped_below_the_cap_is_within_tolerance_of_its_update(
     d2 = features.squared_distances(stack.mu) \
         if mode_terms(mode)[1] and p else None
     with e_step_protocol(damping, cap):
-        out, _, capped, _ = em._e_step(stats, stack, d2,
-                                       stats.bound(stack, mode, d2), mode)
-    _, fell_back = reference_e_step(graph, features, params, start, damping,
-                                    cap, mode)
-    assume(not capped[0] and not fell_back)
+        out, _, capped, _ = em._e_step(stats, stack, d2, mode)
+    assume(not capped[0])
     refreshed = responsibility_update_oracle(graph, features, params,
                                              out.resp[0], mode)
     assert np.abs(refreshed - out.resp[0]).max() <= em.FIXEDPOINT_TOL
@@ -396,14 +392,17 @@ def test_e_step_falls_back_to_its_start(monkeypatch):
 
 
 def _stacked_e_step(graph, features, params, start):
-    """``e_step``'s result with the sweeps it ran and whether it capped."""
+    """``e_step``'s result with the sweeps it ran and whether it capped: the
+    stacked E-step's matrix taken through ``e_step``'s guard, which returns
+    the start when the final bound is more than 1e-9 below the start's."""
     stats = ClassStats.of(graph, features, start)
     stack = ParamStack.of(params.clamped())
     d2 = squared_distances(stack.mu, features.values)
-    out, sweeps, capped, moved = em._e_step(
-        stats, stack, d2, stats.bound(stack, "joint", d2), "joint")
-    return (out if moved[0] else stats).resp[0], int(sweeps[0]), \
-        bool(capped[0])
+    out, sweeps, capped, moved = em._e_step(stats, stack, d2, "joint")
+    bound = lambda one: one.bound(stack, "joint", d2)[0]
+    if moved[0] and bound(out) < bound(stats) - 1e-9:
+        out = stats
+    return out.resp[0], int(sweeps[0]), bool(capped[0])
 
 
 def test_guarded_e_step_settles_where_plain_jacobi_oscillates():
@@ -529,6 +528,22 @@ def test_padded_rows_get_the_statistics_they_get_alone(seed, n, p, widths,
         assert bounds[row] == one.bound(one_params, mode, one_d2)[0]
 
 
+def _assert_same_fits(padded, alone):
+    """Each outcome of a padded stack is, bit for bit, its start's alone."""
+    for run, one in zip(padded, alone):
+        assert type(run) is type(one)
+        if isinstance(one, EmptyClassError):
+            assert str(run) == str(one)
+            continue
+        assert np.array_equal(run.responsibilities, one.responsibilities)
+        assert run.bound_trace == one.bound_trace
+        assert (run.converged, run.e_step_sweeps, run.sweep_cap_hits) \
+            == (one.converged, one.e_step_sweeps, one.sweep_cap_hits)
+        for field in ("alpha", "pi", "mu", "sigma2"):
+            assert np.array_equal(getattr(run.params, field),
+                                  getattr(one.params, field))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 30),
        p=st.sampled_from([0, 2]),
@@ -548,50 +563,50 @@ def test_padded_starts_fit_as_they_fit_alone(seed, n, p, widths, mode):
         padded = _results(em._em(graph, features, starts, 15, mode))
         alone = [_results(em._em(graph, features, [start], 15, mode))[0]
                  for start in starts]
-    for run, one in zip(padded, alone):
-        assert type(run) is type(one)
-        if isinstance(one, EmptyClassError):
-            assert str(run) == str(one)
-            continue
-        assert np.array_equal(run.responsibilities, one.responsibilities)
-        assert run.bound_trace == one.bound_trace
-        assert (run.converged, run.e_step_sweeps, run.sweep_cap_hits) \
-            == (one.converged, one.e_step_sweeps, one.sweep_cap_hits)
-        for field in ("alpha", "pi", "mu", "sigma2"):
-            assert np.array_equal(getattr(run.params, field),
-                                  getattr(one.params, field))
+    _assert_same_fits(padded, alone)
 
 
-def _two_bipartite_components():
-    """A complete bipartite graph on 16 vertices beside one on 6, and a
-    start that leans to each vertex's side on the first and to class 0
-    over the whole second."""
-    adjacency = np.zeros((22, 22))
-    for first, half in ((0, 8), (16, 3)):
-        left = slice(first, first + half)
-        right = slice(first + half, first + 2 * half)
-        adjacency[left, right] = adjacency[right, left] = 1.0
-    start = np.tile([0.6, 0.4], (22, 1))
-    start[:8] = [0.7, 0.3]
-    start[8:16] = [0.3, 0.7]
-    return Graph(adjacency), FeatureMatrix.empty(22), start
+def _bipartite_pair(sizes, lean, other_lean, keep=1.0, rng=None):
+    """Complete bipartite graphs on sides of ``sizes[:2]`` and ``sizes[2:]``
+    vertices side by side, each edge kept with probability ``keep``, and a
+    two-class start that leans to each vertex's side by ``lean`` on the
+    first and to class 0 by ``other_lean`` over the whole second."""
+    n = sum(sizes)
+    side = np.repeat([0, 1, 2, 3], sizes)
+    cross = (side[:, None] // 2 == side[None, :] // 2) \
+        & (side[:, None] != side[None, :])
+    if keep < 1.0:
+        cross &= rng.random((n, n)) < keep
+    upper = np.triu(cross, k=1).astype(float)
+    start = np.tile([other_lean, 1.0 - other_lean], (n, 1))
+    start[side == 0] = [lean, 1.0 - lean]
+    start[side == 1] = [1.0 - lean, lean]
+    return Graph(upper + upper.T), start
 
 
 def test_guarded_start_of_a_stack_ends_on_its_previous_iterate(monkeypatch):
-    # Undamped and capped at 5 sweeps, the E-step flips the whole second
-    # component from one class to the other at every sweep. Once the first
-    # component has settled, such an E-step ends below its start's bound:
-    # the guard returns the start, and its fit ends there, converged.
-    graph, features, guarded = _two_bipartite_components()
+    # A complete bipartite graph on 16 vertices beside one on 6. Undamped
+    # and capped at 5 sweeps, the E-step flips the whole second component
+    # from one class to the other at every sweep. Once the first component
+    # has settled, such an E-step ends below its start's bound and the
+    # M-step does not win it back: the iteration is rolled back, and the fit
+    # ends on that E-step's start, with its bound, not converged.
+    graph, guarded = _bipartite_pair((8, 8, 3, 3), 0.7, 0.6)
+    features = FeatureMatrix.empty(graph.n)
     rng = np.random.default_rng(0)
     starts = [random_responsibilities(22, 2, rng), guarded,
               random_responsibilities(22, 3, rng)]
     calls = []
     stacked = em._e_step
 
-    def recorded(stats, params, d2, start_bounds, mode):
-        out = stacked(stats, params, d2, start_bounds, mode)
-        calls.append((stats.resp_t, start_bounds, *out[1:]))
+    def recorded(stats, params, d2, mode):
+        out = stacked(stats, params, d2, mode)
+        stepped, sweeps, _, moved = out
+        start_bounds = stats.bound(params, mode, d2)
+        final_bounds = np.where(moved, stepped.bound(params, mode, d2),
+                                start_bounds)
+        calls.append((stats.resp_t, start_bounds, final_bounds, sweeps,
+                      moved))
         return out
 
     monkeypatch.setattr(em, "_e_step", recorded)
@@ -607,27 +622,76 @@ def test_guarded_start_of_a_stack_ends_on_its_previous_iterate(monkeypatch):
             guarded_calls = list(calls)
     calls.clear()
     padded = _results(em._em(graph, features, starts, 30, "graph-only"))
-    fired = sum(int((~moved & (sweeps > 1)).sum())
-                for _, _, sweeps, _, moved in calls)
-    assert fired == 1
+    lowered = sum(int((final < start - 1e-9).sum())
+                  for _, start, final, _, _ in calls)
+    assert lowered == 1
 
     ended = alone[1]
-    resp_t, start_bounds, sweeps, _, moved = guarded_calls[-1]
-    assert not moved[0] and sweeps[0] > 1
-    assert all(call[4][0] for call in guarded_calls[:-1])
-    assert ended.converged
+    resp_t, start_bounds, final_bounds, sweeps, moved = guarded_calls[-1]
+    assert moved[0] and sweeps[0] > 1
+    assert final_bounds[0] < start_bounds[0] - 1e-9
+    assert all(call[4][0] and call[2][0] >= call[1][0] - 1e-9
+               for call in guarded_calls[:-1])
+    assert not ended.converged
     assert np.array_equal(ended.responsibilities, resp_t[0].T)
     assert ended.final_bound == start_bounds[0]
     trace = ended.bound_trace
     assert len(trace) == len(guarded_calls) >= 2
     assert all(b > a for a, b in zip(trace, trace[1:]))
     assert ended.e_step_sweeps \
-        == sum(int(call[2][0]) for call in guarded_calls)
-    for run, one in zip(padded, alone):
-        assert np.array_equal(run.responsibilities, one.responsibilities)
-        assert run.bound_trace == one.bound_trace
-        assert (run.converged, run.e_step_sweeps, run.sweep_cap_hits) \
-            == (one.converged, one.e_step_sweeps, one.sweep_cap_hits)
+        == sum(int(call[3][0]) for call in guarded_calls)
+    _assert_same_fits(padded, alone)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.tuples(st.integers(1, 3), st.integers(1, 3),
+                       st.integers(1, 2), st.integers(0, 2))
+       .filter(lambda sizes: sum(sizes) <= 7),
+       lean=st.floats(0.55, 0.95), other_lean=st.floats(0.5, 0.9),
+       keep=st.sampled_from([1.0, 0.7]), p=st.integers(0, 2),
+       widths=st.lists(st.integers(1, 3), min_size=2, max_size=2),
+       mode=st.sampled_from(MODES), cap=st.integers(2, 5))
+# An E-step ends below its start's bound once here, and the M-step does not
+# win it back: the iteration is rolled back.
+@example(seed=0, sizes=(2, 3, 1, 1), lean=0.9, other_lean=0.55, keep=1.0,
+         p=0, widths=[2, 3], mode="joint", cap=2)
+# Three E-steps here end below their start's bound, and the M-step wins each
+# back: the fit goes on and converges.
+@example(seed=0, sizes=(2, 3, 1, 1), lean=0.9, other_lean=0.55, keep=1.0,
+         p=0, widths=[2, 3], mode="joint", cap=3)
+def test_undamped_capped_fits_keep_their_guarantees(seed, sizes, lean,
+                                                    other_lean, keep, p,
+                                                    widths, mode, cap):
+    # Undamped sweeps capped at a few may end an E-step below its start's
+    # bound; two bipartite components, one settling and one flipping
+    # between the classes at every sweep, are where tiny graphs do. The fit
+    # goes on if the M-step wins the bound back and otherwise rolls the
+    # iteration back. Either way every trace rises, a joint fit's final
+    # bound stays under the exact log-marginal, and a padded stack of three
+    # starts gives each start's fit alone, bit for bit.
+    rng = np.random.default_rng(seed)
+    graph, leaning = _bipartite_pair(sizes, lean, other_lean, keep, rng)
+    features = random_features(graph.n, p, rng)
+    starts = [leaning] + [random_responsibilities(graph.n, q, rng) if q > 1
+                          else np.ones((graph.n, 1)) for q in widths]
+    with e_step_protocol(0.0, cap), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Graph, "neighbour_mass", row_by_row_mass)
+        padded = _results(em._em(graph, features, starts, 20, mode))
+        alone = [_results(em._em(graph, features, [start], 20, mode))[0]
+                 for start in starts]
+    _assert_same_fits(padded, alone)
+    for one in alone:
+        if isinstance(one, EmptyClassError):
+            continue
+        trace = one.bound_trace
+        assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
+        if not one.converged and len(trace) <= 20:
+            event("rolled back")
+        if mode == "joint":
+            ceiling = exact_log_marginal(graph, features, one.params)
+            assert one.final_bound <= ceiling + 1e-9 * max(1.0, abs(ceiling))
 
 
 def test_fit_computes_one_adjacency_product_per_iterate(monkeypatch):
@@ -646,6 +710,34 @@ def test_fit_computes_one_adjacency_product_per_iterate(monkeypatch):
     result = fit(graph, features, 3, EMConfig(rng_seed=0))
     assert len(result.bound_trace) > 2
     assert len(products) == len(set(products))
+
+
+def test_fit_computes_one_bound_per_iteration(monkeypatch):
+    # The bound recorded after each M-step is the only one a fit computes:
+    # the E-step computes none, and with no iteration rolled back each
+    # computed bound is on the trace.
+    graph, features = _readme_case(0)
+    calls = []
+    sweeping = []
+    likelihood, stacked = ClassStats.log_likelihood, em._e_step
+
+    def counted(self, *args, **kwargs):
+        calls.append(bool(sweeping))
+        return likelihood(self, *args, **kwargs)
+
+    def marked(*args, **kwargs):
+        sweeping.append(True)
+        try:
+            return stacked(*args, **kwargs)
+        finally:
+            sweeping.pop()
+
+    monkeypatch.setattr(ClassStats, "log_likelihood", counted)
+    monkeypatch.setattr(em, "_e_step", marked)
+    result = fit(graph, features, 3, EMConfig(rng_seed=1))
+    assert result.converged and len(result.bound_trace) > 2
+    assert len(calls) == len(result.bound_trace)
+    assert not any(calls)
 
 
 def test_class_stats_edge_counts_once_per_stats(monkeypatch, rng):
@@ -1491,7 +1583,7 @@ def _em_always_stepping(graph, features, start, max_em_iters, mode):
     bounds = stats.bound(params, mode, d2)
     trace, converged = [float(bounds[0])], False
     for _ in range(max_em_iters):
-        stepped, _, _, _ = em._e_step(stats, params, d2, bounds, mode)
+        stepped, _, _, _ = em._e_step(stats, params, d2, mode)
         new_stats, errors = em._rescue(stepped)
         assert not errors
         new_params, new_d2 = em._m_step(new_stats, mode)

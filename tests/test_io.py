@@ -320,6 +320,13 @@ def test_read_params_rejects_a_scalar_alpha(fitted):
     ("j_trace", -10.0, "j_trace must be a list of numbers, got -10.0"),
     ("icl", "abc", "icl must hold numbers only, got 'abc'"),
     ("icl", [1.0], "icl must be a number, got [1.0]"),
+    # json reads NaN and Infinity; a fit's bounds and criterion are finite.
+    ("j_trace", [float("nan")], "j_trace must be finite"),
+    ("j_trace", [-1.0, float("-inf")], "j_trace must be finite"),
+    ("j_trace", [float("inf"), -1.0], "j_trace must be finite"),
+    ("icl", float("nan"), "icl must be finite"),
+    ("icl", float("inf"), "icl must be finite"),
+    ("icl", float("-inf"), "icl must be finite"),
 ])
 def test_read_params_names_the_file_and_the_field(fitted, key, value,
                                                   message):

@@ -192,6 +192,29 @@ def test_take_keeps_the_computed_statistics(rng, monkeypatch):
     assert "on" not in bare.__dict__ and "entropy" not in bare.__dict__
 
 
+def test_statistics_do_not_depend_on_the_stack_layout():
+    # np.stack of transposes is strided, and numpy groups the terms of a sum
+    # over vertices by the memory layout: the statistics read the stack in
+    # C order, so they and the bound equal those of a C-order copy, bit for
+    # bit.
+    rng = np.random.default_rng(1)
+    graph, features = random_graph(30, rng), random_features(30, 2, rng)
+    strided = np.stack([random_responsibilities(30, 3, rng).T
+                        for _ in range(4)])
+    assert not strided.flags.c_contiguous
+    params = ParamStack(*(np.concatenate(field) for field in zip(
+        *(ParamStack.of(random_params(3, 2, rng)) for _ in range(4)))))
+    ours = ClassStats(graph, features, strided)
+    copy = ClassStats(graph, features, np.ascontiguousarray(strided))
+    assert ours.resp_t.flags.c_contiguous
+    for name in ("col", "mass", "on", "pairs", "entropy"):
+        assert np.array_equal(getattr(ours, name), getattr(copy, name))
+    assert np.array_equal(ours.bound(params), copy.bound(params))
+    # A C-order stack is taken as it is, not copied.
+    contiguous = np.ascontiguousarray(strided)
+    assert ClassStats(graph, features, contiguous).resp_t is contiguous
+
+
 def test_built_graphs_freeze_what_the_checked_path_freezes(rng):
     # from_edge_pairs and generate hand over matrices valid by
     # construction, frozen without a copy or the checks; Graph(adj) still
