@@ -35,7 +35,6 @@ from .model import (
     mode_terms,
     one_hot,
     partition_from_responsibilities,
-    squared_distances,
     variational_lower_bound,
 )
 
@@ -136,7 +135,8 @@ def init_responsibilities(graph: Graph, features: FeatureMatrix, n_classes: int,
     profile) when there are no feature columns; ``graph-degree-quantile``
     bins vertices into degree quantiles. The two hard strategies are
     smoothed towards uniform with weight 0.1, so every entry is at least
-    0.1 / n_classes.
+    0.1 / n_classes. The k-means run is the stacked one of a restart scan
+    (see :func:`_kmeans_labels`) on a stack of one.
     """
     if n_classes < 1:
         raise ValueError("n_classes must be at least 1")
@@ -149,38 +149,104 @@ def init_responsibilities(graph: Graph, features: FeatureMatrix, n_classes: int,
     if strategy == "random-dirichlet":
         return rng.dirichlet(np.ones(n_classes), size=n)
     if strategy == "feature-kmeans":
-        points = features.values if features.p else graph.adjacency
-        labels = _kmeans_labels(points, n_classes, rng)
+        labels, = _kmeans_labels(*_kmeans_points(graph, features),
+                                 [(n_classes, rng)])
     else:
         labels = _degree_quantile_labels(graph, n_classes)
+    return _hard_start(labels, n_classes)
+
+
+def _hard_start(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """One-hot labels smoothed towards uniform with weight 0.1."""
     return 0.9 * one_hot(labels, n_classes) + 0.1 / n_classes
 
 
-def _kmeans_labels(points: np.ndarray, k: int,
-                   rng: np.random.Generator) -> np.ndarray:
+def _kmeans_points(graph: Graph, features: FeatureMatrix):
+    """The rows k-means clusters, with their squared norms: the feature
+    rows, or the adjacency rows when there are no feature columns."""
+    if features.p:
+        return features.values, features._row_norms
+    adjacency = graph.adjacency
+    return adjacency, (adjacency * adjacency).sum(axis=1)
+
+
+def _kmeans_labels(points: np.ndarray, norms: np.ndarray, starts) -> list:
+    """The labels of a short Lloyd's k-means run from each ``(k, rng)`` of
+    ``starts``, all runs in one stack; ``norms`` are the squared norms of
+    the rows of ``points``.
+
+    Each start draws its first centres, k of the rows (with replacement
+    when there are fewer than k), from its own generator, in the order of
+    ``starts``. Each iteration then labels the rows for every start still
+    running at once. The distances come from one product of the rows with
+    all their centres, in the (row, centre) orientation of
+    :func:`~cohsmix.model.squared_distances`, whose sum for a pair does not
+    depend on the other centres; the centres that pad a start up to the
+    widest are at +inf, so its argmin never picks them. One ``np.einsum``
+    of the one-hot labels with the rows gives the coordinate sums of every
+    class of every start, each a running sum over the rows in order; its
+    products are exact (the row or a zero), so each sum is its members'
+    sum in row order. A class without members keeps its centre. A start
+    leaves the stack when its labels repeat, since labels that repeat give
+    the centres they were computed from, or after ``_KMEANS_ITERS``
+    labellings; so each start ends on the labels it gets alone, bit for
+    bit.
+    """
     n, p = points.shape
     if p == 0:
         # Nothing to cluster; a balanced random hard partition at least
         # breaks label symmetry.
-        return rng.permutation(np.arange(n, dtype=np.int64) % k)
-    idx = rng.choice(n, size=k, replace=n < k)
-    centers = points[idx].copy()
-    labels = None
-    for _ in range(_KMEANS_ITERS):
-        new = np.argmin(squared_distances(points, centers), axis=1)
-        # Labels that repeat give the centres they were computed from, so
-        # every later iteration would repeat them too.
-        if labels is not None and np.array_equal(new, labels):
+        return [rng.permutation(np.arange(n, dtype=np.int64) % k)
+                for k, rng in starts]
+    widths = np.array([k for k, _ in starts])
+    width = int(widths.max())
+    centres = np.zeros((len(starts), width, p))
+    for row, (k, rng) in enumerate(starts):
+        centres[row, :k] = points[rng.choice(n, size=k, replace=n < k)]
+    padding = np.where(np.arange(width) < widths[:, None], 0.0, np.inf) \
+        if (widths < width).any() else None
+    norms = norms[:, None]
+    classes = np.arange(width)[:, None]
+    # The first class of each stack row in the stack's flat class index.
+    offsets = width * np.arange(len(starts))
+    # The start of each stack row, and the labels each start ends on.
+    live = np.arange(len(starts))
+    labels = [None] * len(starts)
+    for step in range(_KMEANS_ITERS):
+        flat = centres.reshape(-1, p)
+        centre_norms = np.add.reduce(flat * flat, axis=1)
+        if padding is not None:
+            centre_norms += padding.ravel()
+        dist = norms + centre_norms
+        cross = np.einsum("ip,pj->ij", points, np.ascontiguousarray(flat.T))
+        cross *= 2.0
+        dist -= cross
+        np.maximum(dist, 0.0, out=dist)
+        # The (n, stack rows) labels.
+        new = dist.reshape(n, len(live), width).argmin(axis=2)
+        if step:
+            repeated = np.logical_and.reduce(new == current, axis=0)
+            if np.count_nonzero(repeated):
+                for row in np.flatnonzero(repeated).tolist():
+                    labels[live[row]] = new[:, row]
+                going = np.flatnonzero(~repeated)
+                if not going.size:
+                    return labels
+                live, new, centres = live[going], new[:, going], \
+                    centres[going]
+                if padding is not None:
+                    padding = padding[going]
+        current = new
+        if step + 1 == _KMEANS_ITERS:
             break
-        labels = new
-        # Each class's coordinate sums in one bincount, the members added in
-        # row order as the mean over them adds them (for p >= 2; numpy sums
-        # a single column pairwise).
-        counts = np.bincount(labels, minlength=k)
-        sums = np.bincount((labels[:, None] * p + np.arange(p)).ravel(),
-                           weights=points.ravel(), minlength=k * p)
-        full = counts > 0
-        centers[full] = sums.reshape(k, p)[full] / counts[full, None]
+        counts = np.bincount((current + offsets[:len(live)]).ravel(),
+                             minlength=centres.shape[0] * width)
+        sums = np.einsum("skn,np->skp", (current.T[:, None, :] == classes)
+                         .astype(np.float64), points)
+        counts = counts.reshape(-1, width, 1)
+        np.divide(sums, counts, out=centres, where=counts > 0)
+    for row, start in enumerate(live.tolist()):
+        labels[start] = current[:, row]
     return labels
 
 
@@ -489,12 +555,34 @@ def _check_fit(graph: Graph, features: FeatureMatrix, n_classes: int,
 def _init(graph: Graph, features: FeatureMatrix, n_classes: int,
           seed: int | None, strategy: str, mode: str) -> np.ndarray:
     """The start that ``seed`` and ``strategy`` give."""
+    start, = _starts(graph, features, [(n_classes, seed, strategy)], mode)
+    return start
+
+
+def _starts(graph: Graph, features: FeatureMatrix, plans, mode: str) -> list:
+    """The start of each ``(n_classes, seed, strategy)`` of ``plans``: what
+    :func:`init_responsibilities` gives from ``default_rng(seed)``, with
+    the k-means runs of all of them in one stack (see
+    :func:`_kmeans_labels`)."""
     # The graph-only mode must not see the features anywhere, the
     # initialisation included.
-    init_features = features if mode_terms(mode)[1] \
-        else FeatureMatrix.empty(graph.n)
-    return init_responsibilities(graph, init_features, n_classes, strategy,
-                                 np.random.default_rng(seed))
+    if not mode_terms(mode)[1]:
+        features = FeatureMatrix.empty(graph.n)
+    starts: list = [None] * len(plans)
+    kmeans = []
+    for index, (n_classes, seed, strategy) in enumerate(plans):
+        rng = np.random.default_rng(seed)
+        if strategy == "feature-kmeans" and n_classes > 1:
+            kmeans.append((index, n_classes, rng))
+        else:
+            starts[index] = init_responsibilities(graph, features, n_classes,
+                                                  strategy, rng)
+    if kmeans:
+        labels = _kmeans_labels(*_kmeans_points(graph, features),
+                                [(k, rng) for _, k, rng in kmeans])
+        for (index, n_classes, _), hard in zip(kmeans, labels):
+            starts[index] = _hard_start(hard, n_classes)
+    return starts
 
 
 @dataclass
@@ -719,24 +807,25 @@ def _fit_candidates(graph: Graph, features: FeatureMatrix, candidates,
 
     ``candidates`` holds ``(n_classes, seed)`` pairs, the seed giving the
     candidate's restart plan (see :func:`_restart_plan`); ``cfg`` gives the
-    restart count and the iteration cap, which every candidate shares.
+    restart count and the iteration cap, which every candidate shares. The
+    starts of all restarts are built by one :func:`_starts`, their k-means
+    runs in one stack.
     Returns, by candidate, the best restart or the ``RuntimeError`` of every
     restart failing.
     """
     use_edges, use_features = mode_terms(mode)
     has_features = features.p > 0 and use_features
-    groups = [
-        [_init(graph, features, n_classes, restart_seed, strategy, mode)
-         for restart_seed, strategy in _restart_plan(
-             seed, cfg.n_restarts, has_features, use_edges)]
-        for n_classes, seed in candidates]
-    outcomes = iter(_em(graph, features,
-                        [start for group in groups for start in group],
+    plans = [(n_classes, restart_seed, strategy)
+             for n_classes, seed in candidates
+             for restart_seed, strategy in _restart_plan(
+                 seed, cfg.n_restarts, has_features, use_edges)]
+    outcomes = iter(_em(graph, features, _starts(graph, features, plans, mode),
                         cfg.max_em_iters, mode))
     best = []
-    for group in groups:
+    for _ in candidates:
         try:
-            best.append(_best_restart([next(outcomes) for _ in group]))
+            best.append(_best_restart(
+                [next(outcomes) for _ in range(cfg.n_restarts)]))
         except RuntimeError as err:
             best.append(err)
     return best

@@ -83,8 +83,12 @@ def _read_edge_list(path: Path) -> Graph:
     dropped = int(np.count_nonzero(loops))
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} self-loop(s)", stacklevel=3)
+        idx = idx[~loops]
     n = declared_n if declared_n is not None else max_index + 1
-    return Graph.from_edge_pairs(n, idx[~loops])
+    # The text is not needed past this point; it goes before the n x n
+    # matrix is allocated.
+    del text, parts, body
+    return Graph.from_edge_pairs(n, idx)
 
 
 def _raise_first_bad_line(path: Path, text: str, err: Exception | None = None):

@@ -75,7 +75,7 @@ class Graph:
 
     def edge_pairs(self) -> np.ndarray:
         """Sorted (i, j) pairs with i < j, one row per edge."""
-        i, j = np.nonzero(np.triu(self.adjacency, k=1))
+        i, j = np.nonzero(np.triu(self.adjacency != 0, k=1))
         return np.column_stack([i, j])
 
     @classmethod
@@ -94,10 +94,10 @@ class Graph:
             if not in_range[bad[0]]:
                 raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
             raise ValueError(f"self-loop ({a}, {a}) is not allowed")
-        adj = np.zeros(n * n)
-        adj[i * n + j] = 1.0
-        adj[j * n + i] = 1.0
-        return cls._built(adj.reshape(n, n))
+        adj = np.zeros((n, n))
+        adj[i, j] = 1.0
+        adj[j, i] = 1.0
+        return cls._built(adj)
 
     def neighbour_mass(self, resp_t: np.ndarray) -> np.ndarray:
         """(..., Q, n) expected number of neighbours of each vertex per class.

@@ -14,11 +14,13 @@ import numpy as np
 
 from .em import EMConfig, FitResult, _fit_candidates
 from .model import (
+    ClassStats,
     FeatureMatrix,
     Graph,
+    ParamStack,
+    _soft_assignment,
     check_features_vary,
     check_rows,
-    complete_log_likelihood,
     mode_terms,
 )
 
@@ -69,15 +71,51 @@ def icl_score(fit: FitResult, graph: Graph, features: FeatureMatrix,
     ``hard_assignment=True`` switches to the argmax partition. Both the
     likelihood and the penalty keep only the terms of ``fit.mode``: a
     graph-only fit is scored as if there were no features, a features-only
-    fit as if there were no edges.
+    fit as if there were no edges. This is the scan's stacked scorer on one
+    fit.
     """
-    use_edges, use_features = mode_terms(fit.mode)
     assignment = fit.partition if hard_assignment else fit.responsibilities
-    log_lik = complete_log_likelihood(graph, features, assignment, fit.params,
-                                      fit.mode)
+    resp = _soft_assignment(assignment, graph.n, fit.params.n_classes)
+    score, = _icl_scores(graph, features, [fit], [resp], fit.mode)
+    return score
+
+
+def _icl_scores(graph: Graph, features: FeatureMatrix, fits, resps,
+                mode: str) -> list[float]:
+    """The criterion of each fit of ``fits``, all fitted in ``mode``, at
+    its (n, Q) responsibility matrix in ``resps``, from one padded
+    :class:`ClassStats`.
+
+    Each matrix is padded with empty classes, and its parameters with
+    proportion 0, connection probability 0.5 and mean 0, up to the widest
+    fit; each gets the adjacency product it gets alone, one
+    :meth:`Graph.neighbour_mass` of its own classes, so every statistic and
+    every score equals, bit for bit, what the fit gets on a stack of one
+    (see :class:`ClassStats`).
+    """
+    use_edges, use_features = mode_terms(mode)
+    n = graph.n
+    widths = [fit.params.n_classes for fit in fits]
+    shape = (len(fits), max(widths))
+    resp_t = np.zeros(shape + (n,))
+    mass = np.zeros_like(resp_t) if use_edges else None
+    alpha = np.zeros(shape)
+    pi = np.full(shape + shape[1:], 0.5)
+    mu = np.zeros(shape + (fits[0].params.n_features,))
+    for row, (fit, resp, q) in enumerate(zip(fits, resps, widths)):
+        own = np.ascontiguousarray(resp.T)
+        resp_t[row, :q] = own
+        if use_edges:
+            mass[row, :q] = graph.neighbour_mass(own)
+        params = fit.params
+        alpha[row, :q], pi[row, :q, :q], mu[row, :q] = \
+            params.alpha, params.pi, params.mu
+    sigma2 = np.array([fit.params.sigma2 for fit in fits])
+    log_lik = ClassStats(graph, features, resp_t, mass, np.array(widths)) \
+        .log_likelihood(ParamStack(alpha, pi, mu, sigma2), mode)
     n_features = features.p if use_features else 0
-    return log_lik - icl_penalty(fit.params.n_classes, graph.n, n_features,
-                                 use_edges)
+    return [value - icl_penalty(q, n, n_features, use_edges)
+            for value, q in zip(log_lik.tolist(), widths)]
 
 
 @dataclass
@@ -102,8 +140,9 @@ def select_q(graph: Graph, features: FeatureMatrix, q_min: int, q_max: int,
 
     Each candidate gets its own deterministic seed derived from
     ``cfg.rng_seed``, so the whole scan replays bit-for-bit, and is scored
-    by :func:`icl_score` on its soft responsibilities. The restarts of
-    every candidate run in one lockstep EM driver, each candidate giving
+    on its soft responsibilities: the surviving candidates in one padded
+    stack, each exactly as :func:`icl_score` scores it alone. The restarts
+    of every candidate run in one lockstep EM driver, each candidate giving
     what :func:`~cohsmix.em.fit_multi_restart` gives it alone, to rounding.
     Candidates whose every restart fails are recorded and excluded; if all
     candidates fail the scan raises.
@@ -121,18 +160,20 @@ def select_q(graph: Graph, features: FeatureMatrix, q_min: int, q_max: int,
             cfg.rng_seed, spawn_key=(q,)).generate_state(1)[0]))
         for q in range(q_min, q_max + 1)]
     results: dict[int, FitResult] = {}
-    scores: dict[int, float] = {}
     failures: dict[int, str] = {}
     for (q, _), result in zip(candidates, _fit_candidates(
             graph, features, candidates, cfg, mode)):
         if isinstance(result, RuntimeError):
             failures[q] = str(result)
-            continue
-        result.icl = icl_score(result, graph, features)
-        results[q] = result
-        scores[q] = result.icl
+        else:
+            results[q] = result
     if not results:
         raise RuntimeError(f"every candidate in {q_min}..{q_max} failed: {failures}")
+    fits = list(results.values())
+    scores = dict(zip(results, _icl_scores(
+        graph, features, fits, [fit.responsibilities for fit in fits], mode)))
+    for q, result in results.items():
+        result.icl = scores[q]
     selected = min(scores)
     for q in sorted(scores):
         if scores[q] > scores[selected]:

@@ -80,9 +80,11 @@ def generate(spec: AffiliationSpec):
     same = (labels[:, None] == labels)[upper]
     flips = rng.random(same.size) \
         < np.where(same, spec.within_prob, spec.between_prob)
+    # The mirror is written through the transpose: ``adjacency +=
+    # adjacency.T`` would read the matrix it writes, so numpy would copy it.
     adjacency = np.zeros((n, n))
     adjacency[upper] = flips
-    adjacency += adjacency.T
+    adjacency.T[upper] = flips
 
     means = spec.class_means()
     noise = rng.normal(0.0, spec.noise_std, size=(n, spec.n_features))

@@ -125,7 +125,7 @@ def test_init_unknown_strategy(rng):
 
 
 def kmeans_reference(points, k, rng, n_iters=20):
-    """``em._kmeans_labels`` without its early stop: every iteration runs."""
+    """``kmeans_one_start`` without its early stop: every iteration runs."""
     n = points.shape[0]
     if points.shape[1] == 0:
         return rng.permutation(np.arange(n, dtype=np.int64) % k)
@@ -141,6 +141,36 @@ def kmeans_reference(points, k, rng, n_iters=20):
     return labels
 
 
+def kmeans_one_start(points, k, rng):
+    """The one-start k-means loop the stacked ``em._kmeans_labels`` replaced,
+    kept as its reference: it stops when the labels repeat and updates the
+    centres from one bincount of the coordinate sums."""
+    n, p = points.shape
+    if p == 0:
+        return rng.permutation(np.arange(n, dtype=np.int64) % k)
+    idx = rng.choice(n, size=k, replace=n < k)
+    centers = points[idx].copy()
+    labels = None
+    for _ in range(em._KMEANS_ITERS):
+        new = np.argmin(squared_distances(points, centers), axis=1)
+        if labels is not None and np.array_equal(new, labels):
+            break
+        labels = new
+        counts = np.bincount(labels, minlength=k)
+        sums = np.bincount((labels[:, None] * p + np.arange(p)).ravel(),
+                           weights=points.ravel(), minlength=k * p)
+        full = counts > 0
+        centers[full] = sums.reshape(k, p)[full] / counts[full, None]
+    return labels
+
+
+def stacked_kmeans(points, ks, seeds):
+    """``em._kmeans_labels`` of one stack, a generator per start."""
+    return em._kmeans_labels(points, (points * points).sum(axis=1),
+                             [(k, np.random.default_rng(seed))
+                              for k, seed in zip(ks, seeds)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
        p=st.integers(0, 3), k=st.integers(1, 8),
@@ -153,7 +183,8 @@ def test_kmeans_stopping_on_repeated_labels_changes_nothing(seed, n, p, k,
     points = rng.integers(0, levels, size=(n, p)).astype(float)
     ours, theirs = np.random.default_rng(seed + 1), \
         np.random.default_rng(seed + 1)
-    labels = em._kmeans_labels(points, k, ours)
+    labels, = em._kmeans_labels(points, (points * points).sum(axis=1),
+                                [(k, ours)])
     assert np.array_equal(labels, kmeans_reference(points, k, theirs))
     assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -162,14 +193,87 @@ def test_kmeans_stopping_on_repeated_labels_changes_nothing(seed, n, p, k,
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
        p=st.integers(1, 4), k=st.integers(1, 8))
 def test_kmeans_labels_match_the_per_class_loop(seed, n, p, k):
-    # Continuous points, whose class sums round: the bincount update must
+    # Continuous points, whose class sums round: the summed update must
     # give the labels of the per-class mean, bit for bit.
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3)
     ours, theirs = np.random.default_rng(seed + 1), \
         np.random.default_rng(seed + 1)
-    assert np.array_equal(em._kmeans_labels(points, k, ours),
-                          kmeans_reference(points, k, theirs))
+    labels, = em._kmeans_labels(points, (points * points).sum(axis=1),
+                                [(k, ours)])
+    assert np.array_equal(labels, kmeans_reference(points, k, theirs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       p=st.sampled_from([1, 3]),
+       ks=st.lists(st.integers(1, 7), min_size=1, max_size=8),
+       levels=st.sampled_from([2, 3, 0]))
+def test_stacked_kmeans_gives_each_start_its_labels(seed, n, p, ks, levels):
+    # Continuous points (levels 0) round their class sums; a few levels
+    # give duplicated points, ties and empty classes. Starts of mixed k
+    # stop at different iterations, and n < k draws with replacement.
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3) \
+        if levels == 0 else rng.integers(0, levels, size=(n, p)) * 1.0
+    seeds = [seed + 1 + r for r in range(len(ks))]
+    stacked = stacked_kmeans(points, ks, seeds)
+    for labels, k, start_seed in zip(stacked, ks, seeds):
+        assert labels.shape == (n,)
+        assert np.array_equal(labels, kmeans_one_start(
+            points, k, np.random.default_rng(start_seed)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 80),
+       density=st.floats(0.05, 0.6),
+       ks=st.lists(st.integers(2, 7), min_size=2, max_size=9))
+def test_stacked_kmeans_on_adjacency_rows(seed, n, density, ks):
+    # Featureless starts cluster the adjacency rows, where p = n: every
+    # distance sums n products and every centre n coordinates.
+    rng = np.random.default_rng(seed)
+    graph = random_graph(n, rng, density)
+    seeds = [seed + 1 + r for r in range(len(ks))]
+    stacked = stacked_kmeans(graph.adjacency, ks, seeds)
+    for labels, k, start_seed in zip(stacked, ks, seeds):
+        assert np.array_equal(labels, kmeans_one_start(
+            graph.adjacency, k, np.random.default_rng(start_seed)))
+
+
+def test_stacked_kmeans_starts_stop_at_different_iterations(monkeypatch):
+    # A README-size feature table: the starts of a 2..6 scan and nine
+    # adjacency-row starts each leave their stack at their own iteration.
+    graph, features, _ = generate(AffiliationSpec(
+        n_classes=3, n=150, n_features=3, within_prob=0.5,
+        between_prob=0.1, mean_gap=1.0, seed=7))
+    iterations = []
+    einsum = np.einsum
+
+    def counted(subscripts, *operands, **kwargs):
+        if subscripts == "ip,pj->ij":
+            iterations.append(operands[1].shape[1])
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    for points, ks in ((features.values, [2, 3, 4, 5, 6]),
+                       (graph.adjacency, [3] * 9)):
+        iterations.clear()
+        stacked = stacked_kmeans(points, ks, range(len(ks)))
+        for labels, k, start_seed in zip(stacked, ks, range(len(ks))):
+            assert np.array_equal(labels, kmeans_one_start(
+                points, k, np.random.default_rng(start_seed)))
+        # The stack narrowed as starts left it: fewer centres per product.
+        assert len(set(iterations)) > 1
+
+
+def test_init_kmeans_is_the_stack_of_one(rng):
+    graph, features = random_graph(20, rng), random_features(20, 2, rng)
+    for data in (features, FeatureMatrix.empty(20)):
+        points = data.values if data.p else graph.adjacency
+        resp = init_responsibilities(graph, data, 4, "feature-kmeans",
+                                     np.random.default_rng(5))
+        labels = kmeans_one_start(points, 4, np.random.default_rng(5))
+        assert np.array_equal(resp, 0.9 * np.eye(4)[labels] + 0.1 / 4)
 
 
 # ---------------------------------------------------------------------------
@@ -1404,14 +1508,16 @@ def test_fit_reports_no_failed_restarts(rng):
 def test_all_restarts_failing_names_each(monkeypatch):
     monkeypatch.setattr(em, "_reseed_empty_classes",
                         lambda resp, empty_classes: resp)
-    original = em.init_responsibilities
+    # Every start, the k-means one included, gives class 0 no mass.
+    original = em._starts
 
-    def init(graph, features, n_classes, strategy, rng):
-        resp = original(graph, features, n_classes, strategy, rng)
-        resp[:, 0] = 0.0
-        return resp / resp.sum(axis=1, keepdims=True)
+    def starts(graph, features, plans, mode):
+        resps = original(graph, features, plans, mode)
+        for resp in resps:
+            resp[:, 0] = 0.0
+        return [resp / resp.sum(axis=1, keepdims=True) for resp in resps]
 
-    monkeypatch.setattr(em, "init_responsibilities", init)
+    monkeypatch.setattr(em, "_starts", starts)
     graph, features, _ = _lockstep_case()
     with pytest.raises(RuntimeError, match=r"all 2 restarts failed: "
                        r"\['restart 0: classes \[0\] have no mass', "

@@ -223,6 +223,10 @@ def _assert_scan_matches_candidates(graph, features, q_min, q_max, cfg,
         assert (run.e_step_sweeps, run.sweep_cap_hits, run.failed_restarts) \
             == (one.e_step_sweeps, one.sweep_cap_hits, one.failed_restarts)
         one.icl = icl_score(one, graph, features)
+    # The stacked scorer gives each candidate the score icl_score gives it
+    # alone, bit for bit.
+    for q, run in scan.results.items():
+        assert scan.scores[q] == run.icl == icl_score(run, graph, features)
     # The best score wins, ties to the smaller class count.
     assert scan.selected_q == max(sorted(alone), key=lambda q: alone[q].icl)
     return scan
