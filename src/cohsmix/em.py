@@ -166,8 +166,8 @@ def _kmeans_points(graph: Graph, features: FeatureMatrix):
     rows, or the adjacency rows when there are no feature columns."""
     if features.p:
         return features.values, features._row_norms
-    adjacency = graph.adjacency
-    return adjacency, (adjacency * adjacency).sum(axis=1)
+    # A 0/1 row's squared norm is its degree, a sum of ones and so exact.
+    return graph.adjacency, graph.adjacency.sum(axis=1)
 
 
 def _kmeans_labels(points: np.ndarray, norms: np.ndarray, starts) -> list:
