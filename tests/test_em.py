@@ -209,6 +209,8 @@ def test_kmeans_labels_match_the_per_class_loop(seed, n, p, k):
        p=st.sampled_from([1, 3]),
        ks=st.lists(st.integers(1, 7), min_size=1, max_size=8),
        levels=st.sampled_from([2, 3, 0]))
+@example(seed=3, n=2, p=3, ks=[5, 2, 7], levels=0)
+@example(seed=4, n=4, p=1, ks=[1, 6, 3], levels=2)
 def test_stacked_kmeans_gives_each_start_its_labels(seed, n, p, ks, levels):
     # Continuous points (levels 0) round their class sums; a few levels
     # give duplicated points, ties and empty classes. Starts of mixed k
@@ -228,6 +230,7 @@ def test_stacked_kmeans_gives_each_start_its_labels(seed, n, p, ks, levels):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 80),
        density=st.floats(0.05, 0.6),
        ks=st.lists(st.integers(2, 7), min_size=2, max_size=9))
+@example(seed=5, n=3, density=0.5, ks=[5, 2, 7])
 def test_stacked_kmeans_on_adjacency_rows(seed, n, density, ks):
     # Featureless starts cluster the adjacency rows, where p = n: every
     # distance sums n products and every centre n coordinates.
