@@ -10,8 +10,9 @@ exactly; the digests are reported, not asserted.
     PYTHONPATH=src python tests/parity/referee.py check   # list what moved
     PYTHONPATH=src python tests/parity/referee.py write   # rewrite the file
 
-``check`` prints the entries whose rounded fields moved and those whose
-exact digest moved; it exits with 1 when a rounded field moved, else 0. A
+``check`` prints the entries whose rounded fields moved, each moved field
+with its golden and its new value, and the entries whose exact digest
+moved; it exits with 1 when a rounded field moved, else 0. A
 change that keeps every output bit moves no digest. Rewriting the file
 changes what the referee accepts, so a change that does it names the
 entries that moved and why.
@@ -45,6 +46,16 @@ SCAN_SPEC = replace(grid_specs("c", n=150)[5], seed=7)
 SCAN_CFG = EMConfig(rng_seed=7, n_restarts=1, max_em_iters=25)
 # A graph-only fit, whose k-means starts cluster the adjacency rows.
 GRAPH_ONLY_SPEC = replace(README_SPEC, n=60, seed=3)
+# The acceptance suite's fit of the benchmark families, on one model of each
+# family the scan does not cover, fitted at its true class count.
+FAMILY_CFG = EMConfig(rng_seed=5, n_restarts=2, max_em_iters=50)
+FAMILY_MODELS = (("a", 2), ("b", 3), ("d", 2))
+# Tiny graphs: fewer than ten vertices, no feature columns, one class.
+TINY_FITS = (
+    ("n=8", replace(README_SPEC, n=8, n_classes=2, seed=5), 2),
+    ("p=0", replace(README_SPEC, n=40, n_features=0, seed=5), 3),
+    ("one class", replace(README_SPEC, n=30, seed=5), 1),
+)
 
 
 def rounded(value: float) -> str:
@@ -106,6 +117,19 @@ def compute() -> dict:
     result = fit_multi_restart(graph, features, 3, README_CFG, "graph-only")
     entries["fit_multi_restart n=60 graph-only"] = fit_record(
         result, icl_score(result, graph, features))
+
+    for family, index in FAMILY_MODELS:
+        spec = replace(grid_specs(family)[index], seed=11)
+        graph, features, _ = generate(spec)
+        result = fit_multi_restart(graph, features, spec.n_classes, FAMILY_CFG)
+        entries[f"fit_multi_restart family-{family}[{index}]"] = fit_record(
+            result, icl_score(result, graph, features))
+
+    for name, spec, n_classes in TINY_FITS:
+        graph, features, _ = generate(spec)
+        result = fit_multi_restart(graph, features, n_classes, README_CFG)
+        entries[f"fit_multi_restart tiny {name}"] = fit_record(
+            result, icl_score(result, graph, features))
     return entries
 
 
@@ -134,6 +158,11 @@ def main(argv) -> int:
         if golden[name].get("digest") != entries[name].get("digest"))
     for name in rounded_moved:
         print(f"rounded fields moved: {name}")
+        was, new = kept.get(name, {}), now.get(name, {})
+        for key in sorted(was.keys() | new.keys()):
+            if was.get(key) != new.get(key):
+                print(f"  {key}: golden {was.get(key, '(none)')!r}, "
+                      f"now {new.get(key, '(none)')!r}")
     for name in digest_moved:
         print(f"exact digest moved: {name}")
     print(f"{len(entries)} entries: {len(rounded_moved)} rounded moved, "
