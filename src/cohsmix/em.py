@@ -28,12 +28,12 @@ from .model import (
     Graph,
     ModelParams,
     ParamStack,
+    _class_sum,
     check_features_vary,
     check_params,
     check_responsibilities,
     check_rows,
     mode_terms,
-    one_hot,
     partition_from_responsibilities,
     variational_lower_bound,
 )
@@ -157,8 +157,12 @@ def init_responsibilities(graph: Graph, features: FeatureMatrix, n_classes: int,
 
 
 def _hard_start(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """One-hot labels smoothed towards uniform with weight 0.1."""
-    return 0.9 * one_hot(labels, n_classes) + 0.1 / n_classes
+    """One-hot labels smoothed towards uniform with weight 0.1: each entry
+    is ``0.1 / n_classes``, and the entry of each row's label gets 0.9 more.
+    ``labels`` are valid labels of ``n_classes`` classes."""
+    start = np.full((labels.shape[0], n_classes), 0.1 / n_classes)
+    start[np.arange(labels.shape[0]), labels] += 0.9
+    return start
 
 
 def _kmeans_points(graph: Graph, features: FeatureMatrix):
@@ -186,7 +190,8 @@ def _kmeans_labels(points: np.ndarray, norms: np.ndarray, starts) -> list:
     of the one-hot labels with the rows gives the coordinate sums of every
     class of every start, each a running sum over the rows in order; its
     products are exact (the row or a zero), so each sum is its members'
-    sum in row order. A class without members keeps its centre. A start
+    sum in row order; the sum of the one-hot labels over the rows counts
+    the members. A class without members keeps its centre. A start
     leaves the stack when its labels repeat, since labels that repeat give
     the centres they were computed from, or after ``_KMEANS_ITERS``
     labellings; so each start ends on the labels it gets alone, bit for
@@ -207,8 +212,6 @@ def _kmeans_labels(points: np.ndarray, norms: np.ndarray, starts) -> list:
         if (widths < width).any() else None
     norms = norms[:, None]
     classes = np.arange(width)[:, None]
-    # The first class of each stack row in the stack's flat class index.
-    offsets = width * np.arange(len(starts))
     # The start of each stack row, and the labels each start ends on.
     live = np.arange(len(starts))
     labels = [None] * len(starts)
@@ -227,9 +230,9 @@ def _kmeans_labels(points: np.ndarray, norms: np.ndarray, starts) -> list:
         if step:
             repeated = np.logical_and.reduce(new == current, axis=0)
             if np.count_nonzero(repeated):
-                for row in np.flatnonzero(repeated).tolist():
+                for row in repeated.nonzero()[0].tolist():
                     labels[live[row]] = new[:, row]
-                going = np.flatnonzero(~repeated)
+                going = (~repeated).nonzero()[0]
                 if not going.size:
                     return labels
                 live, new, centres = live[going], new[:, going], \
@@ -239,11 +242,10 @@ def _kmeans_labels(points: np.ndarray, norms: np.ndarray, starts) -> list:
         current = new
         if step + 1 == _KMEANS_ITERS:
             break
-        counts = np.bincount((current + offsets[:len(live)]).ravel(),
-                             minlength=centres.shape[0] * width)
-        sums = np.einsum("skn,np->skp", (current.T[:, None, :] == classes)
-                         .astype(np.float64), points)
-        counts = counts.reshape(-1, width, 1)
+        members = (current.T[:, None, :] == classes).astype(np.float64)
+        sums = np.einsum("skn,np->skp", members, points)
+        # Sums of ones, so exact.
+        counts = np.add.reduce(members, axis=2)[:, :, None]
         np.divide(sums, counts, out=centres, where=counts > 0)
     for row, start in enumerate(live.tolist()):
         labels[start] = current[:, row]
@@ -275,7 +277,9 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     the iterate that sweep started from, so the update of the returned
     matrix lies within ``FIXEDPOINT_TOL`` of it; a sweep that changes
     nothing thus returns its start. After ``MAX_FIXEDPOINT_SWEEPS`` sweeps
-    without that, iteration ends on the last update. Params
+    without that, iteration ends on the last update. Without the edge term
+    (``mode="features-only"``) the update does not read the iterate, so the
+    E-step is its first sweep. Params
     with a class proportion of 0 raise ``ValueError``: every bound is then
     ``-inf``, so no two iterates compare. The returned matrix never lowers
     the bound relative to the start, which the sweeps alone do not promise:
@@ -289,7 +293,7 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     a stack of one.
     """
     check_params(features, params)
-    empty = np.flatnonzero(params.alpha == 0)
+    empty = (params.alpha == 0).nonzero()[0]
     if empty.size:
         raise ValueError(f"class {empty[0]} has proportion 0")
     start = ClassStats.of(graph, features, check_responsibilities(
@@ -310,118 +314,136 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, mode: str):
     Row r of the stack is swept under row r of ``params``; a padded class
     of a row (see :class:`ClassStats`) has proportion 0 there, so its logits
     are ``-inf`` and it stays empty, and a padded one-class row ends at its
-    first sweep, which changes nothing. ``d2`` is the
+    first sweep, which changes nothing. The caller ignores numpy's divide
+    warnings, which the log of such a proportion raises. ``d2`` is the
     (R, Q, n) ``squared_distances(params.mu, features.values)``, or None when
-    the mode reads no features. Each sweep is one
-    stacked computation, its only n^2 work one :meth:`Graph.neighbour_mass`
-    of the rows still sweeping; the logits of the vertex terms (proportions
-    and features) are computed once, and the edge term's mass of the other
-    vertices and the residual are written into two buffers allocated once
-    per call, the rows still sweeping in their leading rows. Each row keeps
-    the stop rules of :func:`e_step`, and a row that stops leaves the stack,
-    recorded by the sweeps it ran. A row that meets the tolerance ends on an
-    iterate whose product its last sweep computed, so only the rows at the
-    sweep cap are multiplied after the loop. Returns the statistics of the
-    final iterates (``stats`` itself when no row moved) and, by row, the
-    sweeps it ran, whether it ended at the sweep cap and whether it moved:
-    a row moved unless its first sweep was within the tolerance, and one
-    that did not returns its start. No bound is computed here, and no row
-    is held back for lowering its bound: the sweeps need not raise it, and
-    :func:`e_step` returns the start in that case, while the fit rolls back
-    an iteration that ends below its previous bound (see :func:`_em`).
+    the mode reads no features. Each sweep is one stacked computation, its
+    only n^2 work one :meth:`Graph.neighbour_mass` of the rows still
+    sweeping; the logits of the vertex terms (proportions and features) are
+    computed once, and the edge term's mass of the other vertices and then
+    the residual are written into one buffer allocated once per call, the
+    rows still sweeping in its leading rows. Each row keeps the stop rules of
+    :func:`e_step`, and a row that stops leaves the stack, recorded by the
+    sweeps it ran. A row that meets the tolerance ends on an iterate whose
+    product its last sweep computed, so only the rows at the sweep cap are
+    multiplied after the loop. Without the edge term the update does not
+    read the iterate, so a second sweep would repeat the first bit for bit:
+    that E-step is one sweep, the softmax of the vertex terms. Returns the
+    statistics of the final iterates (``stats`` itself when no row moved)
+    and, by row, the sweeps it ran, whether it ended at the sweep cap and
+    whether it moved: a row moved unless its first sweep was within the
+    tolerance, and one that did not returns its start. No bound is computed
+    here, and no row is held back for lowering its bound: the sweeps need
+    not raise it, and :func:`e_step` returns the start in that case, while
+    the fit rolls back an iteration that ends below its previous bound (see
+    :func:`_em`).
     """
     graph, features = stats.graph, stats.features
-    use_edges, _ = mode_terms(mode)
     n_rows, n_classes, n = stats.resp_t.shape
     capped = np.zeros(n_rows, dtype=bool)
     if n_classes == 1:
         return stats, np.zeros(n_rows, dtype=np.int64), capped, capped.copy()
+    scratch = np.empty_like(stats.resp_t)
 
-    with np.errstate(divide="ignore"):
-        log_alpha = np.log(params.alpha)
-        log_pi = np.log(params.pi)
-        log_not = np.log1p(-params.pi)
     # (R, Q, 1) logits of the terms no sweep changes, (R, Q, n) with the
-    # features. A neighbour of class l adds log pi, any other vertex of class
-    # l log(1 - pi): the sweep applies their difference to the neighbour mass
-    # and log(1 - pi) to the mass of the other vertices.
-    base = log_alpha[:, :, None]
+    # features.
+    base = np.log(params.alpha)[:, :, None]
     if d2 is not None:
         base = base - d2 / (2.0 * params.sigma2[:, None, None])
-    log_ratio = log_pi - log_not
+    cur = stats.resp_t
+    if not mode_terms(mode)[0]:
+        update = _softmax(np.array(np.broadcast_to(base, cur.shape)))
+        diff = np.subtract(update, cur, out=scratch)
+        moved = np.maximum.reduce(np.abs(diff, out=diff), axis=(1, 2)) \
+            > FIXEDPOINT_TOL
+        sweeps = np.ones(n_rows, dtype=np.int64)
+        if not np.count_nonzero(moved):
+            return stats, sweeps, capped, moved
+        return ClassStats(graph, features,
+                          np.where(moved[:, None, None], update, cur), None,
+                          stats.n_classes), sweeps, capped, moved
+
+    # A neighbour of class l adds log pi, any other vertex of class l
+    # log(1 - pi): the sweep applies their difference to the neighbour mass
+    # and log(1 - pi) to the mass of the other vertices. The two (R, Q, Q)
+    # stacks share one array, so a stop event takes them at once.
+    log_pair = np.empty((2,) + params.pi.shape)
+    log_ratio, log_not = log_pair
+    np.log1p(np.negative(params.pi), out=log_not)
+    np.subtract(np.log(params.pi), log_not, out=log_ratio)
 
     # The rows still sweeping, their iterates, the product of those iterates
-    # once computed (the start's product is the start bound's), and the
+    # once computed (the start's product is the start statistics'), and the
     # residual of their previous sweep (none before the first).
     live = np.arange(n_rows)
-    cur = stats.resp_t
-    mass = stats.mass if use_edges else None
-    previous = np.full(n_rows, np.inf)
+    mass = stats.mass
+    previous = None
     # Per row: the sweeps it ran (the cap until it stops sooner), the final
     # iterate and its product, unknown for the rows at the sweep cap.
     sweeps = np.full(n_rows, MAX_FIXEDPOINT_SWEEPS)
     finals = np.empty_like(cur)
-    products = np.empty_like(cur) if use_edges else None
-    others, change = np.empty_like(cur), np.empty_like(cur)
+    products = np.empty_like(cur)
     for sweep in range(MAX_FIXEDPOINT_SWEEPS):
         rows = len(cur)
-        if use_edges:
-            if mass is None:
-                mass = graph.neighbour_mass(cur)
-            logits = log_ratio @ mass
-            logits += base
-            logits += log_not @ np.subtract(
-                np.add.reduce(cur, axis=2, keepdims=True), cur,
-                out=others[:rows])
-        else:
-            logits = np.array(np.broadcast_to(base, cur.shape))
-        # Softmax over the classes shifted by the class maximum: exp can
-        # neither overflow nor underflow a whole column to zero.
-        logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
-        update = np.exp(logits, out=logits)
-        update /= np.add.reduce(update, axis=1, keepdims=True)
-        diff = np.subtract(update, cur, out=change[:rows])
+        if mass is None:
+            mass = graph.neighbour_mass(cur)
+        logits = log_ratio @ mass
+        logits += base
+        logits += log_not @ np.subtract(
+            np.add.reduce(cur, axis=2, keepdims=True), cur,
+            out=scratch[:rows])
+        update = _softmax(logits)
+        diff = np.subtract(update, cur, out=scratch[:rows])
         residuals = np.maximum.reduce(np.abs(diff, out=diff), axis=(1, 2))
-        # A row within the tolerance ends on the iterate whose residual this
-        # sweep measured, with the product the sweep already computed.
-        if np.minimum.reduce(residuals) <= FIXEDPOINT_TOL:
-            stopped = residuals <= FIXEDPOINT_TOL
-            halt, keep = np.flatnonzero(stopped), np.flatnonzero(~stopped)
-            done = live.take(halt)
-            sweeps[done] = sweep + 1
-            finals[done] = cur.take(halt, axis=0)
-            if use_edges:
-                products[done] = mass.take(halt, axis=0)
-            if not keep.size:
-                break
-            live, residuals, previous = live.take(keep), \
-                residuals.take(keep), previous.take(keep)
-            update, cur = update.take(keep, axis=0), cur.take(keep, axis=0)
-            base, log_ratio, log_not = base.take(keep, axis=0), \
-                log_ratio.take(keep, axis=0), log_not.take(keep, axis=0)
         # A row whose residual is not below its previous sweep's has stopped
         # contracting; only such rows are blended with their old values. The
-        # first sweep has no previous residual.
+        # first sweep has no previous residual. A row that stops at this
+        # sweep has a residual below its previous one, so it is not blended.
         if sweep:
             blend = residuals >= previous
             if np.count_nonzero(blend):
                 weight = np.where(blend, DAMPING, 0.0)[:, None, None]
                 update = (1.0 - weight) * update + weight * cur
+        # A row within the tolerance ends on the iterate whose residual this
+        # sweep measured, with the product the sweep already computed.
+        stopped = residuals <= FIXEDPOINT_TOL
+        if np.count_nonzero(stopped):
+            halt = stopped.nonzero()[0]
+            done = live.take(halt)
+            sweeps[done] = sweep + 1
+            finals[done] = cur.take(halt, axis=0)
+            products[done] = mass.take(halt, axis=0)
+            if halt.size == rows:
+                break
+            keep = (~stopped).nonzero()[0]
+            live, residuals = live.take(keep), residuals.take(keep)
+            update, base = update.take(keep, axis=0), base.take(keep, axis=0)
+            log_pair = log_pair.take(keep, axis=1)
+            log_ratio, log_not = log_pair
         previous = residuals
         cur, mass = update, None
     else:
         # The sweep cap: the rows still sweeping end on their last iterate.
         capped[live] = True
         finals[live] = cur
-        if use_edges:
-            products[live] = graph.neighbour_mass(cur)
+        products[live] = graph.neighbour_mass(cur)
 
     # A row moved unless its first sweep met the tolerance.
     moved = (sweeps > 1) | capped
-    if not moved.any():
+    if not np.count_nonzero(moved):
         return stats, sweeps, capped, moved
     return ClassStats(graph, features, finals, products, stats.n_classes), \
         sweeps, capped, moved
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """The softmax over the classes (axis 1) of an (R, Q, n) stack of
+    logits, in place. The logits are shifted by the class maximum, so exp
+    can neither overflow nor underflow a whole column to zero."""
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    update = np.exp(logits, out=logits)
+    update /= np.add.reduce(update, axis=1, keepdims=True)
+    return update
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +488,8 @@ def _m_step(stats: ClassStats, mode: str):
 
     if use_edges:
         on, den = stats.on, stats.pairs
-        # A pair count of 0 is divided by 1 instead, so no division warns.
-        positive = den > 0
-        pi = np.where(positive, on / np.where(positive, den, 1.0), 0.5)
+        # Only positive pair counts divide, so no division warns.
+        pi = np.divide(on, den, out=np.full_like(on, 0.5), where=den > 0)
         pi = (pi + pi.transpose(0, 2, 1)) / 2.0
         pi = np.minimum(np.maximum(pi, PI_EPS, out=pi), 1.0 - PI_EPS, out=pi)
     else:
@@ -483,7 +504,8 @@ def _m_step(stats: ClassStats, mode: str):
         mu = np.einsum("rkn,pn->rkp", stats.resp_t, features.values_t) \
             / np.maximum(col, EMPTY_CLASS_MASS)[:, :, None]
         d2 = features.squared_distances(mu)
-        sigma2 = np.maximum(stats.scatter(mu, d2) / (p * n), SIGMA2_FLOOR)
+        sigma2 = np.maximum(_class_sum(stats.scatter(mu, d2)) / (p * n),
+                            SIGMA2_FLOOR)
     else:
         mu = np.zeros((n_rows, n_classes, p))
         sigma2 = np.full(n_rows, SIGMA2_FLOOR)
@@ -653,23 +675,28 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
     cap_hits = np.zeros(len(starts), dtype=np.int64)
 
     def m_step_and_bound(stats):
-        """The M-step after the rescue, the rows that survived it, and the
-        bounds."""
+        """The M-step after the rescue, the rows that survived it (a range
+        when all did) and the bounds."""
         stats, errors = _rescue(stats)
-        rows = [row for row in range(stats.resp_t.shape[0])
-                if row not in errors]
-        for row, err in errors.items():
-            outcomes[idx[row]] = err
+        rows = range(len(idx))
         if errors:
+            for row, err in errors.items():
+                outcomes[idx[row]] = err
+            rows = np.array([row for row in rows if row not in errors],
+                            dtype=np.intp)
             stats = stats.take(rows)
         params, d2 = _m_step(stats, mode)
         return stats, params, d2, rows, stats.bound(params, mode, d2)
 
     def finish(stats, params, row, start, converged):
+        n_classes = int(stats.n_classes[row])
+        # A one-class start needs no sweep; padded, it runs one that
+        # changes nothing, which is not counted.
         outcomes[start] = _Run(
             resp_t=stats.resp_t[row], params=params, row=row,
-            n_classes=int(stats.n_classes[row]), bound_trace=traces[start],
-            converged=converged, e_step_sweeps=int(sweeps[start]),
+            n_classes=n_classes, bound_trace=traces[start],
+            converged=converged,
+            e_step_sweeps=int(sweeps[start]) if n_classes > 1 else 0,
             sweep_cap_hits=int(cap_hits[start]), mode=mode)
 
     # The start of each stack row.
@@ -679,52 +706,60 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
     for row, start in enumerate(starts):
         resp_t[row, :widths[row]] = start.T
     stats = ClassStats(graph, features, resp_t, n_classes=widths)
-    stats, params, d2, rows, bounds = m_step_and_bound(stats)
-    idx = idx[rows]
-    for start, value in zip(idx, bounds.tolist()):
-        traces[start].append(value)
-    for _ in range(max_em_iters):
-        if not idx.size:
-            break
-        stepped, row_sweeps, capped, moved = _e_step(stats, params, d2, mode)
-        # A one-class start needs no sweep; padded, it runs one that
-        # changes nothing, which is not counted.
-        sweeps[idx] += np.where(stats.n_classes > 1, row_sweeps, 0)
-        cap_hits[idx] += capped
-        # The row of stats and params that each row of stepped came from.
-        origin = range(len(idx))
-        if not moved.all():
-            # A row whose E-step returned its start has converged: the rest
-            # of the iteration would rebuild its params and bound.
-            for row in np.flatnonzero(~moved).tolist():
-                finish(stats, params, row, idx[row], True)
-            origin = np.flatnonzero(moved)
-            idx, bounds = idx[origin], bounds[origin]
+    # A padded class's proportion is 0, whose log the E-step takes.
+    with np.errstate(divide="ignore"):
+        stats, params, d2, rows, bounds = m_step_and_bound(stats)
+        if len(rows) < len(idx):
+            idx = idx[rows]
+        for start, value in zip(idx.tolist(), bounds.tolist()):
+            traces[start].append(value)
+        for _ in range(max_em_iters):
             if not idx.size:
                 break
-            stepped = stepped.take(origin)
-        new_stats, new_params, new_d2, rows, values = m_step_and_bound(stepped)
-        previous = bounds.tolist()
-        going = []
-        for new_row, (row, value) in enumerate(zip(rows, values.tolist())):
-            start = idx[row]
-            if value < previous[row] - 1e-9:
-                # Rolled back: the row finishes on the iterate it had.
-                finish(stats, params, origin[row], start, False)
-                continue
-            traces[start].append(value)
-            if abs(value - previous[row]) \
-                    <= BOUND_REL_TOL * max(1.0, abs(previous[row])):
-                finish(new_stats, new_params, new_row, start, True)
-            else:
-                going.append(new_row)
-        stats, params, d2, idx, bounds = new_stats, new_params, new_d2, \
-            idx[rows], values
-        if len(going) < len(rows):
-            stats, params, idx, bounds = stats.take(going), \
-                params.take(going), idx[going], bounds[going]
-            d2 = None if d2 is None else d2[going]
-    for row, start in enumerate(idx):
+            stepped, row_sweeps, capped, moved = _e_step(stats, params, d2,
+                                                         mode)
+            sweeps[idx] += row_sweeps
+            if np.count_nonzero(capped):
+                cap_hits[idx] += capped
+            # The row of stats and params that each row of stepped came
+            # from.
+            origin = range(len(idx))
+            returned = (~moved).nonzero()[0]
+            if returned.size:
+                # A row whose E-step returned its start has converged: the
+                # rest of the iteration would rebuild its params and bound.
+                for row in returned.tolist():
+                    finish(stats, params, row, idx[row], True)
+                origin = moved.nonzero()[0]
+                idx, bounds = idx.take(origin), bounds.take(origin)
+                if not idx.size:
+                    break
+                stepped = stepped.take(origin)
+            new_stats, new_params, new_d2, rows, values = \
+                m_step_and_bound(stepped)
+            previous, starts_of = bounds.tolist(), idx.tolist()
+            going = []
+            for new_row, (row, value) in enumerate(zip(rows, values.tolist())):
+                start = starts_of[row]
+                if value < previous[row] - 1e-9:
+                    # Rolled back: the row finishes on the iterate it had.
+                    finish(stats, params, origin[row], start, False)
+                    continue
+                traces[start].append(value)
+                if abs(value - previous[row]) \
+                        <= BOUND_REL_TOL * max(1.0, abs(previous[row])):
+                    finish(new_stats, new_params, new_row, start, True)
+                else:
+                    going.append(new_row)
+            if len(rows) < len(idx):
+                idx = idx.take(rows)
+            stats, params, d2, bounds = new_stats, new_params, new_d2, values
+            if len(going) < len(idx):
+                going = np.array(going, dtype=np.intp)
+                stats, params, idx, bounds = stats.take(going), \
+                    params.take(going), idx.take(going), bounds.take(going)
+                d2 = None if d2 is None else d2.take(going, axis=0)
+    for row, start in enumerate(idx.tolist()):
         finish(stats, params, row, start, False)
     return outcomes
 

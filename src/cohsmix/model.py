@@ -25,6 +25,8 @@ MODES = ("joint", "graph-only", "features-only")
 # Enumeration guard for the exact marginal.
 MAX_ENUM_TERMS = 1_000_000
 
+_SMALLEST_SUBNORMAL = 5e-324
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -293,13 +295,15 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
 
 def responsibility_entropy(resp, axis=None):
     """-sum resp * log resp with the 0*log 0 = 0 convention, over ``axis``
-    (every entry by default). The log is taken of the positive entries
-    only; on the fit's small stacks that takes about half the time of
+    (every entry by default). A zero entry's log is taken at the smallest
+    subnormal instead, a finite log whose product with the zero is 0, so
+    every positive entry, subnormals included, keeps its own term; on the
+    fit's small stacks this takes under half the time of
     ``scipy.special.xlogy``."""
     resp = np.asarray(resp, dtype=np.float64)
-    terms = np.log(resp, out=np.zeros_like(resp), where=resp > 0)
+    terms = np.log(np.maximum(resp, _SMALLEST_SUBNORMAL))
     terms *= resp
-    return -terms.sum(axis=axis)
+    return -np.add.reduce(terms, axis=axis)
 
 
 def mode_terms(mode: str) -> tuple[bool, bool]:
@@ -368,7 +372,7 @@ class ParamStack(NamedTuple):
                    np.array([params.sigma2]))
 
     def take(self, rows) -> "ParamStack":
-        return ParamStack(*(field[rows] for field in self))
+        return ParamStack(*(field.take(rows, axis=0) for field in self))
 
     def unstack(self, row: int, n_classes: int | None = None) -> ModelParams:
         """The parameters of one row, with its first ``n_classes`` classes
@@ -399,7 +403,8 @@ class ClassStats:
     asks for it; the caller passes it in when it already has it. ``col`` is
     the class mass; ``on`` the expected edge counts between classes, each
     edge counted from both ends; ``pairs`` the expected counts of ordered
-    pairs of distinct vertices. Callers validate ``resp_t``; it is kept in
+    pairs of distinct vertices; ``class_entropy`` the entropy of each class's
+    responsibilities, and ``entropy`` their sum. Callers validate ``resp_t``; it is kept in
     C order, copied only when it is not: numpy groups the terms of a sum
     over vertices by the memory layout, so a strided stack (``np.stack``
     of transposes) would round differently from the same matrices in C
@@ -431,7 +436,7 @@ class ClassStats:
         self.graph = graph
         self.features = features
         self.resp_t = resp_t
-        self.col = resp_t.sum(axis=2)
+        self.col = np.add.reduce(resp_t, axis=2)
         self._mass = mass
         self.n_classes = np.full(resp_t.shape[0], resp_t.shape[1]) \
             if n_classes is None else n_classes
@@ -463,23 +468,29 @@ class ClassStats:
                 - np.einsum("rkn,rln->rkl", self.resp_t, self.resp_t))
 
     @_lazy
+    def class_entropy(self) -> np.ndarray:
+        return responsibility_entropy(self.resp_t, axis=2)
+
+    @_lazy
     def entropy(self) -> np.ndarray:
-        return _class_sum(responsibility_entropy(self.resp_t, axis=2))
+        return _class_sum(self.class_entropy)
 
     def take(self, rows) -> "ClassStats":
-        """The statistics of the matrices at ``rows``, with their products,
-        class masses and whichever of ``on``, ``pairs`` and the entropy are
-        computed. The rows come from checked statistics and every statistic
-        is a row's own, so the taken rows are neither checked nor summed
-        again."""
+        """The statistics of the matrices at ``rows``, an integer array, with
+        their products, class masses and whichever of ``on``, ``pairs`` and
+        the entropies are computed. The rows come from checked statistics
+        and every statistic is a row's own, so the taken rows are neither
+        checked nor summed again."""
         taken = object.__new__(ClassStats)
         taken.graph, taken.features = self.graph, self.features
-        taken.resp_t, taken.col = self.resp_t[rows], self.col[rows]
-        taken._mass = None if self._mass is None else self._mass[rows]
-        taken.n_classes = self.n_classes[rows]
-        for name in ("on", "pairs", "entropy"):
+        taken.resp_t = self.resp_t.take(rows, axis=0)
+        taken.col = self.col.take(rows, axis=0)
+        taken._mass = None if self._mass is None \
+            else self._mass.take(rows, axis=0)
+        taken.n_classes = self.n_classes.take(rows)
+        for name in ("on", "pairs", "class_entropy", "entropy"):
             if name in self.__dict__:
-                taken.__dict__[name] = self.__dict__[name][rows]
+                taken.__dict__[name] = self.__dict__[name].take(rows, axis=0)
         return taken
 
     def with_rows(self, rows, resp_t: np.ndarray) -> "ClassStats":
@@ -496,7 +507,8 @@ class ClassStats:
                           self.n_classes)
 
     def scatter(self, mu, d2: np.ndarray | None = None) -> np.ndarray:
-        """Responsibility-weighted squared distance of the rows to ``mu``.
+        """(R, Q) responsibility-weighted squared distance of the rows to
+        each class's mean of ``mu``.
 
         ``mu`` is an (R, Q, p) stack of means; ``d2`` is
         ``squared_distances(mu, features.values)`` when the caller already
@@ -509,7 +521,7 @@ class ClassStats:
             return self._scatter[1]
         if d2 is None:
             d2 = self.features.squared_distances(mu)
-        value = _class_sum((self.resp_t * d2).sum(axis=2))
+        value = np.add.reduce(self.resp_t * d2, axis=2)
         self._scatter = (mu, value)
         return value
 
@@ -521,29 +533,41 @@ class ClassStats:
         ``params`` is a :class:`ParamStack` with one row per matrix.
         Proportions, then Bernoulli edges over unordered pairs of distinct
         vertices, then the spherical Gaussian with its full normalising
-        constant. ``d2`` is as in :meth:`scatter`.
+        constant. ``d2`` is as in :meth:`scatter`. Each class's terms are
+        added first, then the classes, in one :func:`_class_sum`.
         """
-        check_params(self.features, params)
-        use_edges, use_features = mode_terms(mode)
-        total = _class_sum(xlogy(self.col, params.alpha))
-        if use_edges:
-            on = self.on
-            off = self.pairs - on
-            total += 0.5 * _class_sum(
-                (xlogy(on, params.pi) + xlogy(off, 1.0 - params.pi))
-                .sum(axis=1))
-        p = self.features.p
-        if use_features and p:
-            const = -0.5 * p * np.log(2.0 * np.pi * params.sigma2)
-            total += (const * _class_sum(self.col)
-                      - self.scatter(params.mu, d2) / (2.0 * params.sigma2))
-        return total
+        return _class_sum(self._class_terms(params, mode, d2))
 
     def bound(self, params: ParamStack, mode: str = "joint",
               d2: np.ndarray | None = None) -> np.ndarray:
         """Variational lower bound of each matrix: log-likelihood plus
-        entropy."""
-        return self.log_likelihood(params, mode, d2) + self.entropy
+        entropy, each class's entropy added to its terms before the classes
+        are summed."""
+        terms = self._class_terms(params, mode, d2)
+        terms += self.class_entropy
+        return _class_sum(terms)
+
+    def _class_terms(self, params: ParamStack, mode: str,
+                     d2: np.ndarray | None) -> np.ndarray:
+        """(R, Q) terms of :meth:`log_likelihood` of each class: a new
+        array."""
+        check_params(self.features, params)
+        use_edges, use_features = mode_terms(mode)
+        terms = xlogy(self.col, params.alpha)
+        if use_edges:
+            on = self.on
+            off = self.pairs - on
+            edges = np.add.reduce(
+                xlogy(on, params.pi) + xlogy(off, 1.0 - params.pi), axis=1)
+            edges *= 0.5
+            terms += edges
+        p = self.features.p
+        if use_features and p:
+            sigma2 = params.sigma2[:, None]
+            const = -0.5 * p * np.log(2.0 * np.pi * sigma2)
+            terms += const * self.col \
+                - self.scatter(params.mu, d2) / (2.0 * sigma2)
+        return terms
 
 
 def _class_sum(x: np.ndarray) -> np.ndarray:
@@ -573,7 +597,7 @@ def _squared_distances(points, centers_t, center_norms) -> np.ndarray:
     centres and their squared norms. The terms are combined in place, in
     the order ``(point norms + centre norms) - 2 * cross``."""
     points = np.asarray(points, dtype=np.float64)
-    out = (points * points).sum(axis=-1)[..., None] + center_norms
+    out = np.add.reduce(points * points, axis=-1)[..., None] + center_norms
     cross = np.einsum("...ip,pj->...ij", points, centers_t)
     cross *= 2.0
     out -= cross

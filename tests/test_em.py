@@ -822,11 +822,12 @@ def test_fit_computes_one_adjacency_product_per_iterate(monkeypatch):
 def test_fit_computes_one_bound_per_iteration(monkeypatch):
     # The bound recorded after each M-step is the only one a fit computes:
     # the E-step computes none, and with no iteration rolled back each
-    # computed bound is on the trace.
+    # computed bound is on the trace. Every bound and log-likelihood sums
+    # the per-class terms of ClassStats._class_terms.
     graph, features = _readme_case(0)
     calls = []
     sweeping = []
-    likelihood, stacked = ClassStats.log_likelihood, em._e_step
+    likelihood, stacked = ClassStats._class_terms, em._e_step
 
     def counted(self, *args, **kwargs):
         calls.append(bool(sweeping))
@@ -839,7 +840,7 @@ def test_fit_computes_one_bound_per_iteration(monkeypatch):
         finally:
             sweeping.pop()
 
-    monkeypatch.setattr(ClassStats, "log_likelihood", counted)
+    monkeypatch.setattr(ClassStats, "_class_terms", counted)
     monkeypatch.setattr(em, "_e_step", marked)
     result = fit(graph, features, 3, EMConfig(rng_seed=1))
     assert result.converged and len(result.bound_trace) > 2
