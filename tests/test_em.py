@@ -23,6 +23,8 @@ from cohsmix.em import (
 from cohsmix.metrics import adjusted_rand_index
 from cohsmix.model import (
     MODES,
+    PI_EPS,
+    SIGMA2_FLOOR,
     ClassStats,
     FeatureMatrix,
     Graph,
@@ -1036,6 +1038,41 @@ def test_m_step_matches_numerical_maximizer(seed):
                                          seed=seed)
     assert closed >= numeric - 1e-6
     assert numeric <= closed + 1e-6
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       n_classes=st.integers(1, 3), p=st.integers(0, 2),
+       mode=st.sampled_from(MODES))
+def test_m_step_is_stationary_on_generated_cases(seed, n, n_classes, p,
+                                                  mode):
+    # Criterion 2's limit on small generated cases in every mode: started
+    # from a perturbed copy of the closed form, the numerical maximiser
+    # finds no parameters whose bound is more than 1e-6 above it. Where a
+    # clamp binds (no edges or no non-edges between two classes, or no
+    # feature scatter), the closed form maximises only the clamped bound,
+    # so those cases are left out.
+    assume(n_classes <= n)
+    rng = np.random.default_rng(seed)
+    graph, features, _ = random_instance(rng, n=n, n_classes=n_classes, p=p)
+    resp = random_responsibilities(n, n_classes, rng)
+    use_edges, use_features = mode_terms(mode)
+    params = m_step(graph, features, resp, mode)
+    if use_edges:
+        assume(PI_EPS < params.pi.min() and params.pi.max() < 1.0 - PI_EPS)
+    if use_features and p:
+        assume(params.sigma2 > SIGMA2_FLOOR)
+
+    def bound_fn(candidate):
+        return variational_lower_bound(graph, features, resp, candidate, mode)
+
+    numeric = maximize_bound_numerically(graph, features, resp, bound_fn,
+                                         n_classes=n_classes,
+                                         start_params=params, n_starts=0,
+                                         seed=seed)
+    assert numeric <= bound_fn(params) + 1e-6
 
 
 def test_m_step_scale_equivariance(rng):
