@@ -678,7 +678,7 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
         """The M-step after the rescue, the rows that survived it (a range
         when all did) and the bounds."""
         stats, errors = _rescue(stats)
-        rows = range(len(idx))
+        rows = range(stats.resp_t.shape[0])
         if errors:
             for row, err in errors.items():
                 outcomes[idx[row]] = err

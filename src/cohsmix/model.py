@@ -403,12 +403,13 @@ class ClassStats:
     asks for it; the caller passes it in when it already has it. ``col`` is
     the class mass; ``on`` the expected edge counts between classes, each
     edge counted from both ends; ``pairs`` the expected counts of ordered
-    pairs of distinct vertices; ``class_entropy`` the entropy of each class's
-    responsibilities, and ``entropy`` their sum. Callers validate ``resp_t``; it is kept in
-    C order, copied only when it is not: numpy groups the terms of a sum
-    over vertices by the memory layout, so a strided stack (``np.stack``
-    of transposes) would round differently from the same matrices in C
-    order. Every stack the fit builds is C-contiguous already.
+    pairs of distinct vertices; ``class_entropy`` the entropy of each
+    class's responsibilities, and ``entropy`` their sum. Callers validate
+    ``resp_t``; it is kept in C order, copied only when it is not: numpy
+    groups the terms of a sum over vertices by the memory layout, so a
+    strided stack (``np.stack`` of transposes) would round differently from
+    the same matrices in C order. Every stack the fit builds is C-contiguous
+    already.
 
     Matrices of different class counts share a stack by padding: matrix r
     has ``n_classes[r]`` classes (every class of the stack by default), and
@@ -476,7 +477,7 @@ class ClassStats:
         return _class_sum(self.class_entropy)
 
     def take(self, rows) -> "ClassStats":
-        """The statistics of the matrices at ``rows``, an integer array, with
+        """The statistics of the matrices at ``rows`` (integer indices), with
         their products, class masses and whichever of ``on``, ``pairs`` and
         the entropies are computed. The rows come from checked statistics
         and every statistic is a row's own, so the taken rows are neither
