@@ -188,14 +188,17 @@ def _kmeans_labels(points: np.ndarray, norms: np.ndarray, starts) -> list:
     depend on the other centres; the centres that pad a start up to the
     widest are at +inf, so its argmin never picks them. One ``np.einsum``
     of the one-hot labels with the rows gives the coordinate sums of every
-    class of every start, each a running sum over the rows in order; its
-    products are exact (the row or a zero), so each sum is its members'
-    sum in row order; the sum of the one-hot labels over the rows counts
-    the members. A class without members keeps its centre. A start
-    leaves the stack when its labels repeat, since labels that repeat give
-    the centres they were computed from, or after ``_KMEANS_ITERS``
-    labellings; so each start ends on the labels it gets alone, bit for
-    bit.
+    class of every start. Its products are exact (the row or a zero), and
+    how it groups the terms of a sum depends only on n, not on the other
+    classes or starts in the stack, so each start's sums are the ones it
+    gets in a stack of one. The grouping is not a running sum in row order:
+    with one feature column numpy reads the contiguous rows in SIMD partial
+    sums, which can differ from the sequential sum in the last bit. The sum
+    of the one-hot labels over the rows counts the members. A class without
+    members keeps its centre. A start leaves the stack when its labels
+    repeat, since labels that repeat give the centres they were computed
+    from, or after ``_KMEANS_ITERS`` labellings; so each start ends on the
+    labels it gets alone, bit for bit.
     """
     n, p = points.shape
     if p == 0:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -70,12 +69,22 @@ class ExperimentRecord:
 
 
 def worker_count() -> int:
-    """Parallelism cap from the environment; 1 means run serially."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """Parallelism cap from the environment; 1 means run serially.
+
+    Unset or empty means 1. Any other value must be an integer of at least
+    1, or ``ValueError`` names the variable and the value.
+    """
+    raw = os.environ.get(THREADS_ENV, "")
+    if not raw:
         return 1
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(
+            f"{THREADS_ENV} must be an integer of at least 1, got {raw!r}")
+    return count
 
 
 def _replicate_seeds(seed: int, spec_index: int, replicate: int):
@@ -150,6 +159,10 @@ def run_grid(setting: str, replicates: int = 20, cfg: EMConfig | None = None,
     ]
     workers = worker_count()
     if workers > 1:
+        # Imported here: the pool pulls multiprocessing, subprocess, socket
+        # and pickle into the process, which a serial run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_replicate, tasks, chunksize=1))
     else:

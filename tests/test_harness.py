@@ -179,10 +179,29 @@ def test_scan_mode_records_selected_q():
 def test_worker_count_parsing(monkeypatch):
     monkeypatch.delenv("COHSMIX_THREADS", raising=False)
     assert worker_count() == 1
-    monkeypatch.setenv("COHSMIX_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("COHSMIX_THREADS", "junk")
-    assert worker_count() == 1
+    for raw, count in (("", 1), ("1", 1), ("4", 4)):
+        monkeypatch.setenv("COHSMIX_THREADS", raw)
+        assert worker_count() == count
+    for raw in ("junk", "0", "-3", "2.5"):
+        monkeypatch.setenv("COHSMIX_THREADS", raw)
+        with pytest.raises(ValueError, match=re.escape(
+                f"COHSMIX_THREADS must be an integer of at least 1, "
+                f"got {raw!r}")):
+            worker_count()
+
+
+def test_grid_cli_rejects_a_bad_worker_count(monkeypatch, tmp_path, capsys):
+    from cohsmix.cli import main
+
+    def simulated(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(harness, "generate", simulated)
+    monkeypatch.setenv("COHSMIX_THREADS", "0")
+    assert main(["grid", "--setting", "a", "--replicates", "1",
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: COHSMIX_THREADS must be an integer of at least 1, got '0'\n")
 
 
 def test_replicates_validation():

@@ -446,6 +446,135 @@ def test_exact_marginal_enumeration_guard(rng):
 
 
 # ---------------------------------------------------------------------------
+# Conventions of x log y and of the log-sum-exp, against scipy's
+
+
+@pytest.mark.parametrize("ys, zero_x_under_zero_y", [
+    ([5e-324, 1e-300, 0.3, 1.0 - 1e-16, 1.0], False),  # no zero
+    ([0.0, 0.3, 1.0], True),  # zeros only where x is 0
+    ([0.0, 5e-324, 0.3, 1.0], False),  # zeros where x is not 0 too
+], ids=["no-zero", "zero-where-x-is-zero", "zero-where-x-is-not"])
+def test_xlogy_keeps_scipys_conventions(ys, zero_x_under_zero_y):
+    from scipy.special import xlogy
+
+    x, y = np.meshgrid([0.0, -1e-17, 5e-324, 3e-300, 0.5, 2.0, 40.0], ys)
+    if zero_x_under_zero_y:
+        x[y == 0.0] = 0.0
+    # A zero expected value must come out exactly zero.
+    np.testing.assert_allclose(model._xlogy(x, y), xlogy(x, y), rtol=1e-15,
+                               atol=0.0)
+
+
+def _scipy_value(monkeypatch, func, *args, **kwargs):
+    """``func`` evaluated with the bound's x log y terms from scipy."""
+    from scipy.special import xlogy
+
+    with monkeypatch.context() as patched:
+        patched.setattr(model, "_xlogy", xlogy)
+        return func(*args, **kwargs)
+
+
+def _assert_scipy_values(monkeypatch, graph, features, params, labels):
+    """The complete log-likelihood of ``labels``, hard and as a soft
+    matrix, and the bound of that matrix, in every mode, each equal to its
+    value with scipy's ``xlogy``; returns them by mode."""
+    resp = one_hot(labels, params.n_classes)
+    values = {}
+    for mode in model.MODES:
+        calls = [(complete_log_likelihood, labels),
+                 (complete_log_likelihood, resp),
+                 (variational_lower_bound, resp)]
+        got = [func(graph, features, arg, params, mode) for func, arg in calls]
+        expected = [_scipy_value(monkeypatch, func, graph, features, arg,
+                                 params, mode) for func, arg in calls]
+        assert got == pytest.approx(expected, rel=1e-14)
+        assert len(set(got)) == 1
+        values[mode] = got[0]
+    return values
+
+
+def test_a_zero_proportion_on_an_empty_class_adds_nothing(rng, monkeypatch):
+    graph = random_graph(6, rng)
+    features = random_features(6, 2, rng)
+    params = ModelParams(alpha=[0.6, 0.4, 0.0], pi=np.full((3, 3), 0.3),
+                         mu=rng.normal(size=(3, 2)), sigma2=1.5)
+    labels = np.array([0, 1, 1, 0, 1, 0])
+    values = _assert_scipy_values(monkeypatch, graph, features, params,
+                                  labels)
+    assert all(np.isfinite(value) for value in values.values())
+    # Soft responsibilities that leave the class empty, too.
+    resp = np.column_stack([np.full(6, 0.3), np.full(6, 0.7), np.zeros(6)])
+    for mode in model.MODES:
+        bound = variational_lower_bound(graph, features, resp, params, mode)
+        assert np.isfinite(bound)
+        assert bound == pytest.approx(_scipy_value(
+            monkeypatch, variational_lower_bound, graph, features, resp,
+            params, mode), rel=1e-14)
+
+
+def test_a_hard_label_on_a_zero_proportion_is_impossible(rng, monkeypatch):
+    graph = random_graph(6, rng)
+    features = random_features(6, 2, rng)
+    params = ModelParams(alpha=[0.6, 0.4, 0.0], pi=np.full((3, 3), 0.3),
+                         mu=rng.normal(size=(3, 2)), sigma2=1.5)
+    labels = np.array([0, 1, 2, 0, 1, 0])
+    values = _assert_scipy_values(monkeypatch, graph, features, params,
+                                  labels)
+    assert values == {mode: -np.inf for mode in model.MODES}
+
+
+def test_certain_connections_with_zero_and_nonzero_counts(rng, monkeypatch):
+    # Two triangles with no edge between them, pi = identity: within a
+    # class every pair is an edge, between classes none is.
+    triangle = np.ones((3, 3)) - np.eye(3)
+    graph = Graph(np.kron(np.eye(2), triangle))
+    features = random_features(6, 1, rng)
+    params = ModelParams(alpha=[0.5, 0.5], pi=np.eye(2),
+                         mu=[[0.0], [1.0]], sigma2=1.0)
+    # Edges only where pi is 1, non-edges only where it is 0: every
+    # zero count meets a zero probability.
+    fits = _assert_scipy_values(monkeypatch, graph, features, params,
+                                np.array([0, 0, 0, 1, 1, 1]))
+    assert all(np.isfinite(value) for value in fits.values())
+    # Every edge term is 0: what is left are the proportions.
+    assert fits["joint"] == fits["features-only"]
+    assert fits["graph-only"] == pytest.approx(6 * np.log(0.5), rel=1e-15)
+    # Non-edges inside class 1 (pi = 1) and edges between the classes
+    # (pi = 0): impossible unless the edges are ignored.
+    breaks = _assert_scipy_values(monkeypatch, graph, features, params,
+                                  np.array([0, 0, 1, 1, 1, 1]))
+    assert breaks["joint"] == breaks["graph-only"] == -np.inf
+    assert np.isfinite(breaks["features-only"])
+
+
+def test_exact_marginal_of_an_impossible_graph_is_silent_minus_inf():
+    from scipy.special import logsumexp
+
+    # No edges, one class that connects every pair: every labelling has
+    # probability 0.
+    params = ModelParams(alpha=[1.0], pi=[[1.0]], mu=np.zeros((1, 0)),
+                         sigma2=1.0)
+    value = exact_log_marginal(Graph(np.zeros((3, 3))), FeatureMatrix.empty(3),
+                               params)
+    assert value == logsumexp(np.full(1, -np.inf)) == -np.inf
+
+
+@pytest.mark.parametrize("values", [
+    [-np.inf, -np.inf, -np.inf],
+    [-np.inf, -3.5, -np.inf, -2.0],
+    [800.0, 799.0, -1e4],  # exp overflows unshifted
+    [-800.0, -801.5],  # exp underflows unshifted
+    [12.25],
+])
+def test_log_sum_exp_matches_scipy(values):
+    from scipy.special import logsumexp
+
+    values = np.array(values)
+    assert model._log_sum_exp(values) == pytest.approx(logsumexp(values),
+                                                       rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # Distances
 
 
