@@ -17,6 +17,7 @@ both steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -144,12 +145,13 @@ def init_responsibilities(graph: Graph, features: FeatureMatrix, n_classes: int,
         raise ValueError(f"unknown init strategy {strategy!r}")
     rng = np.random.default_rng(rng)
     n = graph.n
-    if n_classes == 1:
-        return np.ones((n, 1))
+    if n_classes == 1 or n == 0:
+        # Nothing to choose: one class, or no vertex to place.
+        return np.full((n, n_classes), 1.0 / n_classes)
     if strategy == "random-dirichlet":
         return rng.dirichlet(np.ones(n_classes), size=n)
     if strategy == "feature-kmeans":
-        labels, = _kmeans_labels(*_kmeans_points(graph, features),
+        labels, = _kmeans_labels(_kmeans_points(graph, features),
                                  [(n_classes, rng)])
     else:
         labels = _degree_quantile_labels(graph, n_classes)
@@ -165,99 +167,139 @@ def _hard_start(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return start
 
 
-def _kmeans_points(graph: Graph, features: FeatureMatrix):
-    """The rows k-means clusters, with their squared norms: the feature
-    rows, or the adjacency rows when there are no feature columns."""
-    if features.p:
-        return features.values, features._row_norms
-    # A 0/1 row's squared norm is its degree, a sum of ones and so exact.
-    return graph.adjacency, graph.adjacency.sum(axis=1)
+class _Points(NamedTuple):
+    """What the Lloyd loop of :func:`_kmeans_labels` reads of the n rows it
+    clusters. Each centre is kept as the coordinate sums of its members and
+    their count.
+
+    ``norms`` are the (n,) squared norms of the rows. ``sums`` takes an
+    (S, k, n) stack of 0/1 member rows to the coordinate sums of each class.
+    ``cross`` takes the sums and the (S, k) counts to the (S * k, n) dot
+    products of each centre with every row and the (S * k,) squared norms
+    of the centres.
+    """
+
+    norms: np.ndarray
+    sums: Callable[[np.ndarray], np.ndarray]
+    cross: Callable[[np.ndarray, np.ndarray], tuple]
 
 
-def _kmeans_labels(points: np.ndarray, norms: np.ndarray, starts) -> list:
+def _feature_points(features: FeatureMatrix) -> _Points:
+    """The feature rows as k-means points. A centre is its sums over its
+    count, and its dot products with the rows are one ``np.einsum`` in the
+    (row, centre) orientation of :func:`~cohsmix.model.squared_distances`,
+    whose sum for a pair does not depend on the other centres."""
+    values, p = features.values, features.p
+
+    def sums(members):
+        return np.einsum("skn,np->skp", members, values)
+
+    def cross(sums, counts):
+        flat = (sums / counts[:, :, None]).reshape(-1, p)
+        return np.einsum("ip,pj->ij", values,
+                         np.ascontiguousarray(flat.T)).T, \
+            np.add.reduce(flat * flat, axis=1)
+
+    return _Points(features._row_norms, sums, cross)
+
+
+def _graph_points(graph: Graph) -> _Points:
+    """The adjacency rows as k-means points, read through
+    :meth:`Graph.neighbour_mass`. A 0/1 row's squared norm is its degree.
+    The sums of a class are the integer ``members @ adjacency``, so a
+    centre's dot products are the integer ``sums @ adjacency`` over the
+    count and its squared norm the integer ``sums . sums`` over the count
+    squared: one rounding each, and products of integers are exact in any
+    summation order."""
+
+    def cross(sums, counts):
+        dots = graph.neighbour_mass(sums) / counts[:, :, None]
+        norms = np.add.reduce(sums * sums, axis=2) / (counts * counts)
+        return dots.reshape(-1, graph.n), norms.ravel()
+
+    return _Points(graph.degrees, graph.neighbour_mass, cross)
+
+
+def _kmeans_points(graph: Graph, features: FeatureMatrix) -> _Points:
+    """The rows k-means clusters: the feature rows, or the adjacency rows
+    (each vertex's connectivity profile) when there are no feature
+    columns."""
+    return _feature_points(features) if features.p else _graph_points(graph)
+
+
+def _kmeans_labels(points: _Points, starts) -> list:
     """The labels of a short Lloyd's k-means run from each ``(k, rng)`` of
-    ``starts``, all runs in one stack; ``norms`` are the squared norms of
-    the rows of ``points``.
+    ``starts``, all runs in one stack, on the rows of ``points``.
 
     Each start draws its first centres, k of the rows (with replacement
     when there are fewer than k), from its own generator, in the order of
     ``starts``. Each iteration then labels the rows for every start still
-    running at once. The distances come from one product of the rows with
-    all their centres, in the (row, centre) orientation of
-    :func:`~cohsmix.model.squared_distances`, whose sum for a pair does not
-    depend on the other centres; the centres that pad a start up to the
-    widest are at +inf, so its argmin never picks them. One ``np.einsum``
-    of the one-hot labels with the rows gives the coordinate sums of every
-    class of every start. Its products are exact (the row or a zero), and
-    how it groups the terms of a sum depends only on n, not on the other
-    classes or starts in the stack, so each start's sums are the ones it
-    gets in a stack of one. The grouping is not a running sum in row order:
-    with one feature column numpy reads the contiguous rows in SIMD partial
-    sums, which can differ from the sequential sum in the last bit. The sum
-    of the one-hot labels over the rows counts the members. A class without
-    members keeps its centre. A start leaves the stack when its labels
-    repeat, since labels that repeat give the centres they were computed
-    from, or after ``_KMEANS_ITERS`` labellings; so each start ends on the
-    labels it gets alone, bit for bit.
+    running at once, from the squared distances ``(centre norm + row norm)
+    - 2 * dot`` clipped at 0; the centres that pad a start up to the widest
+    are at +inf, so its argmin never picks them. A centre is kept as the
+    sums and the count of its members; a class without members keeps both.
+    The sums of a start and its distances do not depend on the other
+    classes or starts in the stack in any bit (see :func:`_feature_points`
+    and :func:`_graph_points`; with one feature column numpy reads the
+    contiguous rows of the einsum in SIMD partial sums, which can differ
+    from the sequential sum in the last bit, but the grouping depends only
+    on n). A start leaves the stack when its labels repeat, since labels
+    that repeat give the centres they were computed from, or after
+    ``_KMEANS_ITERS`` labellings; so each start ends on the labels it gets
+    alone, bit for bit.
     """
-    n, p = points.shape
-    if p == 0:
-        # Nothing to cluster; a balanced random hard partition at least
-        # breaks label symmetry.
-        return [rng.permutation(np.arange(n, dtype=np.int64) % k)
-                for k, rng in starts]
+    n = points.norms.shape[0]
     widths = np.array([k for k, _ in starts])
     width = int(widths.max())
-    centres = np.zeros((len(starts), width, p))
+    members = np.zeros((len(starts), width, n))
     for row, (k, rng) in enumerate(starts):
-        centres[row, :k] = points[rng.choice(n, size=k, replace=n < k)]
+        members[row, np.arange(k), rng.choice(n, size=k, replace=n < k)] = 1.0
+    sums, counts = points.sums(members), np.ones((len(starts), width))
     padding = np.where(np.arange(width) < widths[:, None], 0.0, np.inf) \
         if (widths < width).any() else None
-    norms = norms[:, None]
     classes = np.arange(width)[:, None]
     # The start of each stack row, and the labels each start ends on.
     live = np.arange(len(starts))
     labels = [None] * len(starts)
     for step in range(_KMEANS_ITERS):
-        flat = centres.reshape(-1, p)
-        centre_norms = np.add.reduce(flat * flat, axis=1)
+        cross, centre_norms = points.cross(sums, counts)
         if padding is not None:
             centre_norms += padding.ravel()
-        dist = norms + centre_norms
-        cross = np.einsum("ip,pj->ij", points, np.ascontiguousarray(flat.T))
+        dist = centre_norms[:, None] + points.norms
         cross *= 2.0
         dist -= cross
         np.maximum(dist, 0.0, out=dist)
-        # The (n, stack rows) labels.
-        new = dist.reshape(n, len(live), width).argmin(axis=2)
+        # The (stack rows, n) labels.
+        new = dist.reshape(len(live), width, n).argmin(axis=1)
         if step:
-            repeated = np.logical_and.reduce(new == current, axis=0)
+            repeated = np.logical_and.reduce(new == current, axis=1)
             if np.count_nonzero(repeated):
                 for row in repeated.nonzero()[0].tolist():
-                    labels[live[row]] = new[:, row]
+                    labels[live[row]] = new[row]
                 going = (~repeated).nonzero()[0]
                 if not going.size:
                     return labels
-                live, new, centres = live[going], new[:, going], \
-                    centres[going]
+                live, new, sums, counts = live[going], new[going], \
+                    sums[going], counts[going]
                 if padding is not None:
                     padding = padding[going]
         current = new
         if step + 1 == _KMEANS_ITERS:
             break
-        members = (current.T[:, None, :] == classes).astype(np.float64)
-        sums = np.einsum("skn,np->skp", members, points)
+        members = (current[:, None, :] == classes).astype(np.float64)
         # Sums of ones, so exact.
-        counts = np.add.reduce(members, axis=2)[:, :, None]
-        np.divide(sums, counts, out=centres, where=counts > 0)
+        found = np.add.reduce(members, axis=2)
+        full = found > 0
+        sums = np.where(full[:, :, None], points.sums(members), sums)
+        counts = np.where(full, found, counts)
     for row, start in enumerate(live.tolist()):
-        labels[start] = current[:, row]
+        labels[start] = current[row]
     return labels
 
 
 def _degree_quantile_labels(graph: Graph, k: int) -> np.ndarray:
     n = graph.n
-    order = np.argsort(graph.adjacency.sum(axis=1), kind="stable")
+    order = np.argsort(graph.degrees, kind="stable")
     labels = np.zeros(n, dtype=np.int64)
     labels[order] = np.arange(n) * k // max(n, 1)
     return labels
@@ -603,7 +645,7 @@ def _starts(graph: Graph, features: FeatureMatrix, plans, mode: str) -> list:
             starts[index] = init_responsibilities(graph, features, n_classes,
                                                   strategy, rng)
     if kmeans:
-        labels = _kmeans_labels(*_kmeans_points(graph, features),
+        labels = _kmeans_labels(_kmeans_points(graph, features),
                                 [(k, rng) for _, k, rng in kmeans])
         for (index, n_classes, _), hard in zip(kmeans, labels):
             starts[index] = _hard_start(hard, n_classes)

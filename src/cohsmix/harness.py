@@ -157,7 +157,9 @@ def run_grid(setting: str, replicates: int = 20, cfg: EMConfig | None = None,
         for spec_index, spec in enumerate(specs)
         for replicate in range(replicates)
     ]
-    workers = worker_count()
+    # The pool starts every worker at the first task, so it gets no more
+    # workers than there are tasks; a single task runs in this process.
+    workers = min(worker_count(), len(tasks))
     if workers > 1:
         # Imported here: the pool pulls multiprocessing, subprocess, socket
         # and pickle into the process, which a serial run never uses.

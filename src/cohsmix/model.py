@@ -32,9 +32,30 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _lazy:
+    """An attribute computed on first access and then stored on the
+    instance. ``functools.cached_property`` does the same, but before Python
+    3.12 it takes a lock on every first access, which cost a third of a
+    one-matrix bound evaluation; statistics are never shared between
+    threads."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected binary graph without self-loops.
+
+    The only code that knows how the graph is stored: everything else reads
+    it through the methods here. Today that is a dense float64 matrix.
 
     Parameters
     ----------
@@ -70,9 +91,15 @@ class Graph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
+    @_lazy
+    def degrees(self) -> np.ndarray:
+        """The number of neighbours of each vertex: the float64 row sums of
+        the adjacency, sums of ones and so exact."""
+        return _freeze(np.add.reduce(self.adjacency, axis=1))
+
     @property
     def n_edges(self) -> int:
-        return int(round(self.adjacency.sum())) // 2
+        return int(self.degrees.sum()) // 2
 
     def edge_pairs(self) -> np.ndarray:
         """Sorted (i, j) pairs with i < j, one row per edge."""
@@ -100,6 +127,21 @@ class Graph:
         adj[j, i] = 1.0
         return cls._built(adj)
 
+    @classmethod
+    def _from_coins(cls, upper: np.ndarray, coins: np.ndarray) -> "Graph":
+        """The graph whose pair i < j is an edge where its entry of ``coins``
+        is true. ``upper`` is the (n, n) boolean mask of the pairs i < j,
+        ``np.triu(ones, k=1)``, which orders them row-major; ``coins`` holds
+        one boolean per pair, in that order."""
+        n = upper.shape[0]
+        # The mirror is written through the transpose: ``adjacency +=
+        # adjacency.T`` would read the matrix it writes, so numpy would copy
+        # it.
+        adjacency = np.zeros((n, n))
+        adjacency[upper] = coins
+        adjacency.T[upper] = coins
+        return cls._built(adjacency)
+
     def neighbour_mass(self, resp_t: np.ndarray) -> np.ndarray:
         """(..., Q, n) expected number of neighbours of each vertex per class.
 
@@ -113,24 +155,6 @@ class Graph:
         rows = math.prod(resp_t.shape[:-1])
         return (resp_t.reshape(rows, self.n) @ self.adjacency).reshape(
             resp_t.shape)
-
-
-class _lazy:
-    """An attribute computed on first access and then stored on the
-    instance. ``functools.cached_property`` does the same, but before Python
-    3.12 it takes a lock on every first access, which cost a third of a
-    one-matrix bound evaluation; statistics are never shared between
-    threads."""
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -707,9 +731,9 @@ def exact_log_marginal(graph: Graph, features: FeatureMatrix,
     totals = np.zeros(n_terms)
     for i in range(n):
         totals += vertex[i, labels[i]]
-    adj = graph.adjacency
+    edges = set(map(tuple, graph.edge_pairs().tolist()))
     for i in range(n):
         for j in range(i + 1, n):
-            table = log_pi if adj[i, j] else log_not
+            table = log_pi if (i, j) in edges else log_not
             totals += table[labels[i], labels[j]]
     return _log_sum_exp(totals)

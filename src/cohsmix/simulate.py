@@ -80,16 +80,12 @@ def generate(spec: AffiliationSpec):
     same = (labels[:, None] == labels)[upper]
     flips = rng.random(same.size) \
         < np.where(same, spec.within_prob, spec.between_prob)
-    # The mirror is written through the transpose: ``adjacency +=
-    # adjacency.T`` would read the matrix it writes, so numpy would copy it.
-    adjacency = np.zeros((n, n))
-    adjacency[upper] = flips
-    adjacency.T[upper] = flips
+    graph = Graph._from_coins(upper, flips)
 
     means = spec.class_means()
     noise = rng.normal(0.0, spec.noise_std, size=(n, spec.n_features))
     features = FeatureMatrix(means[labels] + noise)
-    return Graph._built(adjacency), features, labels
+    return graph, features, labels
 
 
 def grid_specs(setting: str, n: int = 150) -> list[AffiliationSpec]:

@@ -98,6 +98,17 @@ def test_init_single_class_is_all_ones(rng, strategy):
     assert np.array_equal(resp, np.ones((6, 1)))
 
 
+@pytest.mark.parametrize("strategy", ["random-dirichlet", "feature-kmeans",
+                                      "graph-degree-quantile"])
+@pytest.mark.parametrize("p", [0, 2])
+def test_init_on_an_empty_graph_is_empty(strategy, p):
+    # k-means has no row to draw its first centres from.
+    resp = init_responsibilities(Graph(np.zeros((0, 0))),
+                                 FeatureMatrix(np.zeros((0, p))), 3, strategy,
+                                 np.random.default_rng(0))
+    assert resp.shape == (0, 3)
+
+
 @pytest.mark.parametrize("strategy", ["feature-kmeans", "graph-degree-quantile"])
 def test_init_smoothing_floor(rng, strategy):
     graph = random_graph(12, rng)
@@ -129,8 +140,6 @@ def test_init_unknown_strategy(rng):
 def kmeans_reference(points, k, rng, n_iters=20):
     """``kmeans_one_start`` without its early stop: every iteration runs."""
     n = points.shape[0]
-    if points.shape[1] == 0:
-        return rng.permutation(np.arange(n, dtype=np.int64) % k)
     idx = rng.choice(n, size=k, replace=n < k)
     centers = points[idx].copy()
     labels = np.zeros(n, dtype=np.int64)
@@ -144,12 +153,11 @@ def kmeans_reference(points, k, rng, n_iters=20):
 
 
 def kmeans_one_start(points, k, rng):
-    """The one-start k-means loop the stacked ``em._kmeans_labels`` replaced,
-    kept as its reference: it stops when the labels repeat and updates the
-    centres from one bincount of the coordinate sums."""
+    """The one-start k-means loop on feature rows that the stacked
+    ``em._kmeans_labels`` replaced, kept as its reference: it stops when the
+    labels repeat and updates the centres from one bincount of the
+    coordinate sums."""
     n, p = points.shape
-    if p == 0:
-        return rng.permutation(np.arange(n, dtype=np.int64) % k)
     idx = rng.choice(n, size=k, replace=n < k)
     centers = points[idx].copy()
     labels = None
@@ -166,16 +174,48 @@ def kmeans_one_start(points, k, rng):
     return labels
 
 
+def graph_kmeans_one_start(graph, k, rng):
+    """One featureless k-means start on the adjacency rows, in int64: each
+    centre is the integer sums of its members' rows and their count, its
+    dot product with a row the integer ``sums @ adjacency`` over the count
+    and its squared norm the integer ``sums . sums`` over the count
+    squared. It stops when the labels repeat."""
+    adjacency = graph.adjacency.astype(np.int64)
+    n = graph.n
+    degrees = adjacency.sum(axis=1)
+    idx = rng.choice(n, size=k, replace=n < k)
+    sums, counts = adjacency[idx], np.ones(k, dtype=np.int64)
+    labels = None
+    for _ in range(em._KMEANS_ITERS):
+        dots = (sums @ adjacency) / counts[:, None]
+        norms = (sums * sums).sum(axis=1) / (counts * counts)
+        new = np.argmin(np.maximum((norms[:, None] + degrees) - 2.0 * dots,
+                                   0.0), axis=0)
+        if labels is not None and np.array_equal(new, labels):
+            break
+        labels = new
+        for q in range(k):
+            members = labels == q
+            if members.any():
+                sums[q] = adjacency[members].sum(axis=0)
+                counts[q] = members.sum()
+    return labels
+
+
+def feature_points(values):
+    return em._feature_points(FeatureMatrix(values))
+
+
 def stacked_kmeans(points, ks, seeds):
-    """``em._kmeans_labels`` of one stack, a generator per start."""
-    return em._kmeans_labels(points, (points * points).sum(axis=1),
-                             [(k, np.random.default_rng(seed))
-                              for k, seed in zip(ks, seeds)])
+    """``em._kmeans_labels`` of one stack on ``points`` (feature or graph
+    points), a generator per start."""
+    return em._kmeans_labels(points, [(k, np.random.default_rng(seed))
+                                      for k, seed in zip(ks, seeds)])
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
-       p=st.integers(0, 3), k=st.integers(1, 8),
+       p=st.integers(1, 3), k=st.integers(1, 8),
        levels=st.integers(1, 4))
 def test_kmeans_stopping_on_repeated_labels_changes_nothing(seed, n, p, k,
                                                             levels):
@@ -185,8 +225,7 @@ def test_kmeans_stopping_on_repeated_labels_changes_nothing(seed, n, p, k,
     points = rng.integers(0, levels, size=(n, p)).astype(float)
     ours, theirs = np.random.default_rng(seed + 1), \
         np.random.default_rng(seed + 1)
-    labels, = em._kmeans_labels(points, (points * points).sum(axis=1),
-                                [(k, ours)])
+    labels, = em._kmeans_labels(feature_points(points), [(k, ours)])
     assert np.array_equal(labels, kmeans_reference(points, k, theirs))
     assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -201,8 +240,7 @@ def test_kmeans_labels_match_the_per_class_loop(seed, n, p, k):
     points = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3)
     ours, theirs = np.random.default_rng(seed + 1), \
         np.random.default_rng(seed + 1)
-    labels, = em._kmeans_labels(points, (points * points).sum(axis=1),
-                                [(k, ours)])
+    labels, = em._kmeans_labels(feature_points(points), [(k, ours)])
     assert np.array_equal(labels, kmeans_reference(points, k, theirs))
 
 
@@ -221,63 +259,101 @@ def test_stacked_kmeans_gives_each_start_its_labels(seed, n, p, ks, levels):
     points = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3) \
         if levels == 0 else rng.integers(0, levels, size=(n, p)) * 1.0
     seeds = [seed + 1 + r for r in range(len(ks))]
-    stacked = stacked_kmeans(points, ks, seeds)
+    stacked = stacked_kmeans(feature_points(points), ks, seeds)
     for labels, k, start_seed in zip(stacked, ks, seeds):
         assert labels.shape == (n,)
         assert np.array_equal(labels, kmeans_one_start(
             points, k, np.random.default_rng(start_seed)))
 
 
+@contextlib.contextmanager
+def recorded_products():
+    """Record each ``Graph.neighbour_mass`` call as (rows, product)."""
+    products = []
+    original = Graph.neighbour_mass
+
+    def recorded(graph, rows):
+        out = original(graph, rows)
+        products.append((rows, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Graph, "neighbour_mass", recorded)
+        yield products
+
+
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 80),
-       density=st.floats(0.05, 0.6),
-       ks=st.lists(st.integers(2, 7), min_size=2, max_size=9))
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+       density=st.sampled_from([0.0, 0.05, 0.2, 0.4, 0.6]),
+       ks=st.lists(st.integers(2, 7), min_size=1, max_size=9))
 @example(seed=5, n=3, density=0.5, ks=[5, 2, 7])
+@example(seed=6, n=12, density=0.0, ks=[3, 4])
 def test_stacked_kmeans_on_adjacency_rows(seed, n, density, ks):
-    # Featureless starts cluster the adjacency rows, where p = n: every
-    # distance sums n products and every centre n coordinates.
+    # Featureless starts cluster the adjacency rows through the graph. Each
+    # start's labels are those of the one-start int64 loop, bit for bit:
+    # with n < k (draws with replacement), on an empty graph (every
+    # distance tied) and with classes left empty.
     rng = np.random.default_rng(seed)
     graph = random_graph(n, rng, density)
     seeds = [seed + 1 + r for r in range(len(ks))]
-    stacked = stacked_kmeans(graph.adjacency, ks, seeds)
+    with recorded_products() as products:
+        stacked = stacked_kmeans(em._graph_points(graph), ks, seeds)
     for labels, k, start_seed in zip(stacked, ks, seeds):
-        assert np.array_equal(labels, kmeans_one_start(
-            graph.adjacency, k, np.random.default_rng(start_seed)))
+        assert np.array_equal(labels, graph_kmeans_one_start(
+            graph, k, np.random.default_rng(start_seed)))
+        if np.unique(labels).size < k:
+            event("a class ends empty")
+    if n < max(ks):
+        event("fewer rows than classes")
+    # Every product is one of integers, exact: the int64 product.
+    adjacency = graph.adjacency.astype(np.int64)
+    assert products
+    for rows, out in products:
+        whole = rows.astype(np.int64)
+        assert np.array_equal(whole, rows)
+        assert np.array_equal(out, whole @ adjacency)
 
 
 def test_stacked_kmeans_starts_stop_at_different_iterations(monkeypatch):
-    # A README-size feature table: the starts of a 2..6 scan and nine
-    # adjacency-row starts each leave their stack at their own iteration.
+    # A README-size graph and feature table: the starts of a 2..6 scan on
+    # the features and nine featureless starts each leave their stack at
+    # their own iteration.
     graph, features, _ = generate(AffiliationSpec(
         n_classes=3, n=150, n_features=3, within_prob=0.5,
         between_prob=0.1, mean_gap=1.0, seed=7))
-    iterations = []
+    widths = []
     einsum = np.einsum
 
     def counted(subscripts, *operands, **kwargs):
         if subscripts == "ip,pj->ij":
-            iterations.append(operands[1].shape[1])
+            widths.append(operands[1].shape[1])
         return einsum(subscripts, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", counted)
-    for points, ks in ((features.values, [2, 3, 4, 5, 6]),
-                       (graph.adjacency, [3] * 9)):
-        iterations.clear()
-        stacked = stacked_kmeans(points, ks, range(len(ks)))
-        for labels, k, start_seed in zip(stacked, ks, range(len(ks))):
-            assert np.array_equal(labels, kmeans_one_start(
-                points, k, np.random.default_rng(start_seed)))
-        # The stack narrowed as starts left it: fewer centres per product.
-        assert len(set(iterations)) > 1
+    ks = [2, 3, 4, 5, 6]
+    stacked = stacked_kmeans(em._feature_points(features), ks, range(5))
+    for labels, k, start_seed in zip(stacked, ks, range(5)):
+        assert np.array_equal(labels, kmeans_one_start(
+            features.values, k, np.random.default_rng(start_seed)))
+    # The stack narrowed as starts left it: fewer centres per product.
+    assert len(set(widths)) > 1
+
+    with recorded_products() as products:
+        stacked = stacked_kmeans(em._graph_points(graph), [3] * 9, range(9))
+    for labels, start_seed in zip(stacked, range(9)):
+        assert np.array_equal(labels, graph_kmeans_one_start(
+            graph, 3, np.random.default_rng(start_seed)))
+    assert len({rows.shape[0] for rows, _ in products}) > 1
 
 
 def test_init_kmeans_is_the_stack_of_one(rng):
     graph, features = random_graph(20, rng), random_features(20, 2, rng)
     for data in (features, FeatureMatrix.empty(20)):
-        points = data.values if data.p else graph.adjacency
         resp = init_responsibilities(graph, data, 4, "feature-kmeans",
                                      np.random.default_rng(5))
-        labels = kmeans_one_start(points, 4, np.random.default_rng(5))
+        labels = kmeans_one_start(features.values, 4,
+                                  np.random.default_rng(5)) if data.p \
+            else graph_kmeans_one_start(graph, 4, np.random.default_rng(5))
         assert np.array_equal(resp, 0.9 * np.eye(4)[labels] + 0.1 / 4)
 
 

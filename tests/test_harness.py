@@ -69,6 +69,47 @@ def test_parallel_matches_serial(tmp_path, monkeypatch):
     assert [r.ari for r in serial] == [r.ari for r in parallel]
 
 
+class InProcessPool:
+    """A stand-in for ``ProcessPoolExecutor`` that records the worker count
+    it is asked for and runs every task in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, tasks, chunksize=1):
+        return map(func, tasks)
+
+
+@pytest.mark.parametrize("replicates,pool_sizes", [(1, []), (2, [2])],
+                         ids=["one-task", "two-tasks"])
+def test_pool_is_capped_at_the_task_count(tmp_path, monkeypatch, replicates,
+                                          pool_sizes):
+    import concurrent.futures
+
+    serial = run_grid("a", replicates=replicates, cfg=FAST_CFG, seed=3,
+                      specs=SMALL_SPECS[:1], out_dir=tmp_path / "serial")
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    monkeypatch.setenv("COHSMIX_THREADS", "64")
+    pooled = run_grid("a", replicates=replicates, cfg=FAST_CFG, seed=3,
+                      specs=SMALL_SPECS[:1], out_dir=tmp_path / "pooled")
+    # One task runs without a pool; two get two workers, not 64.
+    assert InProcessPool.sizes == pool_sizes
+    for name in ("results.csv", "aggregate.csv"):
+        assert (tmp_path / "serial" / name).read_bytes() \
+            == (tmp_path / "pooled" / name).read_bytes()
+    assert [r.ari for r in serial] == [r.ari for r in pooled]
+
+
 def test_failures_recorded_not_raised(tmp_path, monkeypatch):
     import cohsmix.harness as harness
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +62,38 @@ def test_graph_views_agree(rng):
     pairs = graph.edge_pairs()
     assert np.all(pairs[:, 0] < pairs[:, 1])
     assert len(pairs) == graph.n_edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40),
+       density=st.sampled_from([0.0, 0.1, 0.4, 1.0]),
+       built=st.booleans())
+def test_degrees_are_the_cached_row_sums(seed, n, density, built):
+    graph = random_graph(n, np.random.default_rng(seed), density)
+    if built:
+        graph = Graph.from_edge_pairs(n, graph.edge_pairs())
+    degrees = graph.degrees
+    assert np.array_equal(degrees, graph.adjacency.sum(axis=1))
+    assert graph.degrees is degrees
+    assert not degrees.flags.writeable
+    assert graph.n_edges == len(graph.edge_pairs())
+
+
+SOURCES = Path(model.__file__).parent
+
+
+def test_only_the_graph_reads_the_adjacency():
+    # Graph is the one class that knows how the graph is stored; every
+    # other module reads it through Graph's methods.
+    readers = {}
+    for path in sorted(SOURCES.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        readers[path.name] = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "adjacency"]
+    assert readers["model.py"], "model.py reads no adjacency; the scan broke"
+    assert {name: lines for name, lines in readers.items()
+            if lines and name != "model.py"} == {}
 
 
 def test_from_edge_pairs_names_first_bad_pair():
