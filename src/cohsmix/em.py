@@ -335,7 +335,8 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     sweeps and bounds run under ``params.clamped()``, the clamps every
     M-step applies, so connection probabilities of exactly 0 or 1 and a
     vanishing variance give finite rows. This is the fit's stacked E-step on
-    a stack of one.
+    a stack of one, its feature distances formed once for the sweeps and
+    both bounds.
     """
     check_params(features, params)
     empty = (params.alpha == 0).nonzero()[0]
@@ -344,30 +345,30 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     start = ClassStats.of(graph, features, check_responsibilities(
         resp, graph.n, params.n_classes))
     stack = ParamStack.of(params.clamped())
-    d2 = features.squared_distances(stack.mu) \
-        if mode_terms(mode)[1] and features.p else None
-    stats, _, _, moved = _e_step(start, stack, d2, mode)
-    if moved[0] and stats.bound(stack, mode, d2)[0] \
-            < start.bound(stack, mode, d2)[0] - 1e-9:
+    if mode_terms(mode)[1] and features.p:
+        stack = stack._replace(d2=features.squared_distances(stack.mu))
+    stats, _, _, moved = _e_step(start, stack, mode)
+    if moved[0] and stats.bound(stack, mode)[0] \
+            < start.bound(stack, mode)[0] - 1e-9:
         stats = start
     return np.ascontiguousarray(stats.resp[0])
 
 
-def _e_step(stats: ClassStats, params: ParamStack, d2, mode: str):
+def _e_step(stats: ClassStats, params: ParamStack, mode: str):
     """The E-step of every matrix of a stack, swept in lockstep.
 
     Row r of the stack is swept under row r of ``params``; a padded class
     of a row (see :class:`ClassStats`) has proportion 0 there, so its logits
     are ``-inf`` and it stays empty, and a padded one-class row ends at its
     first sweep, which changes nothing. The caller ignores numpy's divide
-    warnings, which the log of such a proportion raises. ``d2`` is the
-    (R, Q, n) ``squared_distances(params.mu, features.values)``, or None when
-    the mode reads no features. Each sweep is one stacked computation, its
-    only n^2 work one :meth:`Graph.neighbour_mass` of the rows still
-    sweeping; the logits of the vertex terms (proportions and features) are
-    computed once, and the edge term's mass of the other vertices and then
-    the residual are written into one buffer allocated once per call, the
-    rows still sweeping in its leading rows. Each row keeps the stop rules of
+    warnings, which the log of such a proportion raises. The feature logits
+    read the distances ``params.d2``, None when the mode reads no features.
+    Each sweep is one stacked computation, its only n^2 work one
+    :meth:`Graph.neighbour_mass` of the rows still sweeping; the logits of
+    the vertex terms (proportions and features) are computed once, and the
+    edge term's mass of the other vertices and then the residual are
+    written into one buffer allocated once per call, the rows still
+    sweeping in its leading rows. Each row keeps the stop rules of
     :func:`e_step`, and a row that stops leaves the stack, recorded by the
     sweeps it ran. A row that meets the tolerance ends on an iterate whose
     product its last sweep computed, so only the rows at the sweep cap are
@@ -393,8 +394,8 @@ def _e_step(stats: ClassStats, params: ParamStack, d2, mode: str):
     # (R, Q, 1) logits of the terms no sweep changes, (R, Q, n) with the
     # features.
     base = np.log(params.alpha)[:, :, None]
-    if d2 is not None:
-        base = base - d2 / (2.0 * params.sigma2[:, None, None])
+    if params.d2 is not None:
+        base = base - params.d2 / (2.0 * params.sigma2[:, None, None])
     cur = stats.resp_t
     if not mode_terms(mode)[0]:
         update = _softmax(np.array(np.broadcast_to(base, cur.shape)))
@@ -513,17 +514,20 @@ def m_step(graph: Graph, features: FeatureMatrix, resp: np.ndarray,
     empty = np.nonzero(stats.col[0] < EMPTY_CLASS_MASS)[0]
     if empty.size:
         raise EmptyClassError(empty.tolist())
-    return _m_step(stats, mode)[0].unstack(0)
+    return _m_step(stats, mode).unstack(0)
 
 
-def _m_step(stats: ClassStats, mode: str):
-    """Closed forms of every matrix of a stack, whose classes all have mass.
+def _m_step(stats: ClassStats, mode: str) -> ParamStack:
+    """Closed forms of every matrix of a stack.
 
     A padded class gets proportion 0, connection probabilities 0.5 and mean
-    0. Returns the :class:`ParamStack` and, when the mode reads features, the
-    squared distances of the feature rows to its means. The scatter that
-    gives the variance stays on ``stats`` with the means, so the bound that
-    follows reads it rather than forming it again (see
+    0. A class the rescue left empty divides its mean by
+    ``EMPTY_CLASS_MASS`` rather than its own mass, so its matrix goes
+    through with the others, to finite params, and the fit then drops it.
+    Returns the :class:`ParamStack`, with the squared distances ``d2`` of
+    the feature rows to its means when the mode reads features. The scatter
+    that gives the variance stays on ``stats`` with the means, so the bound
+    that follows reads it rather than forming it again (see
     :meth:`ClassStats.scatter`).
     """
     use_edges, use_features = mode_terms(mode)
@@ -544,8 +548,8 @@ def _m_step(stats: ClassStats, mode: str):
     p = features.p
     d2 = None
     if use_features and p:
-        # A padded class has no mass: its mean is 0 rather than 0 / 0. Every
-        # other class has at least EMPTY_CLASS_MASS after the rescue.
+        # A padded class has no mass: its mean is 0 rather than 0 / 0, and
+        # an empty one's is finite.
         mu = np.einsum("rkn,pn->rkp", stats.resp_t, features.values_t) \
             / np.maximum(col, EMPTY_CLASS_MASS)[:, :, None]
         d2 = features.squared_distances(mu)
@@ -555,7 +559,7 @@ def _m_step(stats: ClassStats, mode: str):
         mu = np.zeros((n_rows, n_classes, p))
         sigma2 = np.full(n_rows, SIGMA2_FLOOR)
 
-    return ParamStack(alpha=alpha, pi=pi, mu=mu, sigma2=sigma2), d2
+    return ParamStack(alpha=alpha, pi=pi, mu=mu, sigma2=sigma2, d2=d2)
 
 
 def _reseed_empty_classes(resp: np.ndarray, empty_classes) -> np.ndarray:
@@ -617,13 +621,6 @@ def _check_fit(graph: Graph, features: FeatureMatrix, n_classes: int,
         raise ValueError(f"need 1 <= n_classes <= n, got n_classes={n_classes} "
                          f"with n={graph.n} vertices")
     check_features_vary(features, mode)
-
-
-def _init(graph: Graph, features: FeatureMatrix, n_classes: int,
-          seed: int | None, strategy: str, mode: str) -> np.ndarray:
-    """The start that ``seed`` and ``strategy`` give."""
-    start, = _starts(graph, features, [(n_classes, seed, strategy)], mode)
-    return start
 
 
 def _starts(graph: Graph, features: FeatureMatrix, plans, mode: str) -> list:
@@ -699,17 +696,19 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
     back to its start's own classes, and a start gives what it gives in a
     stack of its own width.
 
-    Every start records the lower bound after each M-step, the one bound
-    an iteration computes, and stops on its own: when the relative bound
-    change drops below ``BOUND_REL_TOL`` (converged), when its E-step
-    returns its start (converged: the M-step would give back the params and
-    the bound it has), after ``max_em_iters`` iterations, or when an
-    iteration would lower its bound by more than 1e-9, which is rolled
-    back: the start ends, not converged, on the iterate, params and bound
-    it had before that iteration. The sweeps need not raise the bound, and
-    an empty-class re-seed may lower it; an E-step that lowered it goes on
-    if the M-step wins it back. So the recorded trace never falls. A
-    start whose classes stay empty after the re-seeds fails. A start that
+    Iteration 0 is the empty-class rescue, the M-step and the lower bound
+    of the starts; every later one is an E-step followed by those three,
+    its bound the one bound an iteration computes. A start whose E-step
+    returns its start stops there, converged: the M-step would give back
+    the params and the bound it has. After the bound, one pass over the
+    stack decides every other start's fate. It fails when its classes stay empty after the re-seeds. It is
+    rolled back when its bound falls by more than 1e-9, and ends, not
+    converged, on the iterate, params and bound it had before the
+    iteration. Otherwise it records the bound, and converges when the
+    relative change is at most ``BOUND_REL_TOL``, ends not converged at
+    iteration ``max_em_iters``, or goes on. The sweeps need not raise the
+    bound, and a re-seed may lower it; an E-step that lowered it goes on if
+    the M-step wins it back. So the recorded trace never falls. A start that
     stops or fails leaves the stack. Each start counts its E-step sweeps and
     sweep-cap hits (a one-class start none). Returns, by start, its
     :class:`_Run` or its :class:`EmptyClassError`.
@@ -718,20 +717,6 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
     traces: list[list[float]] = [[] for _ in starts]
     sweeps = np.zeros(len(starts), dtype=np.int64)
     cap_hits = np.zeros(len(starts), dtype=np.int64)
-
-    def m_step_and_bound(stats):
-        """The M-step after the rescue, the rows that survived it (a range
-        when all did) and the bounds."""
-        stats, errors = _rescue(stats)
-        rows = range(stats.resp_t.shape[0])
-        if errors:
-            for row, err in errors.items():
-                outcomes[idx[row]] = err
-            rows = np.array([row for row in rows if row not in errors],
-                            dtype=np.intp)
-            stats = stats.take(rows)
-        params, d2 = _m_step(stats, mode)
-        return stats, params, d2, rows, stats.bound(params, mode, d2)
 
     def finish(stats, params, row, start, converged):
         n_classes = int(stats.n_classes[row])
@@ -744,68 +729,68 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
             e_step_sweeps=int(sweeps[start]) if n_classes > 1 else 0,
             sweep_cap_hits=int(cap_hits[start]), mode=mode)
 
-    # The start of each stack row.
+    # The start of each stack row, and its last bound: NaN before the first,
+    # which no comparison passes, so iteration 0 neither rolls back nor
+    # converges a row.
     idx = np.arange(len(starts))
+    bounds = np.full(len(starts), np.nan)
     widths = np.array([start.shape[1] for start in starts])
     resp_t = np.zeros((len(starts), widths.max(), graph.n))
     for row, start in enumerate(starts):
         resp_t[row, :widths[row]] = start.T
     stats = ClassStats(graph, features, resp_t, n_classes=widths)
+    params = None
     # A padded class's proportion is 0, whose log the E-step takes.
     with np.errstate(divide="ignore"):
-        stats, params, d2, rows, bounds = m_step_and_bound(stats)
-        if len(rows) < len(idx):
-            idx = idx[rows]
-        for start, value in zip(idx.tolist(), bounds.tolist()):
-            traces[start].append(value)
-        for _ in range(max_em_iters):
-            if not idx.size:
-                break
-            stepped, row_sweeps, capped, moved = _e_step(stats, params, d2,
-                                                         mode)
-            sweeps[idx] += row_sweeps
-            if np.count_nonzero(capped):
-                cap_hits[idx] += capped
+        for iteration in range(max_em_iters + 1):
             # The row of stats and params that each row of stepped came
             # from.
-            origin = range(len(idx))
-            returned = (~moved).nonzero()[0]
-            if returned.size:
-                # A row whose E-step returned its start has converged: the
-                # rest of the iteration would rebuild its params and bound.
-                for row in returned.tolist():
-                    finish(stats, params, row, idx[row], True)
-                origin = moved.nonzero()[0]
-                idx, bounds = idx.take(origin), bounds.take(origin)
-                if not idx.size:
-                    break
-                stepped = stepped.take(origin)
-            new_stats, new_params, new_d2, rows, values = \
-                m_step_and_bound(stepped)
-            previous, starts_of = bounds.tolist(), idx.tolist()
+            stepped, origin = stats, range(len(idx))
+            if iteration:
+                stepped, row_sweeps, capped, moved = _e_step(stats, params,
+                                                             mode)
+                sweeps[idx] += row_sweeps
+                if np.count_nonzero(capped):
+                    cap_hits[idx] += capped
+                returned = (~moved).nonzero()[0]
+                if returned.size:
+                    # A row whose E-step returned its start has converged:
+                    # the rest of the iteration would rebuild its params
+                    # and bound.
+                    for row in returned.tolist():
+                        finish(stats, params, row, idx[row], True)
+                    origin = moved.nonzero()[0]
+                    idx, bounds = idx.take(origin), bounds.take(origin)
+                    if not idx.size:
+                        break
+                    stepped = stepped.take(origin)
+            stepped, errors = _rescue(stepped)
+            new_params = _m_step(stepped, mode)
+            values = stepped.bound(new_params, mode)
             going = []
-            for new_row, (row, value) in enumerate(zip(rows, values.tolist())):
-                start = starts_of[row]
-                if value < previous[row] - 1e-9:
+            for row, (start, value, last) in enumerate(zip(
+                    idx.tolist(), values.tolist(), bounds.tolist())):
+                if row in errors:
+                    outcomes[start] = errors[row]
+                elif value < last - 1e-9:
                     # Rolled back: the row finishes on the iterate it had.
                     finish(stats, params, origin[row], start, False)
-                    continue
-                traces[start].append(value)
-                if abs(value - previous[row]) \
-                        <= BOUND_REL_TOL * max(1.0, abs(previous[row])):
-                    finish(new_stats, new_params, new_row, start, True)
                 else:
-                    going.append(new_row)
-            if len(rows) < len(idx):
-                idx = idx.take(rows)
-            stats, params, d2, bounds = new_stats, new_params, new_d2, values
+                    traces[start].append(value)
+                    if abs(value - last) \
+                            <= BOUND_REL_TOL * max(1.0, abs(last)):
+                        finish(stepped, new_params, row, start, True)
+                    elif iteration == max_em_iters:
+                        finish(stepped, new_params, row, start, False)
+                    else:
+                        going.append(row)
+            if not going:
+                break
+            stats, params, bounds = stepped, new_params, values
             if len(going) < len(idx):
                 going = np.array(going, dtype=np.intp)
                 stats, params, idx, bounds = stats.take(going), \
                     params.take(going), idx.take(going), bounds.take(going)
-                d2 = None if d2 is None else d2.take(going, axis=0)
-    for row, start in enumerate(idx.tolist()):
-        finish(stats, params, row, start, False)
     return outcomes
 
 
@@ -828,8 +813,8 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
     cfg = cfg or EMConfig()
     _check_fit(graph, features, n_classes, mode)
     if resp_init is None:
-        start = _init(graph, features, n_classes, cfg.rng_seed,
-                      "random-dirichlet", mode)
+        start = init_responsibilities(graph, features, n_classes,
+                                      rng=cfg.rng_seed)
     else:
         start = check_responsibilities(resp_init, graph.n, n_classes)
     outcome, = _em(graph, features, [start], cfg.max_em_iters, mode)

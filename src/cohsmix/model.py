@@ -379,14 +379,20 @@ class ParamStack(NamedTuple):
     """The parameters of R fits at once, each with a leading restart axis.
 
     ``alpha`` is (R, Q), ``pi`` (R, Q, Q), ``mu`` (R, Q, p) and ``sigma2``
-    (R,). A stack is not validated: the M-step builds valid parameters, and
-    the fit unstacks the row of each fit it returns.
+    (R,). ``d2`` is the (R, Q, n) ``squared_distances(mu, features.values)``
+    of the feature rows to the means, formed once with the means and read by
+    the E-step and the bound; it is None when no term reads the features,
+    or when the caller leaves it to the bound to form, and a stack whose
+    means are replaced must drop it. A stack is not validated: the M-step
+    builds valid parameters, and the fit unstacks the row of each fit it
+    returns.
     """
 
     alpha: np.ndarray
     pi: np.ndarray
     mu: np.ndarray
     sigma2: np.ndarray
+    d2: np.ndarray | None = None
 
     @classmethod
     def of(cls, params: ModelParams) -> "ParamStack":
@@ -395,7 +401,8 @@ class ParamStack(NamedTuple):
                    np.array([params.sigma2]))
 
     def take(self, rows) -> "ParamStack":
-        return ParamStack(*(field.take(rows, axis=0) for field in self))
+        return ParamStack(*(None if field is None else field.take(rows, axis=0)
+                            for field in self))
 
     def unstack(self, row: int, n_classes: int | None = None) -> ModelParams:
         """The parameters of one row, with its first ``n_classes`` classes
@@ -427,12 +434,11 @@ class ClassStats:
     the class mass; ``on`` the expected edge counts between classes, each
     edge counted from both ends; ``pairs`` the expected counts of ordered
     pairs of distinct vertices; ``class_entropy`` the entropy of each
-    class's responsibilities, and ``entropy`` their sum. Callers validate
-    ``resp_t``; it is kept in C order, copied only when it is not: numpy
-    groups the terms of a sum over vertices by the memory layout, so a
-    strided stack (``np.stack`` of transposes) would round differently from
-    the same matrices in C order. Every stack the fit builds is C-contiguous
-    already.
+    class's responsibilities. Callers validate ``resp_t``; it is kept in C
+    order, copied only when it is not: numpy groups the terms of a sum over
+    vertices by the memory layout, so a strided stack (``np.stack`` of
+    transposes) would round differently from the same matrices in C order.
+    Every stack the fit builds is C-contiguous already.
 
     Matrices of different class counts share a stack by padding: matrix r
     has ``n_classes[r]`` classes (every class of the stack by default), and
@@ -495,16 +501,12 @@ class ClassStats:
     def class_entropy(self) -> np.ndarray:
         return responsibility_entropy(self.resp_t, axis=2)
 
-    @_lazy
-    def entropy(self) -> np.ndarray:
-        return _class_sum(self.class_entropy)
-
     def take(self, rows) -> "ClassStats":
         """The statistics of the matrices at ``rows`` (integer indices), with
         their products, class masses and whichever of ``on``, ``pairs`` and
-        the entropies are computed. The rows come from checked statistics
-        and every statistic is a row's own, so the taken rows are neither
-        checked nor summed again."""
+        ``class_entropy`` are computed. The rows come from checked
+        statistics and every statistic is a row's own, so the taken rows are
+        neither checked nor summed again."""
         taken = object.__new__(ClassStats)
         taken.graph, taken.features = self.graph, self.features
         taken.resp_t = self.resp_t.take(rows, axis=0)
@@ -512,7 +514,7 @@ class ClassStats:
         taken._mass = None if self._mass is None \
             else self._mass.take(rows, axis=0)
         taken.n_classes = self.n_classes.take(rows)
-        for name in ("on", "pairs", "class_entropy", "entropy"):
+        for name in ("on", "pairs", "class_entropy"):
             if name in self.__dict__:
                 taken.__dict__[name] = self.__dict__[name].take(rows, axis=0)
         return taken
@@ -535,8 +537,9 @@ class ClassStats:
         each class's mean of ``mu``.
 
         ``mu`` is an (R, Q, p) stack of means; ``d2`` is
-        ``squared_distances(mu, features.values)`` when the caller already
-        has it. The last scatter is kept with the ``mu`` it was formed for
+        ``squared_distances(mu, features.values)``, formed here when the
+        caller does not have it (a :class:`ParamStack` carries it from the
+        M-step). The last scatter is kept with the ``mu`` it was formed for
         and returned again for that same array: the M-step forms it for the
         variance, and the bound that follows needs it for the same means.
         Means are never changed in place.
@@ -549,30 +552,29 @@ class ClassStats:
         self._scatter = (mu, value)
         return value
 
-    def log_likelihood(self, params: ParamStack, mode: str = "joint",
-                       d2: np.ndarray | None = None) -> np.ndarray:
+    def log_likelihood(self, params: ParamStack,
+                       mode: str = "joint") -> np.ndarray:
         """Expected complete log-likelihood of each matrix, with the terms
         ``mode`` drops.
 
-        ``params`` is a :class:`ParamStack` with one row per matrix.
-        Proportions, then Bernoulli edges over unordered pairs of distinct
-        vertices, then the spherical Gaussian with its full normalising
-        constant. ``d2`` is as in :meth:`scatter`. Each class's terms are
-        added first, then the classes, in one :func:`_class_sum`.
+        ``params`` is a :class:`ParamStack` with one row per matrix, whose
+        ``d2`` the feature term reads (see :meth:`scatter`). Proportions,
+        then Bernoulli edges over unordered pairs of distinct vertices, then
+        the spherical Gaussian with its full normalising constant. Each
+        class's terms are added first, then the classes, in one
+        :func:`_class_sum`.
         """
-        return _class_sum(self._class_terms(params, mode, d2))
+        return _class_sum(self._class_terms(params, mode))
 
-    def bound(self, params: ParamStack, mode: str = "joint",
-              d2: np.ndarray | None = None) -> np.ndarray:
+    def bound(self, params: ParamStack, mode: str = "joint") -> np.ndarray:
         """Variational lower bound of each matrix: log-likelihood plus
         entropy, each class's entropy added to its terms before the classes
         are summed."""
-        terms = self._class_terms(params, mode, d2)
+        terms = self._class_terms(params, mode)
         terms += self.class_entropy
         return _class_sum(terms)
 
-    def _class_terms(self, params: ParamStack, mode: str,
-                     d2: np.ndarray | None) -> np.ndarray:
+    def _class_terms(self, params: ParamStack, mode: str) -> np.ndarray:
         """(R, Q) terms of :meth:`log_likelihood` of each class: a new
         array."""
         check_params(self.features, params)
@@ -590,7 +592,7 @@ class ClassStats:
             sigma2 = params.sigma2[:, None]
             const = -0.5 * p * np.log(2.0 * np.pi * sigma2)
             terms += const * self.col \
-                - self.scatter(params.mu, d2) / (2.0 * sigma2)
+                - self.scatter(params.mu, params.d2) / (2.0 * sigma2)
         return terms
 
 

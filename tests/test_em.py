@@ -36,6 +36,7 @@ from cohsmix.model import (
     squared_distances,
     variational_lower_bound,
 )
+from cohsmix.selection import select_q
 from cohsmix.simulate import AffiliationSpec, generate
 
 from conftest import (
@@ -421,9 +422,9 @@ def test_stacked_e_step_leaves_a_row_at_its_fixed_point(monkeypatch):
     start = ClassStats(graph, features,
                        np.stack([np.full((2, 2), 0.5), other.T]))
     stack = ParamStack(*(np.concatenate([field, field])
-                         for field in ParamStack.of(params)))
-    d2 = squared_distances(stack.mu, features.values)
-    out, sweeps, capped, moved = em._e_step(start, stack, d2, "joint")
+                         for field in ParamStack.of(params)[:4]))
+    stack = stack._replace(d2=squared_distances(stack.mu, features.values))
+    out, sweeps, capped, moved = em._e_step(start, stack, "joint")
     assert sweeps[0] == 1 and sweeps[1] > 1 and not capped.any()
     assert moved.tolist() == [False, True]
     assert np.array_equal(out.resp_t[0], start.resp_t[0])
@@ -446,8 +447,8 @@ def test_e_step_multiplies_once_per_sweep_after_the_first(monkeypatch, seed):
     stats = ClassStats(graph, features, np.stack(
         [random_responsibilities(30, 3, rng).T for _ in range(3)]))
     stack = ParamStack(*(np.concatenate([field] * 3)
-                         for field in ParamStack.of(params.clamped())))
-    d2 = features.squared_distances(stack.mu)
+                         for field in ParamStack.of(params.clamped())[:4]))
+    stack = stack._replace(d2=features.squared_distances(stack.mu))
     stats.mass  # computed before the count, as the fit driver has it
     compute = Graph.neighbour_mass
     products = []
@@ -457,7 +458,7 @@ def test_e_step_multiplies_once_per_sweep_after_the_first(monkeypatch, seed):
         return compute(self, resp_t)
 
     monkeypatch.setattr(Graph, "neighbour_mass", counted)
-    out, sweeps, capped, _ = em._e_step(stats, stack, d2, "joint")
+    out, sweeps, capped, _ = em._e_step(stats, stack, "joint")
     assert not capped.any() and sweeps.max() > 1
     assert len(products) == sweeps.max() - 1
     # Row r is in the product of sweep s (counted from 0) while s < sweeps[r].
@@ -482,19 +483,19 @@ def test_stacked_rows_stopping_at_different_sweeps_end_as_alone(
     rows = [(ParamStack.of(random_params(3, 2, rng).clamped()),
              random_responsibilities(30, 3, rng)) for _ in range(5)]
     stack = ParamStack(*(np.concatenate(field)
-                         for field in zip(*(one for one, _ in rows))))
-    d2 = features.squared_distances(stack.mu) if mode == "joint" else None
+                         for field in zip(*(one[:4] for one, _ in rows))))
+    if mode == "joint":
+        stack = stack._replace(d2=features.squared_distances(stack.mu))
     stats = ClassStats(graph, features, np.ascontiguousarray(
         np.stack([start.T for _, start in rows])))
-    out, sweeps, capped, moved = em._e_step(stats, stack, d2, mode)
+    out, sweeps, capped, moved = em._e_step(stats, stack, mode)
     assert len(set(sweeps.tolist())) > 1
     assert moved.all()
     if cap == 15:
         assert 0 < capped.sum() < len(rows)
     for row, (one, start) in enumerate(rows):
         alone = ClassStats.of(graph, features, start)
-        one_d2 = None if d2 is None else d2[row:row + 1]
-        ended, *flags = em._e_step(alone, one, one_d2, mode)
+        ended, *flags = em._e_step(alone, stack.take([row]), mode)
         assert [flag[0] for flag in flags] \
             == [sweeps[row], capped[row], moved[row]]
         assert np.array_equal(out.resp_t[row], ended.resp_t[0])
@@ -519,10 +520,10 @@ def test_e_step_stopped_below_the_cap_is_within_tolerance_of_its_update(
     start = random_responsibilities(n, n_classes, rng)
     stats = ClassStats.of(graph, features, start)
     stack = ParamStack.of(params.clamped())
-    d2 = features.squared_distances(stack.mu) \
-        if mode_terms(mode)[1] and p else None
+    if mode_terms(mode)[1] and p:
+        stack = stack._replace(d2=features.squared_distances(stack.mu))
     with e_step_protocol(damping, cap):
-        out, _, capped, _ = em._e_step(stats, stack, d2, mode)
+        out, _, capped, _ = em._e_step(stats, stack, mode)
     assume(not capped[0])
     refreshed = responsibility_update_oracle(graph, features, params,
                                              out.resp[0], mode)
@@ -582,9 +583,9 @@ def _stacked_e_step(graph, features, params, start):
     the start when the final bound is more than 1e-9 below the start's."""
     stats = ClassStats.of(graph, features, start)
     stack = ParamStack.of(params.clamped())
-    d2 = squared_distances(stack.mu, features.values)
-    out, sweeps, capped, moved = em._e_step(stats, stack, d2, "joint")
-    bound = lambda one: one.bound(stack, "joint", d2)[0]
+    stack = stack._replace(d2=squared_distances(stack.mu, features.values))
+    out, sweeps, capped, moved = em._e_step(stats, stack, "joint")
+    bound = lambda one: one.bound(stack, "joint")[0]
     if moved[0] and bound(out) < bound(stats) - 1e-9:
         out = stats
     return out.resp[0], int(sweeps[0]), bool(capped[0])
@@ -692,13 +693,15 @@ def test_padded_rows_get_the_statistics_they_get_alone(seed, n, p, widths,
         resp_t[row, :start.shape[1]] = start.T
         mass[row, :start.shape[1]] = one.mass[0]
     padded = ClassStats(graph, features, resp_t, mass, np.array(widths))
-    params, d2 = em._m_step(padded, mode)
-    bounds = padded.bound(params, mode, d2)
+    params = em._m_step(padded, mode)
+    bounds = padded.bound(params, mode)
     for row, (q, one) in enumerate(zip(widths, alone)):
-        one_params, one_d2 = em._m_step(one, mode)
+        one_params = em._m_step(one, mode)
         assert np.array_equal(padded.on[row, :q, :q], one.on[0])
         assert np.array_equal(padded.pairs[row, :q, :q], one.pairs[0])
-        assert padded.entropy[row] == one.entropy[0]
+        assert np.array_equal(padded.class_entropy[row, :q],
+                              one.class_entropy[0])
+        assert not padded.class_entropy[row, q:].any()
         assert np.array_equal(params.alpha[row, :q], one_params.alpha[0])
         assert np.array_equal(params.pi[row, :q, :q], one_params.pi[0])
         assert np.array_equal(params.mu[row, :q], one_params.mu[0])
@@ -708,9 +711,9 @@ def test_padded_rows_get_the_statistics_they_get_alone(seed, n, p, widths,
         assert (params.pi[row, q:] == 0.5).all()
         assert (params.pi[row, :, q:] == 0.5).all()
         assert not params.mu[row, q:].any()
-        if d2 is not None:
-            assert np.array_equal(d2[row, :q], one_d2[0])
-        assert bounds[row] == one.bound(one_params, mode, one_d2)[0]
+        if params.d2 is not None:
+            assert np.array_equal(params.d2[row, :q], one_params.d2[0])
+        assert bounds[row] == one.bound(one_params, mode)[0]
 
 
 def _assert_same_fits(padded, alone):
@@ -784,11 +787,11 @@ def test_guarded_start_of_a_stack_ends_on_its_previous_iterate(monkeypatch):
     calls = []
     stacked = em._e_step
 
-    def recorded(stats, params, d2, mode):
-        out = stacked(stats, params, d2, mode)
+    def recorded(stats, params, mode):
+        out = stacked(stats, params, mode)
         stepped, sweeps, _, moved = out
-        start_bounds = stats.bound(params, mode, d2)
-        final_bounds = np.where(moved, stepped.bound(params, mode, d2),
+        start_bounds = stats.bound(params, mode)
+        final_bounds = np.where(moved, stepped.bound(params, mode),
                                 start_bounds)
         calls.append((stats.resp_t, start_bounds, final_bounds, sweeps,
                       moved))
@@ -926,6 +929,33 @@ def test_fit_computes_one_bound_per_iteration(monkeypatch):
     assert not any(calls)
 
 
+def test_fit_forms_the_feature_distances_once_per_m_step(monkeypatch):
+    # The M-step forms the distances of the feature rows to its means, and
+    # the parameter stack carries them to the bound and the next E-step,
+    # through the take of every row that stops: a fit forms them nowhere
+    # else. A scan forms them once more, for the stack that scores its
+    # candidates.
+    graph, features = _readme_case(7)
+    calls = {"distances": 0, "m_step": 0}
+    distances, m_step = FeatureMatrix.squared_distances, em._m_step
+
+    def counted_distances(self, mu):
+        calls["distances"] += 1
+        return distances(self, mu)
+
+    def counted_m_step(*args):
+        calls["m_step"] += 1
+        return m_step(*args)
+
+    monkeypatch.setattr(FeatureMatrix, "squared_distances", counted_distances)
+    monkeypatch.setattr(em, "_m_step", counted_m_step)
+    fit_multi_restart(graph, features, 3, EMConfig(rng_seed=0, n_restarts=10))
+    assert calls["distances"] == calls["m_step"] > 1
+    select_q(graph, features, 2, 6,
+             EMConfig(rng_seed=0, n_restarts=1, max_em_iters=25))
+    assert calls["distances"] == calls["m_step"] + 1
+
+
 def test_class_stats_edge_counts_once_per_stats(monkeypatch, rng):
     # An M-step followed by a bound reads on and pairs twice each; the
     # products behind them are computed once.
@@ -940,9 +970,9 @@ def test_class_stats_edge_counts_once_per_stats(monkeypatch, rng):
 
         monkeypatch.setattr(prop, "func", counted)
     stats = ClassStats.of(graph, features, random_responsibilities(10, 3, rng))
-    params, d2 = em._m_step(stats, "joint")
-    stats.bound(params, "joint", d2)
-    stats.bound(params)
+    params = em._m_step(stats, "joint")
+    stats.bound(params, "joint")
+    stats.bound(params._replace(d2=None))
     assert counts == {"on": 1, "pairs": 1}
 
 
@@ -1185,19 +1215,20 @@ def test_bound_after_the_m_step_is_the_bound_of_fresh_statistics(rng, mode):
     # statistics of the same matrices, which form the scatter again.
     graph, features = random_graph(20, rng), random_features(20, 2, rng)
     stats = _padded_stack(graph, features, [3, 2, 3], rng)
-    params, d2 = em._m_step(stats, mode)
-    bounds = stats.bound(params, mode, d2)
+    params = em._m_step(stats, mode)
+    bounds = stats.bound(params, mode)
 
     def fresh():
         return ClassStats(graph, features, stats.resp_t.copy(), stats.mass,
                           stats.n_classes)
 
-    assert np.array_equal(bounds, fresh().bound(params, mode, d2))
     assert np.array_equal(bounds, fresh().bound(params, mode))
-    if d2 is not None:
+    assert np.array_equal(bounds, fresh().bound(params._replace(d2=None),
+                                                mode))
+    if params.d2 is not None:
         assert stats._scatter[0] is params.mu
     # Other means get their own scatter.
-    moved = params._replace(mu=params.mu + 1.0)
+    moved = params._replace(mu=params.mu + 1.0, d2=None)
     assert np.array_equal(stats.bound(moved, mode), fresh().bound(moved, mode))
     assert np.array_equal(stats.bound(params, mode),
                           fresh().bound(params, mode))
@@ -1361,8 +1392,8 @@ def test_multi_restart_single_equals_fit():
     cfg = EMConfig(rng_seed=9, n_restarts=1)
     best = fit_multi_restart(graph, features, 2, cfg)
     (seed, strategy), = em._restart_plan(cfg.rng_seed, 1, True, True)
-    again = fit(graph, features, 2, cfg, resp_init=em._init(
-        graph, features, 2, seed, strategy, "joint"))
+    again = fit(graph, features, 2, cfg, resp_init=em._starts(
+        graph, features, [(2, seed, strategy)], "joint")[0])
     assert best.final_bound == again.final_bound
     assert np.array_equal(best.partition, again.partition)
 
@@ -1458,7 +1489,8 @@ def _sequential_fits(graph, features, n_classes, cfg, mode):
     for seed, strategy in em._restart_plan(
             cfg.rng_seed, cfg.n_restarts, features.p > 0 and use_features,
             use_edges):
-        start = em._init(graph, features, n_classes, seed, strategy, mode)
+        start = em._starts(graph, features, [(n_classes, seed, strategy)],
+                           mode)[0]
         try:
             outcomes.append(fit(graph, features, n_classes, cfg,
                                 resp_init=start, mode=mode))
@@ -1593,8 +1625,9 @@ def test_iteration_lowering_the_bound_is_rolled_back(monkeypatch):
                                             True, True)
     alone = _sequential_fits(graph, features, 3, cfg, "joint")
     one_iteration = fit(graph, features, 3, replace(cfg, max_em_iters=1),
-                        resp_init=em._init(graph, features, 3, seed,
-                                           strategy, "joint"))
+                        resp_init=em._starts(graph, features,
+                                             [(3, seed, strategy)],
+                                             "joint")[0])
     calls = []
     original = em._rescue
 
@@ -1802,19 +1835,19 @@ def _em_always_stepping(graph, features, start, max_em_iters, mode):
     trace and convergence."""
     stats, errors = em._rescue(ClassStats.of(graph, features, start))
     assert not errors
-    params, d2 = em._m_step(stats, mode)
-    bounds = stats.bound(params, mode, d2)
+    params = em._m_step(stats, mode)
+    bounds = stats.bound(params, mode)
     trace, converged = [float(bounds[0])], False
     for _ in range(max_em_iters):
-        stepped, _, _, _ = em._e_step(stats, params, d2, mode)
+        stepped, _, _, _ = em._e_step(stats, params, mode)
         new_stats, errors = em._rescue(stepped)
         assert not errors
-        new_params, new_d2 = em._m_step(new_stats, mode)
-        values = new_stats.bound(new_params, mode, new_d2)
+        new_params = em._m_step(new_stats, mode)
+        values = new_stats.bound(new_params, mode)
         if values[0] < bounds[0] - 1e-9:
             break
         trace.append(float(values[0]))
-        stats, params, d2 = new_stats, new_params, new_d2
+        stats, params = new_stats, new_params
         if abs(values[0] - bounds[0]) \
                 <= em.BOUND_REL_TOL * max(1.0, abs(bounds[0])):
             converged = True
@@ -1823,23 +1856,22 @@ def _em_always_stepping(graph, features, start, max_em_iters, mode):
     return stats.resp[0], params.unstack(0), trace, converged
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_unmoved_row_finishes_as_the_full_iteration_did(monkeypatch, mode):
-    # A row whose E-step returns its start finishes on the responsibilities
-    # and params that the full iteration (rescue, M-step, bound) gave it,
-    # bit for bit, with that iteration's repeated bound left off its trace.
-    # The rows share one stack, so some stop while others go on.
+def _fit_as_the_full_iteration_did(monkeypatch, mode, cap):
+    """Fit six starts in one stack under the iteration cap ``cap`` and check
+    each run, bit for bit, against :func:`_em_always_stepping`, that
+    iteration's repeated bound left off its trace. Returns how many runs
+    ended on a repeated bound and how many at the cap."""
     graph, features = _readme_case(1001)
     use_edges, use_features = mode_terms(mode)
-    starts = [em._init(graph, features, 3, seed, strategy, mode)
+    starts = [em._starts(graph, features, [(3, seed, strategy)], mode)[0]
               for seed, strategy in em._restart_plan(5, 6, use_features,
                                                      use_edges)]
     monkeypatch.setattr(Graph, "neighbour_mass", row_by_row_mass)
-    runs = em._em(graph, features, starts, 100, mode)
-    repeats = 0
+    runs = em._em(graph, features, starts, cap, mode)
+    repeats = capped = 0
     for start, run in zip(starts, runs):
         resp, params, trace, converged = _em_always_stepping(
-            graph, features, start, 100, mode)
+            graph, features, start, cap, mode)
         result = run.result()
         assert np.array_equal(result.responsibilities, resp)
         for name in ("alpha", "pi", "mu", "sigma2"):
@@ -1850,7 +1882,28 @@ def test_unmoved_row_finishes_as_the_full_iteration_did(monkeypatch, mode):
             repeats += 1
             trace = trace[:-1]
         assert result.bound_trace == trace
+        capped += not converged and len(trace) == cap + 1
+    return repeats, capped
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_unmoved_row_finishes_as_the_full_iteration_did(monkeypatch, mode):
+    # A row whose E-step returns its start finishes on the responsibilities
+    # and params that the full iteration (rescue, M-step, bound) gave it,
+    # bit for bit, with that iteration's repeated bound left off its trace.
+    # The rows share one stack, so some stop while others go on.
+    repeats, _ = _fit_as_the_full_iteration_did(monkeypatch, mode, 100)
     assert repeats >= 3
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_row_at_the_iteration_cap_finishes_as_the_full_iteration_did(
+        monkeypatch, mode):
+    # Under a cap of 3 iterations, rows end at the cap, not converged, on
+    # what the full iterations gave them, beside rows of the same stack
+    # that converge or return their start.
+    _, capped = _fit_as_the_full_iteration_did(monkeypatch, mode, 3)
+    assert capped
 
 
 def test_rollback_beside_an_unmoved_row_keeps_its_own_iterate(monkeypatch):
@@ -1860,7 +1913,7 @@ def test_rollback_beside_an_unmoved_row_keeps_its_own_iterate(monkeypatch):
     # finish on its own first M-step, not on the row that left.
     graph, features = _readme_case(1002)
     (seed, strategy), *_ = em._restart_plan(3, 1, True, True)
-    start = em._init(graph, features, 3, seed, strategy, "joint")
+    start = em._starts(graph, features, [(3, seed, strategy)], "joint")[0]
     before = em._em(graph, features, [start], 0, "joint")[0].result()
     calls = []
     original = em._rescue

@@ -177,8 +177,8 @@ def test_unstack_builds_what_the_constructor_builds(rng, monkeypatch):
                        for _ in range(2)])
     resp_t[1, 2] = 0.0
     resp_t[1] /= resp_t[1].sum(axis=0)
-    stack, _ = _m_step(ClassStats(graph, features, resp_t,
-                                  n_classes=np.array([3, 2])), "joint")
+    stack = _m_step(ClassStats(graph, features, resp_t,
+                               n_classes=np.array([3, 2])), "joint")
     checked = [ModelParams(alpha=stack.alpha[row, :q], pi=stack.pi[row, :q, :q],
                            mu=stack.mu[row, :q], sigma2=stack.sigma2[row])
                for row, q in ((0, 3), (1, 2))]
@@ -203,7 +203,7 @@ def test_take_keeps_the_computed_statistics(rng, monkeypatch):
     monkeypatch.setattr(Graph, "neighbour_mass", row_by_row_mass)
     stats = ClassStats(graph, features, np.stack(
         [random_responsibilities(10, 3, rng).T for _ in range(3)]))
-    on, pairs, entropy = stats.on, stats.pairs, stats.entropy
+    on, pairs, entropy = stats.on, stats.pairs, stats.class_entropy
     rows = [2, 0]
     calls, checks = [], []
     with monkeypatch.context() as patch:
@@ -212,7 +212,7 @@ def test_take_keeps_the_computed_statistics(rng, monkeypatch):
         taken = stats.take(rows)
     assert np.array_equal(taken.on, on[rows])
     assert np.array_equal(taken.pairs, pairs[rows])
-    assert np.array_equal(taken.entropy, entropy[rows])
+    assert np.array_equal(taken.class_entropy, entropy[rows])
     assert not calls and not checks
     fresh = ClassStats(graph, features, stats.resp_t[rows])
     assert np.array_equal(taken.resp_t, fresh.resp_t)
@@ -221,10 +221,11 @@ def test_take_keeps_the_computed_statistics(rng, monkeypatch):
     assert np.array_equal(taken.n_classes, fresh.n_classes)
     assert np.array_equal(taken.on, fresh.on)
     assert np.array_equal(taken.pairs, fresh.pairs)
-    assert np.array_equal(taken.entropy, fresh.entropy)
+    assert np.array_equal(taken.class_entropy, fresh.class_entropy)
     # What was never computed is not carried.
     bare = ClassStats(graph, features, stats.resp_t).take(rows)
-    assert "on" not in bare.__dict__ and "entropy" not in bare.__dict__
+    assert "on" not in bare.__dict__ \
+        and "class_entropy" not in bare.__dict__
 
 
 def test_statistics_do_not_depend_on_the_stack_layout():
@@ -238,11 +239,11 @@ def test_statistics_do_not_depend_on_the_stack_layout():
                         for _ in range(4)])
     assert not strided.flags.c_contiguous
     params = ParamStack(*(np.concatenate(field) for field in zip(
-        *(ParamStack.of(random_params(3, 2, rng)) for _ in range(4)))))
+        *(ParamStack.of(random_params(3, 2, rng))[:4] for _ in range(4)))))
     ours = ClassStats(graph, features, strided)
     copy = ClassStats(graph, features, np.ascontiguousarray(strided))
     assert ours.resp_t.flags.c_contiguous
-    for name in ("col", "mass", "on", "pairs", "entropy"):
+    for name in ("col", "mass", "on", "pairs", "class_entropy"):
         assert np.array_equal(getattr(ours, name), getattr(copy, name))
     assert np.array_equal(ours.bound(params), copy.bound(params))
     # A C-order stack is taken as it is, not copied.
