@@ -8,9 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .em import EMConfig, fit_multi_restart
+from .em import EMConfig, child_seed, fit_multi_restart
 from .harness import run_grid
 from .io import read_features, read_graph, write_csv, write_features, \
     write_graph, write_labels, write_result
@@ -154,8 +152,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     if args.setting:
         for index, spec in enumerate(grid_specs(args.setting, n=args.n)):
-            child = np.random.SeedSequence(args.seed, spawn_key=(index,))
-            spec = replace(spec, seed=int(child.generate_state(1)[0]))
+            spec = replace(spec, seed=child_seed(args.seed, index))
             _write_dataset(spec, out_dir / f"{args.setting}{index:02d}")
         return 0
     if args.q is None or args.lam is None or args.epsilon is None:

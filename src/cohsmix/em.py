@@ -92,6 +92,14 @@ class EMConfig:
                                  f"{low}, got {value!r}")
 
 
+def child_seed(seed: int | None, *key: int) -> int:
+    """The first 32-bit word of ``SeedSequence(seed, spawn_key=key)``: the
+    one rule by which the package derives a seed (of a restart, a scan's
+    candidate, a grid replicate or a simulated family's model) from another.
+    A None seed draws fresh entropy per call."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+
+
 @dataclass
 class FitResult:
     """Converged parameters and responsibilities of one EM run."""
@@ -329,7 +337,9 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     ``-inf``, so no two iterates compare. The returned matrix never lowers
     the bound relative to the start, which the sweeps alone do not promise:
     if the final iterate's bound is more than 1e-9 below the start's, the
-    start is returned instead. Only those two bounds are computed.
+    start is returned instead. Only those two bounds are computed. A fit's
+    guard is its rollback, which waits for the M-step after the E-step;
+    this function has no M-step to wait for, so it keeps its own guard.
 
     ``resp`` is an (n, Q) responsibility matrix, and so is the result. The
     sweeps and bounds run under ``params.clamped()``, the clamps every
@@ -827,9 +837,9 @@ def _restart_plan(seed: int | None, n_restarts: int, has_features: bool,
                   has_edges: bool) -> list[tuple[int, str]]:
     """The (seed, init strategy) of each restart.
 
-    The seeds are distinct, derived from ``seed``. The first restarts use
-    the structured initialisers the data can feed, the rest flat Dirichlet
-    rows.
+    Restart ``r`` is seeded by ``child_seed(seed, r)``. The first restarts
+    use the structured initialisers the data can feed, the rest flat
+    Dirichlet rows.
     """
     if has_features:
         head = ("feature-kmeans", "graph-degree-quantile")[:1 + has_edges]
@@ -841,10 +851,8 @@ def _restart_plan(seed: int | None, n_restarts: int, has_features: bool,
         head, rest = ("graph-degree-quantile",), "feature-kmeans"
     else:
         head, rest = (), "random-dirichlet"
-    children = np.random.SeedSequence(seed).spawn(n_restarts)
-    return [(int(child.generate_state(1)[0]),
-             head[r] if r < len(head) else rest)
-            for r, child in enumerate(children)]
+    return [(child_seed(seed, r), head[r] if r < len(head) else rest)
+            for r in range(n_restarts)]
 
 
 def _best_restart(outcomes) -> FitResult:
@@ -901,9 +909,10 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
                       mode: str = "joint") -> FitResult:
     """Best-of-``cfg.n_restarts`` EM runs, selected by final bound.
 
-    Restart seeds derive from ``cfg.rng_seed``; the first two restarts use
-    the structured initialisers the mode can read, the rest flat Dirichlet
-    rows (k-means on the adjacency rows when there are no usable features).
+    Restart ``r`` is seeded by ``child_seed(cfg.rng_seed, r)``; the first
+    two restarts use the structured initialisers the mode can read, the rest
+    flat Dirichlet rows (k-means on the adjacency rows when there are no
+    usable features).
     The restarts run in lockstep, each as :func:`fit` would run it alone
     from its planned start. Final bounds within ``TIE_REL_TOL`` (relative) of
     the best tie, and ties keep the earliest restart. A restart whose

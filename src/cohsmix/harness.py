@@ -14,25 +14,18 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .em import EMConfig, fit_multi_restart
+from .em import EMConfig, child_seed, fit_multi_restart
 from .io import write_csv
 from .metrics import adjusted_rand_index
 from .selection import icl_score, select_q
 from .simulate import AffiliationSpec, generate, grid_specs, varied_parameter
 
 THREADS_ENV = "COHSMIX_THREADS"
-
-RESULTS_COLUMNS = (
-    "setting", "spec_index", "replicate", "n", "n_classes_true", "n_features",
-    "within_prob", "between_prob", "mean_gap", "fitted_q", "final_bound",
-    "icl", "ari", "converged", "em_iters", "e_step_sweeps", "sweep_cap_hits",
-    "failed_restarts", "status",
-)
 
 AGGREGATE_COLUMNS = (
     "setting", "spec_index", "varied_param", "varied_value", "n_ok",
@@ -68,6 +61,12 @@ class ExperimentRecord:
     wall_time_s: float
 
 
+# results.csv holds every field of the record but the wall-clock time, which
+# differs between reruns and goes to timings.csv.
+RESULTS_COLUMNS = tuple(field.name for field in fields(ExperimentRecord)
+                        if field.name != "wall_time_s")
+
+
 def worker_count() -> int:
     """Parallelism cap from the environment; 1 means run serially.
 
@@ -87,16 +86,11 @@ def worker_count() -> int:
     return count
 
 
-def _replicate_seeds(seed: int, spec_index: int, replicate: int):
-    sim = np.random.SeedSequence(seed, spawn_key=(spec_index, replicate, 0))
-    fit = np.random.SeedSequence(seed, spawn_key=(spec_index, replicate, 1))
-    return int(sim.generate_state(1)[0]), int(fit.generate_state(1)[0])
-
-
 def _run_replicate(task) -> ExperimentRecord:
     setting, spec_index, spec, replicate, seed, cfg, scan_range = task
     started = time.perf_counter()
-    sim_seed, fit_seed = _replicate_seeds(seed, spec_index, replicate)
+    sim_seed = child_seed(seed, spec_index, replicate, 0)
+    fit_seed = child_seed(seed, spec_index, replicate, 1)
     fitted_q = final_bound = icl = ari = None
     converged = em_iters = sweeps = cap_hits = failed_restarts = None
     status = "ok"
@@ -140,7 +134,9 @@ def run_grid(setting: str, replicates: int = 20, cfg: EMConfig | None = None,
              scan_range: tuple[int, int] | None = None) -> list[ExperimentRecord]:
     """Run one benchmark family and optionally write the CSV outputs.
 
-    Per-replicate failures are recorded in the status column. When
+    Replicate ``r`` of ``specs[i]`` is simulated and fitted from the seeds
+    ``child_seed(seed, i, r, k)``, k = 0 and 1. Per-replicate failures are
+    recorded in the status column. When
     ``scan_range`` is given, each replicate picks its class count by the
     selection criterion instead of fitting at the generating one.
     """

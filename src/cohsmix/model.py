@@ -316,19 +316,6 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return hot
 
 
-def responsibility_entropy(resp, axis=None):
-    """-sum resp * log resp with the 0*log 0 = 0 convention, over ``axis``
-    (every entry by default). A zero entry's log is taken at the smallest
-    subnormal instead, a finite log whose product with the zero is 0, so
-    every positive entry, subnormals included, keeps its own term. Each
-    entry is its own weight, so unlike :func:`_xlogy` no zero needs a
-    check: the whole entropy is two ufunc calls."""
-    resp = np.asarray(resp, dtype=np.float64)
-    terms = np.log(np.maximum(resp, _SMALLEST_SUBNORMAL))
-    terms *= resp
-    return -np.add.reduce(terms, axis=axis)
-
-
 def mode_terms(mode: str) -> tuple[bool, bool]:
     """Whether an ablation mode uses the (edge, feature) terms of the model."""
     if mode not in MODES:
@@ -346,13 +333,20 @@ def check_rows(graph: Graph, features: FeatureMatrix):
 
 
 def check_features_vary(features: FeatureMatrix, mode: str):
-    """Raise when ``mode`` reads the features and every column is constant.
+    """Raise when ``mode`` reads the features and every column is constant,
+    or reads only the features and there are none (it would see no data).
 
     Constant features put the fitted variance on its floor, where the bound
     and the ICL turn large, positive and meaningless. One constant column
     among varying ones is fine.
     """
-    if mode_terms(mode)[1] and features.p \
+    use_edges, use_features = mode_terms(mode)
+    if not (use_edges or features.p):
+        raise ValueError(
+            f"features: the table has 0 columns over the {features.n} "
+            "vertices, and mode=\"features-only\" reads nothing else; give "
+            "feature columns or fit the graph")
+    if use_features and features.p \
             and (features.values == features.values[0]).all():
         raise ValueError(
             f"features: all {features.p} columns are constant over the "
@@ -499,7 +493,12 @@ class ClassStats:
 
     @_lazy
     def class_entropy(self) -> np.ndarray:
-        return responsibility_entropy(self.resp_t, axis=2)
+        # 0*log 0 = 0: a zero's log is taken at the smallest subnormal, whose
+        # product with the zero is 0, and every positive entry keeps its own
+        # term, so unlike _xlogy no zero needs a check.
+        terms = np.log(np.maximum(self.resp_t, _SMALLEST_SUBNORMAL))
+        terms *= self.resp_t
+        return -np.add.reduce(terms, axis=2)
 
     def take(self, rows) -> "ClassStats":
         """The statistics of the matrices at ``rows`` (integer indices), with

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import EMConfig, FitResult, _fit_candidates
+from .em import EMConfig, FitResult, _fit_candidates, child_seed
 from .model import (
     ClassStats,
     FeatureMatrix,
@@ -138,9 +138,9 @@ def select_q(graph: Graph, features: FeatureMatrix, q_min: int, q_max: int,
              cfg: EMConfig | None = None, mode: str = "joint") -> ICLScan:
     """Fit every candidate class count and keep the best-scoring one.
 
-    Each candidate gets its own deterministic seed derived from
-    ``cfg.rng_seed``, so the whole scan replays bit-for-bit, and is scored
-    on its soft responsibilities: the surviving candidates in one padded
+    Candidate ``q`` is seeded by ``child_seed(cfg.rng_seed, q)``, so the
+    whole scan replays bit-for-bit, and is scored on its soft
+    responsibilities: the surviving candidates in one padded
     stack, each exactly as :func:`icl_score` scores it alone. The restarts
     of every candidate run in one lockstep EM driver, each candidate giving
     what :func:`~cohsmix.em.fit_multi_restart` gives it alone, to rounding.
@@ -155,10 +155,8 @@ def select_q(graph: Graph, features: FeatureMatrix, q_min: int, q_max: int,
     check_rows(graph, features)
     check_features_vary(features, mode)
     cfg = cfg or EMConfig()
-    candidates = [
-        (q, int(np.random.SeedSequence(
-            cfg.rng_seed, spawn_key=(q,)).generate_state(1)[0]))
-        for q in range(q_min, q_max + 1)]
+    candidates = [(q, child_seed(cfg.rng_seed, q))
+                  for q in range(q_min, q_max + 1)]
     results: dict[int, FitResult] = {}
     failures: dict[int, str] = {}
     for (q, _), result in zip(candidates, _fit_candidates(

@@ -149,7 +149,8 @@ def maximize_bound_numerically(graph, features, resp, bound_fn, n_classes,
         pos = 0
         raw_alpha = np.concatenate([vector[pos:pos + q - 1], [0.0]])
         pos += q - 1
-        alpha = np.exp(raw_alpha - logsumexp(raw_alpha))
+        weights = np.exp(raw_alpha - raw_alpha.max())
+        alpha = weights / weights.sum()
         pi = np.zeros((q, q))
         pi[tri] = 1.0 / (1.0 + np.exp(-vector[pos:pos + len(tri[0])]))
         pi = pi + np.triu(pi, 1).T

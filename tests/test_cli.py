@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import cohsmix.cli as cli
 from cohsmix.cli import main
 from cohsmix.em import EMConfig, fit_multi_restart
 from cohsmix.io import read_features, read_graph
+from cohsmix.simulate import generate, grid_specs
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +47,18 @@ def test_simulate_setting_writes_every_model(capsys, tmp_path):
     assert code == 0, err
     dirs = sorted(p.name for p in (tmp_path / "fam").iterdir())
     assert dirs == [f"d{i:02d}" for i in range(7)]
+    # Model i is drawn from the child of --seed at key (i,), recomputed here
+    # from numpy's SeedSequence as the reference.
+    for index, spec in enumerate(grid_specs("d", n=30)):
+        seed = np.random.SeedSequence(1, spawn_key=(index,))
+        _, features, labels = generate(
+            replace(spec, seed=int(seed.generate_state(1)[0])))
+        model = tmp_path / "fam" / f"d{index:02d}"
+        assert np.array_equal(
+            np.loadtxt(model / "labels.csv", delimiter=",", skiprows=1,
+                       dtype=int)[:, 1], labels)
+        assert np.array_equal(read_features(model / "features.csv").values,
+                              features.values)
 
 
 def test_simulate_explicit_requires_probabilities(capsys, tmp_path):

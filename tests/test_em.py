@@ -30,6 +30,7 @@ from cohsmix.model import (
     Graph,
     ModelParams,
     ParamStack,
+    complete_log_likelihood,
     exact_log_marginal,
     mode_terms,
     one_hot,
@@ -1324,6 +1325,26 @@ def test_fit_rejects_all_constant_features(entry):
     entry(graph, FeatureMatrix(values), 2, cfg)
 
 
+@pytest.mark.parametrize("entry", [fit, fit_multi_restart])
+def test_features_only_fit_rejects_a_table_of_no_columns(entry):
+    # With no columns a features-only fit reads no data at all, and every
+    # start would converge at once on its own partition.
+    rng = np.random.default_rng(0)
+    graph, features, params = random_instance(rng, n=30, n_classes=2, p=0)
+    cfg = EMConfig(rng_seed=0, n_restarts=2)
+    with pytest.raises(ValueError, match=r"features: the table has 0 "
+                       r"columns over the 30 vertices.*features-only"):
+        entry(graph, features, 2, cfg, mode="features-only")
+    for mode in ("joint", "graph-only"):
+        entry(graph, features, 2, cfg, mode=mode)
+    # The model's own functions still take the empty table.
+    resp = random_responsibilities(30, 2, rng)
+    assert e_step(graph, features, params, resp,
+                  mode="features-only").shape == (30, 2)
+    assert np.isfinite(complete_log_likelihood(
+        graph, features, np.arange(30) % 2, params, mode="features-only"))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_fit_trace_monotone_on_random_data(seed):
     rng = np.random.default_rng(seed)
@@ -1396,6 +1417,23 @@ def test_multi_restart_single_equals_fit():
         graph, features, [(2, seed, strategy)], "joint")[0])
     assert best.final_bound == again.final_bound
     assert np.array_equal(best.partition, again.partition)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345, 2**40])
+def test_restart_seeds_are_the_spawned_children(seed):
+    # numpy's spawned children are the reference: restart r is seeded by the
+    # first word of child r of SeedSequence(seed).spawn.
+    children = np.random.SeedSequence(seed).spawn(10)
+    assert [word for word, _ in em._restart_plan(seed, 10, True, True)] \
+        == [int(child.generate_state(1)[0]) for child in children]
+
+
+def test_restarts_without_a_seed_get_distinct_fresh_seeds():
+    first, second = ([word for word, _ in em._restart_plan(None, 10, True,
+                                                           True)]
+                     for _ in range(2))
+    assert len(set(first)) == 10
+    assert first != second
 
 
 def _results(outcomes):

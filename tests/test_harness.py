@@ -9,7 +9,6 @@ import cohsmix.harness as harness
 from cohsmix.em import EMConfig, EmptyClassError, fit_multi_restart
 from cohsmix.harness import (
     RESULTS_COLUMNS,
-    _replicate_seeds,
     run_grid,
     worker_count,
 )
@@ -37,6 +36,12 @@ def test_record_count_and_order(tmp_path):
     assert keys == sorted(keys)
     lines = (tmp_path / "results.csv").read_text().strip().splitlines()
     assert lines[0] == ",".join(RESULTS_COLUMNS)
+    # The published schema, as the README lists it.
+    assert lines[0] == (
+        "setting,spec_index,replicate,n,n_classes_true,n_features,"
+        "within_prob,between_prob,mean_gap,fitted_q,final_bound,icl,ari,"
+        "converged,em_iters,e_step_sweeps,sweep_cap_hits,failed_restarts,"
+        "status")
     assert len(lines) == 1 + len(records)
 
 
@@ -152,6 +157,14 @@ def test_failure_rows_round_trip_through_csv_reader(tmp_path, monkeypatch):
 def _read_results(path):
     with path.open(newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def _replicate_seeds(seed, spec_index, replicate):
+    """The (simulation, fit) seeds of one replicate, recomputed from numpy's
+    ``SeedSequence`` as the reference for the harness's."""
+    return tuple(int(np.random.SeedSequence(
+        seed, spawn_key=(spec_index, replicate, k)).generate_state(1)[0])
+        for k in (0, 1))
 
 
 def _counters(result):

@@ -161,6 +161,14 @@ def test_select_rejects_all_constant_features(rng):
     assert scan.selected_q in (1, 2)
 
 
+def test_select_rejects_a_features_only_scan_of_no_columns(rng):
+    graph = random_graph(30, rng)
+    with pytest.raises(ValueError, match=r"features: the table has 0 "
+                       r"columns.*features-only"):
+        select_q(graph, FeatureMatrix.empty(30), 1, 3,
+                 EMConfig(rng_seed=0, n_restarts=2), mode="features-only")
+
+
 def test_select_noise_prefers_smallest(rng):
     picked_smallest = 0
     runs = 10
