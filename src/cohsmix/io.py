@@ -28,9 +28,12 @@ _COMMENT_RE = re.compile(r"#[^\n]*")
 # A header match starts at the newline before its line, a literal the
 # regex engine scans for quickly.
 _HEADER_LINE_RE = re.compile(r"\n[ \t]*n[ \t]*=[ \t]*([0-9]+)[ \t]*(?=\n|\Z)")
-# Only these characters reach np.loadtxt, which would read more than the
-# grammar: form feeds as separators, and floats on numpy 1.x.
+# Apart from header lines, which it skips as comments, only these
+# characters reach np.loadtxt, which would read more than the grammar: form
+# feeds as separators, and floats on numpy 1.x.
 _EDGE_CHARS = b"0123456789+- \t\n"
+# np.loadtxt opens a path with one of these suffixes as compressed.
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 _INDEX_RE = re.compile(r"[+-]?[0-9]+")
 _FIELD_SEP_RE = re.compile(r"[ \t]+")
 _BAD_LINE_RE = re.compile(
@@ -68,8 +71,18 @@ def _read_edge_list(path: Path) -> Graph:
         _raise_first_bad_line(path, text)
     idx = np.empty((0, 2), dtype=np.int64)
     if body.strip():
+        # Numpy reads a path in C chunks but a file-like object line by
+        # line. Without a "#" comment every "n" starts a header line, so
+        # loadtxt can read the file itself and skip those lines as comments;
+        # a tuple of comment strings would send it down a per-line path.
+        # Only a regular file reads the same twice, and loadtxt would open
+        # some suffixes through a decompressor.
+        rereadable = (path.is_file()
+                      and path.suffix not in _COMPRESSED_SUFFIXES)
+        source = path if rereadable and "#" not in text else StringIO(body)
         try:
-            idx = np.loadtxt(StringIO(body), dtype=np.int64, ndmin=2)
+            idx = np.loadtxt(source, dtype=np.int64, ndmin=2, comments="n",
+                             encoding="utf-8")
         except ValueError as err:
             _raise_first_bad_line(path, text, err)
         if idx.shape[1] != 2 or (idx < 0).any():

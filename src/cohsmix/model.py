@@ -103,8 +103,8 @@ class Graph:
 
     def edge_pairs(self) -> np.ndarray:
         """Sorted (i, j) pairs with i < j, one row per edge."""
-        i, j = np.nonzero(np.triu(self.adjacency != 0, k=1))
-        return np.column_stack([i, j])
+        flat = np.flatnonzero(np.triu(self.adjacency != 0, k=1))
+        return np.column_stack(np.divmod(flat, self.n))
 
     @classmethod
     def from_edge_pairs(cls, n: int, pairs) -> "Graph":

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -126,6 +128,64 @@ def test_edge_character_check_matches_the_old_regex(text):
     # Any text a UTF-8 file decodes to: surrogates never occur.
     left = text.encode("utf-8").translate(None, cio._EDGE_CHARS)
     assert bool(left) == bool(_OLD_NON_EDGE_CHAR_RE.search(text))
+
+
+@pytest.fixture
+def string_ios(monkeypatch):
+    """Every StringIO the io module builds while the test runs."""
+    built = []
+
+    def recording(*args):
+        built.append(StringIO(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cio, "StringIO", recording)
+    return built
+
+
+@pytest.fixture
+def written_graph(tmp_path):
+    spec = AffiliationSpec(n_classes=3, n=40, n_features=0,
+                           within_prob=0.5, between_prob=0.1, seed=5)
+    graph, _, _ = generate(spec)
+    return graph, write_graph(tmp_path / "g.tsv", graph)
+
+
+def test_uncommented_edge_list_is_read_from_its_path(written_graph,
+                                                     string_ios):
+    graph, path = written_graph
+    assert np.array_equal(read_graph(path).adjacency, graph.adjacency)
+    assert string_ios == []
+
+
+def test_commented_edge_list_is_read_from_memory(written_graph, string_ios):
+    graph, path = written_graph
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4] = lines[4].replace("\n", "  # note\n")
+    lines[2:2] = ["# note\n"]
+    path.write_text("# note\n" + "".join(lines))
+    assert np.array_equal(read_graph(path).adjacency, graph.adjacency)
+    assert len(string_ios) == 1
+
+
+def test_pipe_and_compressed_suffix_are_read_from_memory(tmp_path,
+                                                         string_ios):
+    # A pipe reads empty the second time, and np.loadtxt would gunzip a
+    # path ending in .gz.
+    text = "n=3\n0\t1\n1\t2\n"
+    plain_gz = tmp_path / "g.gz"
+    plain_gz.write_text(text)
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode())
+    os.close(write_end)
+    try:
+        graphs = [read_graph(plain_gz), read_graph(f"/dev/fd/{read_end}")]
+    finally:
+        os.close(read_end)
+    for graph in graphs:
+        assert graph.n == 3
+        assert graph.edge_pairs().tolist() == [[0, 1], [1, 2]]
+    assert len(string_ios) == 2
 
 
 def test_write_graph_bytes(tmp_path):

@@ -76,6 +76,9 @@ def test_degrees_are_the_cached_row_sums(seed, n, density, built):
     assert graph.degrees is degrees
     assert not degrees.flags.writeable
     assert graph.n_edges == len(graph.edge_pairs())
+    expected = np.column_stack(np.nonzero(np.triu(graph.adjacency, 1)))
+    pairs = graph.edge_pairs()
+    assert pairs.dtype == expected.dtype and np.array_equal(pairs, expected)
 
 
 SOURCES = Path(model.__file__).parent
