@@ -100,9 +100,6 @@ def _config(args) -> EMConfig:
 
 
 def _read_inputs(args):
-    for path in (args.graph, args.features):
-        if not Path(path).is_file():
-            raise ValueError(f"input file not found: {path}")
     return read_graph(args.graph), read_features(args.features)
 
 

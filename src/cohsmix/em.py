@@ -50,11 +50,12 @@ _KMEANS_ITERS = 20
 # contracting with weight DAMPING on the previous iterate (0.0 would give
 # plain Jacobi sweeps), and stops once the sup-norm residual of its undamped
 # update is at most FIXEDPOINT_TOL; a fit stops once its relative bound
-# change is at most BOUND_REL_TOL.
+# change is at most BOUND_REL_TOL, and rolls back a fall over BOUND_DROP_TOL.
 MAX_FIXEDPOINT_SWEEPS = 50
 DAMPING = 0.5
 FIXEDPOINT_TOL = 1e-4
 BOUND_REL_TOL = 1e-6
+BOUND_DROP_TOL = 1e-9
 # Final bounds within this relative distance of the best count as tied when
 # the best restart is chosen; ties go to the earliest restart.
 TIE_REL_TOL = 1e-12
@@ -121,6 +122,10 @@ class FitResult:
     @property
     def final_bound(self) -> float:
         return self.bound_trace[-1]
+
+    @property
+    def em_iters(self) -> int:
+        return len(self.bound_trace) - 1
 
 
 # The former name of the mode-aware bound. It stays because the benchmark's
@@ -325,21 +330,21 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
     first sweep takes this update as it is, and so does every later sweep
     whose sup-norm residual (the largest change of the update) is below the
     previous sweep's; a sweep that has stopped contracting is instead
-    blended with the old values using ``DAMPING``. Iteration stops at
-    the first sweep whose residual is at most ``FIXEDPOINT_TOL`` and ends on
-    the iterate that sweep started from, so the update of the returned
-    matrix lies within ``FIXEDPOINT_TOL`` of it; a sweep that changes
-    nothing thus returns its start. After ``MAX_FIXEDPOINT_SWEEPS`` sweeps
-    without that, iteration ends on the last update. Without the edge term
+    blended with the old values using ``DAMPING``. Iteration stops at the
+    first sweep whose residual is at most ``FIXEDPOINT_TOL`` and ends on the
+    iterate that sweep started from, so the update of the returned matrix
+    lies within ``FIXEDPOINT_TOL`` of it; a sweep that changes nothing thus
+    returns its start. After ``MAX_FIXEDPOINT_SWEEPS`` sweeps without that,
+    iteration ends on the last update. Without the edge term
     (``mode="features-only"``) the update does not read the iterate, so the
-    E-step is its first sweep. Params
-    with a class proportion of 0 raise ``ValueError``: every bound is then
-    ``-inf``, so no two iterates compare. The returned matrix never lowers
-    the bound relative to the start, which the sweeps alone do not promise:
-    if the final iterate's bound is more than 1e-9 below the start's, the
-    start is returned instead. Only those two bounds are computed. A fit's
-    guard is its rollback, which waits for the M-step after the E-step;
-    this function has no M-step to wait for, so it keeps its own guard.
+    E-step is its first sweep. Params with a class proportion of 0 raise
+    ``ValueError``: every bound is then ``-inf``, so no two iterates
+    compare. The returned matrix never lowers the bound relative to the
+    start, which the sweeps alone do not promise: if the final iterate's
+    bound is more than ``BOUND_DROP_TOL`` below the start's, the start is
+    returned instead. Only those two bounds are computed. A fit's guard is
+    its rollback, which waits for the M-step after the E-step; this function
+    has no M-step to wait for, so it keeps its own guard.
 
     ``resp`` is an (n, Q) responsibility matrix, and so is the result. The
     sweeps and bounds run under ``params.clamped()``, the clamps every
@@ -359,7 +364,7 @@ def e_step(graph: Graph, features: FeatureMatrix, params: ModelParams,
         stack = stack._replace(d2=features.squared_distances(stack.mu))
     stats, _, _, moved = _e_step(start, stack, mode)
     if moved[0] and stats.bound(stack, mode)[0] \
-            < start.bound(stack, mode)[0] - 1e-9:
+            < start.bound(stack, mode)[0] - BOUND_DROP_TOL:
         stats = start
     return np.ascontiguousarray(stats.resp[0])
 
@@ -706,22 +711,22 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
     back to its start's own classes, and a start gives what it gives in a
     stack of its own width.
 
-    Iteration 0 is the empty-class rescue, the M-step and the lower bound
-    of the starts; every later one is an E-step followed by those three,
-    its bound the one bound an iteration computes. A start whose E-step
-    returns its start stops there, converged: the M-step would give back
-    the params and the bound it has. After the bound, one pass over the
-    stack decides every other start's fate. It fails when its classes stay empty after the re-seeds. It is
-    rolled back when its bound falls by more than 1e-9, and ends, not
-    converged, on the iterate, params and bound it had before the
-    iteration. Otherwise it records the bound, and converges when the
-    relative change is at most ``BOUND_REL_TOL``, ends not converged at
-    iteration ``max_em_iters``, or goes on. The sweeps need not raise the
-    bound, and a re-seed may lower it; an E-step that lowered it goes on if
-    the M-step wins it back. So the recorded trace never falls. A start that
-    stops or fails leaves the stack. Each start counts its E-step sweeps and
-    sweep-cap hits (a one-class start none). Returns, by start, its
-    :class:`_Run` or its :class:`EmptyClassError`.
+    Iteration 0 is the empty-class rescue, the M-step and the lower bound of
+    the starts; every later one is an E-step followed by those three, its
+    bound the one bound an iteration computes. A start whose E-step returns
+    its start stops there, converged: the M-step would give back the params
+    and the bound it has. After the bound, one pass over the stack decides
+    every other start's fate. It fails when its classes stay empty after the
+    re-seeds. It is rolled back when its bound falls by more than
+    ``BOUND_DROP_TOL``, and ends, not converged, on the iterate, params and
+    bound it had before the iteration. Otherwise it records the bound, and
+    converges when the relative change is at most ``BOUND_REL_TOL``, ends
+    not converged at iteration ``max_em_iters``, or goes on. The sweeps need
+    not raise the bound, and a re-seed may lower it; an E-step that lowered
+    it goes on if the M-step wins it back. So the recorded trace never
+    falls. A start that stops or fails leaves the stack. Each start counts
+    its E-step sweeps and sweep-cap hits (a one-class start none). Returns,
+    by start, its :class:`_Run` or its :class:`EmptyClassError`.
     """
     outcomes: list = [None] * len(starts)
     traces: list[list[float]] = [[] for _ in starts]
@@ -782,7 +787,7 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
                     idx.tolist(), values.tolist(), bounds.tolist())):
                 if row in errors:
                     outcomes[start] = errors[row]
-                elif value < last - 1e-9:
+                elif value < last - BOUND_DROP_TOL:
                     # Rolled back: the row finishes on the iterate it had.
                     finish(stats, params, origin[row], start, False)
                 else:

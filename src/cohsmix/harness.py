@@ -108,7 +108,7 @@ def _run_replicate(task) -> ExperimentRecord:
         icl = result.icl
         ari = adjusted_rand_index(truth, result.partition)
         converged = result.converged
-        em_iters = len(result.bound_trace) - 1
+        em_iters = result.em_iters
         sweeps, cap_hits = result.e_step_sweeps, result.sweep_cap_hits
         failed_restarts = len(result.failed_restarts)
         diffs = np.diff(result.bound_trace)

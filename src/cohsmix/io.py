@@ -71,12 +71,12 @@ def _read_edge_list(path: Path) -> Graph:
         _raise_first_bad_line(path, text)
     idx = np.empty((0, 2), dtype=np.int64)
     if body.strip():
-        # Numpy reads a path in C chunks but a file-like object line by
-        # line. Without a "#" comment every "n" starts a header line, so
-        # loadtxt can read the file itself and skip those lines as comments;
-        # a tuple of comment strings would send it down a per-line path.
-        # Only a regular file reads the same twice, and loadtxt would open
-        # some suffixes through a decompressor.
+        # The one path any reader opens twice: numpy reads a path in C chunks
+        # but a file-like object line by line. Without a "#" comment every
+        # "n" starts a header line, so loadtxt can read the file itself and
+        # skip those lines as comments (a tuple of comment strings would go
+        # line by line). Only a regular file reads the same twice, and
+        # loadtxt opens some suffixes through a decompressor.
         rereadable = (path.is_file()
                       and path.suffix not in _COMPRESSED_SUFFIXES)
         source = path if rereadable and "#" not in text else StringIO(body)
@@ -132,7 +132,7 @@ def _read_dense_graph(path: Path) -> Graph:
     if loops:
         warnings.warn(f"{path}: dropped {loops} self-loop(s)", stacklevel=3)
         np.fill_diagonal(sym, 0.0)
-    return Graph(sym)
+    return Graph._built(sym)
 
 
 def write_graph(path, graph: Graph) -> Path:
@@ -153,7 +153,10 @@ def read_features(path) -> FeatureMatrix:
 
 
 def _read_csv_matrix(path: Path, allow_header: bool) -> np.ndarray:
-    text = path.read_text(encoding="utf-8")
+    with path.open(encoding="utf-8", newline="") as handle:
+        raw = handle.read()
+    # The header rule and np.loadtxt read universal newlines, csv the raw text.
+    text = raw.replace("\r\n", "\n").replace("\r", "\n")
     body = text
     if allow_header:
         first, _, rest = text.partition("\n")
@@ -161,9 +164,7 @@ def _read_csv_matrix(path: Path, allow_header: bool) -> np.ndarray:
         # a blank one is skipped like a header.
         if '"' not in first and not _all_numeric(first.split(",")):
             body = rest
-    if not body.strip("\n"):
-        return np.zeros((0, 0))
-    if _NON_PLAIN_CSV_RE.search(body) is None:
+    if body.strip("\n") and _NON_PLAIN_CSV_RE.search(body) is None:
         # Only digits, signs, points, exponents, commas and newlines reach
         # np.loadtxt, which then parses floats as float() does.
         try:
@@ -172,35 +173,35 @@ def _read_csv_matrix(path: Path, allow_header: bool) -> np.ndarray:
             values = None
         if values is not None and np.isfinite(values).all():
             return values
-    # Quotes, spaces, other spellings of numbers, and every error.
-    return _read_csv_rows(path, allow_header)
+    # Quotes, spaces, other spellings of numbers, blank tables, every error.
+    return _read_csv_rows(path, raw, allow_header)
 
 
-def _read_csv_rows(path: Path, allow_header: bool) -> np.ndarray:
+def _read_csv_rows(path: Path, raw: str, allow_header: bool) -> np.ndarray:
     """The feature-table grammar, one cell at a time through ``csv``."""
     rows = []
     width = None
-    with path.open(encoding="utf-8", newline="") as handle:
-        for row_no, cells in enumerate(csv.reader(handle), start=1):
-            if not cells or all(not cell.strip() for cell in cells):
-                continue
-            if row_no == 1 and allow_header and not _all_numeric(cells):
-                continue
-            try:
-                values = [float(cell) for cell in cells]
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{row_no}: non-numeric cell in {cells!r}"
-                ) from None
-            if not all(np.isfinite(values)):
-                raise ValueError(f"{path}:{row_no}: non-finite value")
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ValueError(
-                    f"{path}:{row_no}: expected {width} columns, got {len(values)}"
-                )
-            rows.append(values)
+    records = csv.reader(StringIO(raw, newline=""))
+    for row_no, cells in enumerate(records, start=1):
+        if not cells or all(not cell.strip() for cell in cells):
+            continue
+        if row_no == 1 and allow_header and not _all_numeric(cells):
+            continue
+        try:
+            values = [float(cell) for cell in cells]
+        except ValueError:
+            raise ValueError(
+                f"{path}:{row_no}: non-numeric cell in {cells!r}"
+            ) from None
+        if not all(np.isfinite(values)):
+            raise ValueError(f"{path}:{row_no}: non-finite value")
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ValueError(
+                f"{path}:{row_no}: expected {width} columns, got {len(values)}"
+            )
+        rows.append(values)
     if not rows:
         return np.zeros((0, 0))
     return np.array(rows)
@@ -286,7 +287,7 @@ def write_result(fit: FitResult, out_dir) -> dict[str, Path]:
         f"classes: {fit.params.n_classes}",
         f"mode: {fit.mode}",
         f"converged: {fit.converged}",
-        f"em iterations: {len(fit.bound_trace) - 1}",
+        f"em iterations: {fit.em_iters}",
         f"e-step sweeps: {fit.e_step_sweeps}",
         f"sweep-cap hits: {fit.sweep_cap_hits}",
         f"failed restarts: {len(fit.failed_restarts)}",

@@ -502,10 +502,10 @@ class ClassStats:
 
     def take(self, rows) -> "ClassStats":
         """The statistics of the matrices at ``rows`` (integer indices), with
-        their products, class masses and whichever of ``on``, ``pairs`` and
-        ``class_entropy`` are computed. The rows come from checked
-        statistics and every statistic is a row's own, so the taken rows are
-        neither checked nor summed again."""
+        their products and class masses, neither checked nor summed again:
+        the rows come from checked statistics and each is a row's own. The
+        fit reads ``on``, ``pairs`` and ``class_entropy`` only of the
+        statistics its next E-step builds, so they are not carried."""
         taken = object.__new__(ClassStats)
         taken.graph, taken.features = self.graph, self.features
         taken.resp_t = self.resp_t.take(rows, axis=0)
@@ -513,9 +513,6 @@ class ClassStats:
         taken._mass = None if self._mass is None \
             else self._mass.take(rows, axis=0)
         taken.n_classes = self.n_classes.take(rows)
-        for name in ("on", "pairs", "class_entropy"):
-            if name in self.__dict__:
-                taken.__dict__[name] = self.__dict__[name].take(rows, axis=0)
         return taken
 
     def with_rows(self, rows, resp_t: np.ndarray) -> "ClassStats":

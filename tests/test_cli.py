@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -170,7 +171,36 @@ def test_fit_missing_input_is_reported(capsys, tmp_path):
     )
     assert code == 1
     assert err.startswith("error:")
-    assert "not found" in err
+    # The graph reader opens its file first, and its error names the path.
+    assert "absent.tsv" in err
+
+
+def test_fit_reads_its_inputs_from_pipes(capsys, tmp_path):
+    data = simulate_dataset(capsys, tmp_path)
+    flags = ["--q", "2", "--restarts", "2", "--seed", "3"]
+    code, _, err = run_cli(
+        capsys, "fit", "--graph", str(data / "graph.tsv"),
+        "--features", str(data / "features.csv"), *flags,
+        "--out", str(tmp_path / "files"))
+    assert code == 0, err
+    read_ends = []
+    try:
+        for name in ("graph.tsv", "features.csv"):
+            read_end, write_end = os.pipe()
+            read_ends.append(read_end)
+            os.write(write_end, (data / name).read_bytes())
+            os.close(write_end)
+        code, _, err = run_cli(
+            capsys, "fit", "--graph", f"/dev/fd/{read_ends[0]}",
+            "--features", f"/dev/fd/{read_ends[1]}", *flags,
+            "--out", str(tmp_path / "pipes"))
+    finally:
+        for read_end in read_ends:
+            os.close(read_end)
+    assert code == 0, err
+    for name in ("partition.csv", "tau.csv", "params.json", "summary.txt"):
+        assert (tmp_path / "pipes" / name).read_bytes() \
+            == (tmp_path / "files" / name).read_bytes(), name
 
 
 def test_fit_row_mismatch_is_reported(capsys, tmp_path):

@@ -2,6 +2,7 @@ import json
 import os
 import re
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +219,24 @@ def test_dense_csv_rejects_non_binary(tmp_path):
         read_graph(path)
 
 
+def test_dense_csv_graph_is_built_without_a_second_check(tmp_path,
+                                                         monkeypatch):
+    # The reader's own checks make the matrix valid; Graph's would copy and
+    # check it again.
+    path = tmp_path / "g.csv"
+    path.write_text("1,1,0\n0,0,1\n0,0,0\n")
+
+    def refuse(self):
+        raise AssertionError("Graph.__post_init__ ran")
+
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    with pytest.warns(UserWarning, match="self-loop"):
+        graph = read_graph(path)
+    assert graph.adjacency.dtype == np.float64
+    assert graph.adjacency.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    assert not graph.adjacency.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Features
 
@@ -244,6 +263,39 @@ def test_features_round_trip_full_precision(tmp_path):
     path = write_features(tmp_path / "f.csv", features)
     again = read_features(path)
     assert np.array_equal(again.values, features.values)
+
+
+# Spaced cells take the cell-by-cell csv route.
+SPACED_TABLE = b"x, y\r\n1, 2\r\n3, 4e-2\n"
+
+
+def test_spaced_features_read_from_a_pipe_as_from_a_file(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_bytes(SPACED_TABLE)
+    read_end, write_end = os.pipe()
+    os.write(write_end, SPACED_TABLE)
+    os.close(write_end)
+    try:
+        piped = read_features(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert piped.values.tobytes() == read_features(path).values.tobytes()
+    assert piped.values.tolist() == [[1.0, 2.0], [3.0, 0.04]]
+
+
+def test_spaced_feature_table_opens_its_path_once(tmp_path, monkeypatch):
+    path = tmp_path / "f.csv"
+    path.write_bytes(SPACED_TABLE)
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    assert read_features(path).values.tolist() == [[1.0, 2.0], [3.0, 0.04]]
+    assert opened == [path]
 
 
 def test_features_ragged_rows(tmp_path):
