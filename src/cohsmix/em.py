@@ -30,6 +30,7 @@ from .model import (
     ModelParams,
     ParamStack,
     _class_sum,
+    check_count,
     check_features_vary,
     check_params,
     check_responsibilities,
@@ -82,15 +83,10 @@ class EMConfig:
     rng_seed: int | None = None
 
     def __post_init__(self):
-        for name, low in (("max_em_iters", 1), ("n_restarts", 1),
-                          ("rng_seed", 0)):
-            value = getattr(self, name)
-            if name == "rng_seed" and value is None:
-                continue
-            if isinstance(value, bool) \
-                    or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer of at least "
-                                 f"{low}, got {value!r}")
+        check_count("max_em_iters", self.max_em_iters, 1)
+        check_count("n_restarts", self.n_restarts, 1)
+        if self.rng_seed is not None:
+            check_count("rng_seed", self.rng_seed, 0)
 
 
 def child_seed(seed: int | None, *key: int) -> int:
@@ -152,8 +148,7 @@ def init_responsibilities(graph: Graph, features: FeatureMatrix, n_classes: int,
     0.1 / n_classes. The k-means run is the stacked one of a restart scan
     (see :func:`_kmeans_labels`) on a stack of one.
     """
-    if n_classes < 1:
-        raise ValueError("n_classes must be at least 1")
+    check_count("n_classes", n_classes, 1)
     if strategy not in INIT_STRATEGIES:
         raise ValueError(f"unknown init strategy {strategy!r}")
     rng = np.random.default_rng(rng)
@@ -540,10 +535,7 @@ def _m_step(stats: ClassStats, mode: str) -> ParamStack:
     ``EMPTY_CLASS_MASS`` rather than its own mass, so its matrix goes
     through with the others, to finite params, and the fit then drops it.
     Returns the :class:`ParamStack`, with the squared distances ``d2`` of
-    the feature rows to its means when the mode reads features. The scatter
-    that gives the variance stays on ``stats`` with the means, so the bound
-    that follows reads it rather than forming it again (see
-    :meth:`ClassStats.scatter`).
+    the feature rows to its means when the mode reads features.
     """
     use_edges, use_features = mode_terms(mode)
     n_rows, n_classes, n = stats.resp_t.shape
@@ -632,7 +624,8 @@ def _rescue(stats: ClassStats):
 def _check_fit(graph: Graph, features: FeatureMatrix, n_classes: int,
                mode: str):
     check_rows(graph, features)
-    if not 1 <= n_classes <= graph.n:
+    check_count("n_classes", n_classes, 1)
+    if n_classes > graph.n:
         raise ValueError(f"need 1 <= n_classes <= n, got n_classes={n_classes} "
                          f"with n={graph.n} vertices")
     check_features_vary(features, mode)
@@ -705,11 +698,11 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
     """EM from each (n, Q) start, all advancing in lockstep.
 
     Starts of different class counts share the stack: each is padded with
-    empty classes up to the largest count. A padded class gets proportion
-    0 from the M-step, so the E-step never gives it mass, and the rescue
-    passes it over (see :class:`ClassStats`); each run's result is sliced
-    back to its start's own classes, and a start gives what it gives in a
-    stack of its own width.
+    empty classes up to the largest count (see :meth:`ClassStats.of`). A
+    padded class gets proportion 0 from the M-step, so the E-step never
+    gives it mass, and the rescue passes it over (see :class:`ClassStats`);
+    each run's result is sliced back to its start's own classes, and a
+    start gives what it gives in a stack of its own width.
 
     Iteration 0 is the empty-class rescue, the M-step and the lower bound of
     the starts; every later one is an E-step followed by those three, its
@@ -749,11 +742,7 @@ def _em(graph: Graph, features: FeatureMatrix, starts, max_em_iters: int,
     # converges a row.
     idx = np.arange(len(starts))
     bounds = np.full(len(starts), np.nan)
-    widths = np.array([start.shape[1] for start in starts])
-    resp_t = np.zeros((len(starts), widths.max(), graph.n))
-    for row, start in enumerate(starts):
-        resp_t[row, :widths[row]] = start.T
-    stats = ClassStats(graph, features, resp_t, n_classes=widths)
+    stats = ClassStats.of(graph, features, *starts)
     params = None
     # A padded class's proportion is 0, whose log the E-step takes.
     with np.errstate(divide="ignore"):
@@ -844,18 +833,18 @@ def _restart_plan(seed: int | None, n_restarts: int, has_features: bool,
 
     Restart ``r`` is seeded by ``child_seed(seed, r)``. The first restarts
     use the structured initialisers the data can feed, the rest flat
-    Dirichlet rows.
+    Dirichlet rows. A fit without usable features reads the edges:
+    :func:`~cohsmix.model.check_features_vary` rejects one that reads
+    neither.
     """
     if has_features:
         head = ("feature-kmeans", "graph-degree-quantile")[:1 + has_edges]
         rest = "random-dirichlet"
-    elif has_edges:
+    else:
         # Without usable features, k-means falls back to the adjacency rows;
         # those hard starts escape the symmetric fixed point that traps soft
         # random rows.
         head, rest = ("graph-degree-quantile",), "feature-kmeans"
-    else:
-        head, rest = (), "random-dirichlet"
     return [(child_seed(seed, r), head[r] if r < len(head) else rest)
             for r in range(n_restarts)]
 

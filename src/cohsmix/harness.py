@@ -22,6 +22,7 @@ import numpy as np
 from .em import EMConfig, child_seed, fit_multi_restart
 from .io import write_csv
 from .metrics import adjusted_rand_index
+from .model import check_count
 from .selection import icl_score, select_q
 from .simulate import AffiliationSpec, generate, grid_specs, varied_parameter
 
@@ -140,8 +141,8 @@ def run_grid(setting: str, replicates: int = 20, cfg: EMConfig | None = None,
     ``scan_range`` is given, each replicate picks its class count by the
     selection criterion instead of fitting at the generating one.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be at least 1")
+    check_count("replicates", replicates, 1)
+    check_count("seed", seed, 0)
     if scan_range is not None and not 1 <= scan_range[0] <= scan_range[1]:
         raise ValueError("scan_range must satisfy 1 <= q_min <= q_max, got "
                          f"{scan_range[0]}..{scan_range[1]}")
@@ -165,7 +166,6 @@ def run_grid(setting: str, replicates: int = 20, cfg: EMConfig | None = None,
             records = list(pool.map(_run_replicate, tasks, chunksize=1))
     else:
         records = [_run_replicate(task) for task in tasks]
-    records.sort(key=lambda r: (r.spec_index, r.replicate))
 
     if out_dir is not None:
         out = Path(out_dir)

@@ -32,6 +32,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _pad(arrays, fill: float = 0.0) -> np.ndarray:
+    """Arrays with one number of dimensions stacked on a new leading axis,
+    each padded with ``fill`` to the largest size on every axis: the one
+    rule by which fits of different class counts share a stack."""
+    shape = tuple(map(max, zip(*(array.shape for array in arrays))))
+    stack = np.full((len(arrays),) + shape, fill)
+    for row, array in enumerate(arrays):
+        stack[(row,) + tuple(map(slice, array.shape))] = array
+    return stack
+
+
 class _lazy:
     """An attribute computed on first access and then stored on the
     instance. ``functools.cached_property`` does the same, but before Python
@@ -172,13 +183,16 @@ class FeatureMatrix:
         # Distances to the class means square the rows; a row whose squared
         # norm overflows would turn the fit's variance into inf.
         with np.errstate(over="ignore"):
-            overflow = np.nonzero(~np.isfinite((vals * vals).sum(axis=1)))[0]
+            norms = (vals * vals).sum(axis=1)
+        overflow = np.nonzero(~np.isfinite(norms))[0]
         if overflow.size:
             raise ValueError(
                 f"feature row {overflow[0]} is too large: its squared norm "
                 "overflows float64; rescale the features"
             )
         object.__setattr__(self, "values", _freeze(vals))
+        # The squared norm of each row, read by the feature distances.
+        object.__setattr__(self, "_row_norms", norms)
 
     @property
     def n(self) -> int:
@@ -196,11 +210,6 @@ class FeatureMatrix:
     def values_t(self) -> np.ndarray:
         """The (p, n) transpose of the table, contiguous."""
         return np.ascontiguousarray(self.values.T)
-
-    @_lazy
-    def _row_norms(self) -> np.ndarray:
-        """The squared norm of each row."""
-        return (self.values * self.values).sum(axis=1)
 
     def squared_distances(self, mu) -> np.ndarray:
         """(..., Q, n) squared distances of the rows to each mean of ``mu``,
@@ -316,6 +325,16 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return hot
 
 
+def check_count(name: str, value, low: int):
+    """Raise unless ``value`` is an integer (a numpy one too, ``bool`` not)
+    of at least ``low``, naming the field ``name``: the one rule for every
+    count a caller passes."""
+    if isinstance(value, bool) \
+            or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, "
+                         f"got {value!r}")
+
+
 def mode_terms(mode: str) -> tuple[bool, bool]:
     """Whether an ablation mode uses the (edge, feature) terms of the model."""
     if mode not in MODES:
@@ -389,10 +408,14 @@ class ParamStack(NamedTuple):
     d2: np.ndarray | None = None
 
     @classmethod
-    def of(cls, params: ModelParams) -> "ParamStack":
-        """A stack of one."""
-        return cls(params.alpha[None], params.pi[None], params.mu[None],
-                   np.array([params.sigma2]))
+    def of(cls, *params: ModelParams) -> "ParamStack":
+        """The stack of one or more fits' parameters, each padded to the
+        widest with what the M-step gives a padded class: proportion 0,
+        connection probabilities 0.5 and mean 0."""
+        return cls(_pad([one.alpha for one in params]),
+                   _pad([one.pi for one in params], 0.5),
+                   _pad([one.mu for one in params]),
+                   np.array([one.sigma2 for one in params]))
 
     def take(self, rows) -> "ParamStack":
         return ParamStack(*(None if field is None else field.take(rows, axis=0)
@@ -417,10 +440,10 @@ class ClassStats:
     """Class-level sufficient statistics of a stack of responsibility matrices.
 
     ``resp_t`` is an (R, Q, n) stack of transposed responsibility matrices,
-    one per restart of a fit; :meth:`of` wraps a single (n, Q) matrix as a
-    stack of one. Every statistic carries the leading restart axis, and the
-    bound, the complete log-likelihood, the M-step and the selection
-    criterion all read from here. Each is computed at most once.
+    one per restart of a fit; :meth:`of` builds it from (n, Q) matrices.
+    Every statistic carries the leading restart axis, and the bound, the
+    complete log-likelihood, the M-step and the selection criterion all
+    read from here. Each is computed at most once.
 
     ``mass`` is the (R, Q, n) product ``resp_t @ adjacency``, computed for the
     whole stack by one :meth:`Graph.neighbour_mass` and only if an edge term
@@ -436,17 +459,15 @@ class ClassStats:
 
     Matrices of different class counts share a stack by padding: matrix r
     has ``n_classes[r]`` classes (every class of the stack by default), and
-    its classes past that are zero rows of ``resp_t``. A zero row adds
-    nothing to any statistic, and given the adjacency product no statistic
-    of a matrix depends on the width of its stack in any bit: the products
-    over vertices are ``np.einsum`` contractions, which sum each entry in
-    the same order whatever the other rows (the BLAS product's rounding
-    changes with the matrix shape), and sums over classes add the classes
-    in order (see :func:`_class_sum`). Only the adjacency product is BLAS.
+    its classes past that are zero rows of ``resp_t``, as :meth:`of` pads
+    them. A zero row adds nothing to any statistic, and given the adjacency
+    product no statistic of a matrix depends on the width of its stack in
+    any bit: the products over vertices are ``np.einsum`` contractions,
+    which sum each entry in the same order whatever the other rows (the
+    BLAS product's rounding changes with the matrix shape), and sums over
+    classes add the classes in order (see :func:`_class_sum`). Only the
+    adjacency product is BLAS.
     """
-
-    # The last scatter and the means it was formed for (see :meth:`scatter`).
-    _scatter = (None, None)
 
     def __init__(self, graph: Graph, features: FeatureMatrix,
                  resp_t: np.ndarray, mass: np.ndarray | None = None,
@@ -455,7 +476,7 @@ class ClassStats:
         if resp_t.ndim != 3 or resp_t.shape[2] != graph.n:
             raise ValueError(f"resp_t must be an (R, Q, {graph.n}) stack, got "
                              f"shape {resp_t.shape}; ClassStats.of takes "
-                             "one (n, Q) matrix")
+                             "(n, Q) matrices")
         resp_t = np.ascontiguousarray(resp_t)
         self.graph = graph
         self.features = features
@@ -466,9 +487,15 @@ class ClassStats:
             if n_classes is None else n_classes
 
     @classmethod
-    def of(cls, graph: Graph, features: FeatureMatrix, resp) -> "ClassStats":
-        """Statistics of one (n, Q) responsibility matrix."""
-        return cls(graph, features, np.asarray(resp, dtype=np.float64).T[None])
+    def of(cls, graph: Graph, features: FeatureMatrix, *resps,
+           masses=None) -> "ClassStats":
+        """Statistics of one or more (n, Q) responsibility matrices, each
+        padded with empty classes to the widest; ``masses`` holds the (Q, n)
+        adjacency product of each matrix when the caller has them."""
+        resps = [np.asarray(resp, dtype=np.float64) for resp in resps]
+        return cls(graph, features, _pad([resp.T for resp in resps]),
+                   None if masses is None else _pad(masses),
+                   np.array([resp.shape[-1] for resp in resps]))
 
     @property
     def resp(self) -> np.ndarray:
@@ -535,18 +562,11 @@ class ClassStats:
         ``mu`` is an (R, Q, p) stack of means; ``d2`` is
         ``squared_distances(mu, features.values)``, formed here when the
         caller does not have it (a :class:`ParamStack` carries it from the
-        M-step). The last scatter is kept with the ``mu`` it was formed for
-        and returned again for that same array: the M-step forms it for the
-        variance, and the bound that follows needs it for the same means.
-        Means are never changed in place.
+        M-step).
         """
-        if self._scatter[0] is mu:
-            return self._scatter[1]
         if d2 is None:
             d2 = self.features.squared_distances(mu)
-        value = np.add.reduce(self.resp_t * d2, axis=2)
-        self._scatter = (mu, value)
-        return value
+        return np.add.reduce(self.resp_t * d2, axis=2)
 
     def log_likelihood(self, params: ParamStack,
                        mode: str = "joint") -> np.ndarray:

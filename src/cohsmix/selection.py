@@ -19,6 +19,7 @@ from .model import (
     Graph,
     ParamStack,
     _soft_assignment,
+    check_count,
     check_features_vary,
     check_rows,
     mode_terms,
@@ -86,36 +87,22 @@ def _icl_scores(graph: Graph, features: FeatureMatrix, fits, resps,
     its (n, Q) responsibility matrix in ``resps``, from one padded
     :class:`ClassStats`.
 
-    Each matrix is padded with empty classes, and its parameters with
-    proportion 0, connection probability 0.5 and mean 0, up to the widest
-    fit; each gets the adjacency product it gets alone, one
-    :meth:`Graph.neighbour_mass` of its own classes, so every statistic and
-    every score equals, bit for bit, what the fit gets on a stack of one
-    (see :class:`ClassStats`).
+    The matrices and the parameters are padded to the widest fit by
+    :meth:`ClassStats.of` and :meth:`ParamStack.of`. Each matrix gets the
+    adjacency product it gets alone, one :meth:`Graph.neighbour_mass` of
+    its own contiguous transpose, so every statistic and every score
+    equals, bit for bit, what the fit gets on a stack of one (see
+    :class:`ClassStats`).
     """
     use_edges, use_features = mode_terms(mode)
-    n = graph.n
-    widths = [fit.params.n_classes for fit in fits]
-    shape = (len(fits), max(widths))
-    resp_t = np.zeros(shape + (n,))
-    mass = np.zeros_like(resp_t) if use_edges else None
-    alpha = np.zeros(shape)
-    pi = np.full(shape + shape[1:], 0.5)
-    mu = np.zeros(shape + (fits[0].params.n_features,))
-    for row, (fit, resp, q) in enumerate(zip(fits, resps, widths)):
-        own = np.ascontiguousarray(resp.T)
-        resp_t[row, :q] = own
-        if use_edges:
-            mass[row, :q] = graph.neighbour_mass(own)
-        params = fit.params
-        alpha[row, :q], pi[row, :q, :q], mu[row, :q] = \
-            params.alpha, params.pi, params.mu
-    sigma2 = np.array([fit.params.sigma2 for fit in fits])
-    log_lik = ClassStats(graph, features, resp_t, mass, np.array(widths)) \
-        .log_likelihood(ParamStack(alpha, pi, mu, sigma2), mode)
+    masses = [graph.neighbour_mass(np.ascontiguousarray(resp.T))
+              for resp in resps] if use_edges else None
+    stats = ClassStats.of(graph, features, *resps, masses=masses)
+    log_lik = stats.log_likelihood(
+        ParamStack.of(*(fit.params for fit in fits)), mode)
     n_features = features.p if use_features else 0
-    return [value - icl_penalty(q, n, n_features, use_edges)
-            for value, q in zip(log_lik.tolist(), widths)]
+    return [value - icl_penalty(q, graph.n, n_features, use_edges)
+            for value, q in zip(log_lik.tolist(), stats.n_classes.tolist())]
 
 
 @dataclass
@@ -147,8 +134,8 @@ def select_q(graph: Graph, features: FeatureMatrix, q_min: int, q_max: int,
     Candidates whose every restart fails are recorded and excluded; if all
     candidates fail the scan raises.
     """
-    if not 1 <= q_min <= q_max:
-        raise ValueError(f"need 1 <= q_min <= q_max, got {q_min}..{q_max}")
+    check_count("q_min", q_min, 1)
+    check_count("q_max", q_max, q_min)
     if q_max > graph.n:
         raise ValueError(f"need q_max <= n, got q_max={q_max} "
                          f"with n={graph.n} vertices")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FeatureMatrix, Graph
+from .model import FeatureMatrix, Graph, check_count
 
 SETTINGS = ("a", "b", "c", "d")
 
@@ -36,12 +36,13 @@ class AffiliationSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.n_classes < 1:
-            raise ValueError("n_classes must be at least 1")
+        check_count("n_classes", self.n_classes, 1)
+        check_count("n", self.n, 1)
+        check_count("n_features", self.n_features, 0)
+        if self.seed is not None:
+            check_count("seed", self.seed, 0)
         if self.n < self.n_classes:
             raise ValueError("need at least one vertex per class")
-        if self.n_features < 0:
-            raise ValueError("n_features must be non-negative")
         if not 0.0 <= self.between_prob <= self.within_prob <= 1.0:
             raise ValueError(
                 "need 0 <= between_prob <= within_prob <= 1, got "

@@ -422,8 +422,7 @@ def test_stacked_e_step_leaves_a_row_at_its_fixed_point(monkeypatch):
     monkeypatch.setattr(Graph, "neighbour_mass", counted)
     start = ClassStats(graph, features,
                        np.stack([np.full((2, 2), 0.5), other.T]))
-    stack = ParamStack(*(np.concatenate([field, field])
-                         for field in ParamStack.of(params)[:4]))
+    stack = ParamStack.of(params, params)
     stack = stack._replace(d2=squared_distances(stack.mu, features.values))
     out, sweeps, capped, moved = em._e_step(start, stack, "joint")
     assert sweeps[0] == 1 and sweeps[1] > 1 and not capped.any()
@@ -447,8 +446,7 @@ def test_e_step_multiplies_once_per_sweep_after_the_first(monkeypatch, seed):
     graph, features, params = random_instance(rng, n=30, n_classes=3, p=2)
     stats = ClassStats(graph, features, np.stack(
         [random_responsibilities(30, 3, rng).T for _ in range(3)]))
-    stack = ParamStack(*(np.concatenate([field] * 3)
-                         for field in ParamStack.of(params.clamped())[:4]))
+    stack = ParamStack.of(*[params.clamped()] * 3)
     stack = stack._replace(d2=features.squared_distances(stack.mu))
     stats.mass  # computed before the count, as the fit driver has it
     compute = Graph.neighbour_mass
@@ -481,10 +479,9 @@ def test_stacked_rows_stopping_at_different_sweeps_end_as_alone(
     monkeypatch.setattr(em, "MAX_FIXEDPOINT_SWEEPS", cap)
     rng = np.random.default_rng(1)
     graph, features = random_graph(30, rng), random_features(30, 2, rng)
-    rows = [(ParamStack.of(random_params(3, 2, rng).clamped()),
+    rows = [(random_params(3, 2, rng).clamped(),
              random_responsibilities(30, 3, rng)) for _ in range(5)]
-    stack = ParamStack(*(np.concatenate(field)
-                         for field in zip(*(one[:4] for one, _ in rows))))
+    stack = ParamStack.of(*(one for one, _ in rows))
     if mode == "joint":
         stack = stack._replace(d2=features.squared_distances(stack.mu))
     stats = ClassStats(graph, features, np.ascontiguousarray(
@@ -1203,17 +1200,14 @@ def test_m_step_raises_on_empty_class(rng):
 
 
 def _padded_stack(graph, features, widths, rng):
-    resp_t = np.zeros((len(widths), max(widths), graph.n))
-    for row, q in enumerate(widths):
-        resp_t[row, :q] = random_responsibilities(graph.n, q, rng).T
-    return ClassStats(graph, features, resp_t, n_classes=np.array(widths))
+    return ClassStats.of(graph, features, *(
+        random_responsibilities(graph.n, q, rng) for q in widths))
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_bound_after_the_m_step_is_the_bound_of_fresh_statistics(rng, mode):
-    # The M-step keeps the scatter it forms for the variance, and the bound
-    # that follows reads it: that bound is, bit for bit, the bound of fresh
-    # statistics of the same matrices, which form the scatter again.
+    # The bound after the M-step is, bit for bit, the bound of fresh
+    # statistics of the same matrices.
     graph, features = random_graph(20, rng), random_features(20, 2, rng)
     stats = _padded_stack(graph, features, [3, 2, 3], rng)
     params = em._m_step(stats, mode)
@@ -1226,8 +1220,6 @@ def test_bound_after_the_m_step_is_the_bound_of_fresh_statistics(rng, mode):
     assert np.array_equal(bounds, fresh().bound(params, mode))
     assert np.array_equal(bounds, fresh().bound(params._replace(d2=None),
                                                 mode))
-    if params.d2 is not None:
-        assert stats._scatter[0] is params.mu
     # Other means get their own scatter.
     moved = params._replace(mu=params.mu + 1.0, d2=None)
     assert np.array_equal(stats.bound(moved, mode), fresh().bound(moved, mode))
@@ -1294,6 +1286,28 @@ def test_fit_inputs_reject_overflowing_features(rng):
     values[3, 1] = 1e200
     with pytest.raises(ValueError, match="feature row 3 is too large"):
         fit(graph, FeatureMatrix(values), 2, EMConfig(rng_seed=0))
+
+
+@pytest.mark.parametrize("n_classes", [True, 2.0, 0, np.float64(2.0)])
+def test_fits_reject_a_class_count_that_is_not_an_integer(rng, n_classes):
+    # Named at the boundary, not a silent one-class fit for True or an
+    # error from inside numpy for a float.
+    graph, features = random_graph(6, rng), random_features(6, 2, rng)
+    message = r"^n_classes must be an integer of at least 1"
+    for call in (fit, fit_multi_restart):
+        with pytest.raises(ValueError, match=message):
+            call(graph, features, n_classes, EMConfig(rng_seed=0))
+    with pytest.raises(ValueError, match=message):
+        init_responsibilities(graph, features, n_classes)
+
+
+def test_fits_accept_a_numpy_integer_class_count(rng):
+    graph, features = random_graph(12, rng), random_features(12, 2, rng)
+    cfg = EMConfig(rng_seed=0, n_restarts=2, max_em_iters=20)
+    ours = fit_multi_restart(graph, features, np.int64(2), cfg)
+    plain = fit_multi_restart(graph, features, 2, cfg)
+    assert ours.bound_trace == plain.bound_trace
+    assert np.array_equal(ours.responsibilities, plain.responsibilities)
 
 
 def test_fit_rejects_more_classes_than_vertices(rng):

@@ -258,6 +258,32 @@ def test_grid_cli_rejects_a_bad_worker_count(monkeypatch, tmp_path, capsys):
         "error: COHSMIX_THREADS must be an integer of at least 1, got '0'\n")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("replicates", True), ("replicates", 1.0), ("replicates", 0),
+    ("seed", -1), ("seed", 1.5), ("seed", True),
+])
+def test_run_grid_rejects_counts_that_are_not_integers(monkeypatch, field,
+                                                       value):
+    def simulated(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(harness, "generate", simulated)
+    counts = dict(replicates=1, seed=0)
+    counts[field] = value
+    with pytest.raises(ValueError,
+                       match=rf"^{field} must be an integer of at least"):
+        run_grid("a", cfg=FAST_CFG, specs=SMALL_SPECS[:1], **counts)
+
+
+def test_run_grid_accepts_numpy_integer_counts():
+    ours = run_grid("a", replicates=np.int64(1), cfg=FAST_CFG,
+                    seed=np.int64(5), specs=SMALL_SPECS[:1])
+    plain = run_grid("a", replicates=1, cfg=FAST_CFG, seed=5,
+                     specs=SMALL_SPECS[:1])
+    assert [replace(r, wall_time_s=0.0) for r in ours] \
+        == [replace(r, wall_time_s=0.0) for r in plain]
+
+
 def test_replicates_validation():
     with pytest.raises(ValueError):
         run_grid("a", replicates=0, specs=SMALL_SPECS)

@@ -219,6 +219,14 @@ def test_dense_csv_rejects_non_binary(tmp_path):
         read_graph(path)
 
 
+def test_dense_csv_rejects_a_non_square_matrix(tmp_path):
+    path = tmp_path / "g.csv"
+    path.write_text("0,1,0\n1,0,1\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: dense graph must be square, got (2, 3)")):
+        read_graph(path)
+
+
 def test_dense_csv_graph_is_built_without_a_second_check(tmp_path,
                                                          monkeypatch):
     # The reader's own checks make the matrix valid; Graph's would copy and
@@ -392,6 +400,32 @@ def test_read_params_rejects_a_class_count_alpha_disagrees_with(fitted, q,
     with pytest.raises(ValueError, match=re.escape(str(paths["params"]))
                        + ": " + message):
         read_params(paths["params"])
+
+
+def test_read_params_names_the_missing_keys(fitted):
+    _, paths = fitted
+    payload = json.loads(paths["params"].read_text())
+    del payload["sigma2"], payload["icl"]
+    paths["params"].write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{paths['params']}: missing keys ['sigma2', 'icl']")):
+        read_params(paths["params"])
+
+
+def test_params_json_round_trip_without_features(tmp_path):
+    # A fit of no feature columns writes mu as Q empty rows; they are read
+    # back as a (Q, 0) table.
+    spec = AffiliationSpec(n_classes=2, n=20, n_features=0,
+                           within_prob=0.6, between_prob=0.1, seed=3)
+    graph, features, _ = generate(spec)
+    result = fit(graph, features, 2, EMConfig(rng_seed=1))
+    paths = write_result(result, tmp_path / "out")
+    params, trace, icl = read_params(paths["params"])
+    assert params.mu.shape == (2, 0)
+    assert np.array_equal(params.alpha, result.params.alpha)
+    assert np.array_equal(params.pi, result.params.pi)
+    assert params.sigma2 == result.params.sigma2
+    assert trace == result.bound_trace and icl is None
 
 
 def test_read_params_rejects_a_scalar_alpha(fitted):

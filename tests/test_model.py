@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,61 @@ def test_graph_rejects_self_loops():
 def test_graph_rejects_non_binary():
     with pytest.raises(ValueError, match="0 or 1"):
         Graph(np.array([[0, 2], [2, 0]]))
+
+
+def test_graph_rejects_a_non_square_adjacency():
+    with pytest.raises(ValueError, match=re.escape(
+            "adjacency must be square, got shape (2, 3)")):
+        Graph(np.zeros((2, 3)))
+
+
+def test_features_reject_a_table_that_is_not_two_dimensional():
+    with pytest.raises(ValueError, match=re.escape(
+            "features must be 2-d (n, p), got shape (3,)")):
+        FeatureMatrix(np.zeros(3))
+
+
+@pytest.mark.parametrize("entry", [1.5, -0.1])
+def test_params_reject_a_pi_outside_the_unit_interval(entry):
+    with pytest.raises(ValueError, match=re.escape(
+            "pi entries must lie in [0, 1]")):
+        ModelParams(alpha=[0.5, 0.5], pi=[[entry, 0.1], [0.1, 0.5]],
+                    mu=np.zeros((2, 1)), sigma2=1.0)
+
+
+def test_params_reject_means_of_the_wrong_row_count():
+    with pytest.raises(ValueError, match="^mu must have 2 rows, got 3$"):
+        ModelParams(alpha=[0.5, 0.5], pi=np.full((2, 2), 0.5),
+                    mu=np.zeros((3, 1)), sigma2=1.0)
+
+
+@pytest.mark.parametrize("resp,n_classes,shape", [
+    (np.full((3, 3), 1 / 3), 2, "(3, 2), got (3, 3)"),
+    (np.full((2, 2), 0.5), 2, "(3, 2), got (2, 2)"),
+    (np.ones(3), None, "(3, Q), got (3,)"),
+])
+def test_responsibilities_reject_a_wrong_shape(resp, n_classes, shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"responsibilities must have shape {shape}")):
+        check_responsibilities(resp, 3, n_classes)
+
+
+def test_responsibilities_reject_a_negative_entry():
+    with pytest.raises(ValueError,
+                       match="^responsibilities must be non-negative$"):
+        check_responsibilities([[1.5, -0.5], [0.5, 0.5]], 2)
+
+
+def test_one_hot_rejects_labels_that_are_not_a_vector():
+    with pytest.raises(ValueError, match="^labels must be a vector$"):
+        one_hot([[0, 1]], 2)
+
+
+@pytest.mark.parametrize("labels", [[0, 2], [-1, 0]])
+def test_one_hot_rejects_labels_out_of_range(labels):
+    with pytest.raises(ValueError, match=re.escape(
+            "labels must lie in [0, 2)")):
+        one_hot(labels, 2)
 
 
 def test_graph_views_agree(rng):
@@ -240,8 +296,7 @@ def test_statistics_do_not_depend_on_the_stack_layout():
     strided = np.stack([random_responsibilities(30, 3, rng).T
                         for _ in range(4)])
     assert not strided.flags.c_contiguous
-    params = ParamStack(*(np.concatenate(field) for field in zip(
-        *(ParamStack.of(random_params(3, 2, rng))[:4] for _ in range(4)))))
+    params = ParamStack.of(*(random_params(3, 2, rng) for _ in range(4)))
     ours = ClassStats(graph, features, strided)
     copy = ClassStats(graph, features, np.ascontiguousarray(strided))
     assert ours.resp_t.flags.c_contiguous

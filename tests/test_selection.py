@@ -145,6 +145,28 @@ def test_select_range_validation(rng):
         select_q(graph, FeatureMatrix.empty(5), 3, 2)
 
 
+@pytest.mark.parametrize("q_min,q_max,field", [
+    (True, 2, "q_min"), (1.0, 2, "q_min"), (0, 2, "q_min"),
+    (1, 2.0, "q_max"), (1, True, "q_max"), (3, 2, "q_max"),
+])
+def test_select_rejects_bounds_that_are_not_counts(rng, q_min, q_max, field):
+    # True would scan from 1 and a float fail inside range(); each is named.
+    graph = random_graph(5, rng)
+    with pytest.raises(ValueError,
+                       match=rf"^{field} must be an integer of at least"):
+        select_q(graph, FeatureMatrix.empty(5), q_min, q_max)
+
+
+def test_select_accepts_numpy_integer_bounds(rng):
+    graph = random_graph(20, rng)
+    cfg = EMConfig(rng_seed=2, n_restarts=1, max_em_iters=10)
+    ours = select_q(graph, FeatureMatrix.empty(20), np.int64(1), np.int64(3),
+                    cfg)
+    plain = select_q(graph, FeatureMatrix.empty(20), 1, 3, cfg)
+    assert ours.scores == plain.scores
+    assert ours.selected_q == plain.selected_q
+
+
 def test_select_rejects_q_max_above_vertex_count(rng):
     graph = random_graph(5, rng)
     with pytest.raises(ValueError, match=r"q_max=6 with n=5"):
@@ -313,6 +335,25 @@ def test_scan_candidate_whose_restarts_all_fail(monkeypatch):
                                 "'restart 0: classes [2] have no mass', "
                                 "'restart 1: classes [2] have no mass']"}
     assert sorted(scan.results) == [2, 4]
+
+
+def test_scan_whose_every_candidate_fails_raises(monkeypatch):
+    # Every restart of every candidate fails its first rescue; the scan
+    # names the range and each candidate's failure.
+    original = em._rescue
+
+    def rescue(stats):
+        stats, errors = original(stats)
+        for row in range(len(stats.n_classes)):
+            errors.setdefault(row, EmptyClassError([0]))
+        return stats, errors
+
+    monkeypatch.setattr(em, "_rescue", rescue)
+    graph, features = _scan_case()
+    with pytest.raises(RuntimeError, match=r"^every candidate in 2\.\.3 "
+                       r"failed: \{2: \"all 2 restarts failed: .*"
+                       r"3: \"all 2 restarts failed: "):
+        select_q(graph, features, 2, 3, EMConfig(rng_seed=5, n_restarts=2))
 
 
 def test_select_q_builds_one_model_params_per_candidate(monkeypatch):

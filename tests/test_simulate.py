@@ -30,6 +30,34 @@ def test_spec_validation():
                 AffiliationSpec(n_classes=2, **{name: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_classes", 2.5), ("n_classes", True), ("n", 10.0), ("n", 0),
+    ("n_features", 1.5), ("n_features", -1), ("seed", -1), ("seed", 1.5),
+    ("seed", True),
+])
+def test_spec_rejects_counts_that_are_not_integers(field, value):
+    # Caught where the spec is built, each message naming the field, rather
+    # than simulating labels of fewer classes than the spec has means, or
+    # failing inside numpy.
+    fields = dict(n_classes=2, n=10, n_features=1, seed=1)
+    fields[field] = value
+    with pytest.raises(ValueError,
+                       match=rf"^{field} must be an integer of at least"):
+        AffiliationSpec(**fields)
+
+
+def test_spec_accepts_numpy_integer_counts():
+    spec = AffiliationSpec(n_classes=np.int64(2), n=np.int64(10),
+                           n_features=np.int64(1), seed=np.int64(3))
+    graph, features, labels = generate(spec)
+    plain = generate(AffiliationSpec(n_classes=2, n=10, n_features=1,
+                                     seed=3))
+    assert np.array_equal(graph.adjacency, plain[0].adjacency)
+    assert np.array_equal(features.values, plain[1].values)
+    assert np.array_equal(labels, plain[2])
+    assert spec.class_means().shape == (2, 1)
+
+
 def test_generate_deterministic_replay():
     spec = AffiliationSpec(n_classes=3, n=50, n_features=2,
                            within_prob=0.5, between_prob=0.1,
