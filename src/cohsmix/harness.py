@@ -143,9 +143,12 @@ def run_grid(setting: str, replicates: int = 20, cfg: EMConfig | None = None,
     """
     check_count("replicates", replicates, 1)
     check_count("seed", seed, 0)
-    if scan_range is not None and not 1 <= scan_range[0] <= scan_range[1]:
-        raise ValueError("scan_range must satisfy 1 <= q_min <= q_max, got "
-                         f"{scan_range[0]}..{scan_range[1]}")
+    if scan_range is not None:
+        if not 1 <= scan_range[0] <= scan_range[1]:
+            raise ValueError("scan_range must satisfy 1 <= q_min <= q_max, "
+                             f"got {scan_range[0]}..{scan_range[1]}")
+        for name, bound in zip(("q_min", "q_max"), scan_range):
+            check_count(f"scan_range {name}", bound, 1)
     cfg = cfg or EMConfig()
     if specs is None:
         specs = grid_specs(setting)

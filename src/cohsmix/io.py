@@ -92,16 +92,21 @@ def _read_edge_list(path: Path) -> Graph:
         raise ValueError(
             f"{path}: vertex index {max_index} exceeds declared n={declared_n}"
         )
-    loops = idx[:, 0] == idx[:, 1]
-    dropped = int(np.count_nonzero(loops))
-    if dropped:
-        warnings.warn(f"{path}: dropped {dropped} self-loop(s)", stacklevel=3)
-        idx = idx[~loops]
     n = declared_n if declared_n is not None else max_index + 1
     # The text is not needed past this point; it goes before the n x n
     # matrix is allocated.
     del text, parts, body
-    return Graph.from_edge_pairs(n, idx)
+    return _graph_from_pairs(path, n, idx)
+
+
+def _graph_from_pairs(path: Path, n: int, pairs: np.ndarray) -> Graph:
+    """The graph of a reader's pairs, its self-loops dropped with a warning."""
+    loops = pairs[:, 0] == pairs[:, 1]
+    dropped = int(np.count_nonzero(loops))
+    if dropped:
+        warnings.warn(f"{path}: dropped {dropped} self-loop(s)", stacklevel=4)
+        pairs = pairs[~loops]
+    return Graph.from_edge_pairs(n, pairs)
 
 
 def _raise_first_bad_line(path: Path, text: str, err: Exception | None = None):
@@ -127,12 +132,8 @@ def _read_dense_graph(path: Path) -> Graph:
         raise ValueError(f"{path}: dense graph entries must be 0 or 1")
     if raw.shape[0] != raw.shape[1]:
         raise ValueError(f"{path}: dense graph must be square, got {raw.shape}")
-    sym = np.maximum(raw, raw.T)
-    loops = int(np.count_nonzero(np.diag(sym)))
-    if loops:
-        warnings.warn(f"{path}: dropped {loops} self-loop(s)", stacklevel=3)
-        np.fill_diagonal(sym, 0.0)
-    return Graph._built(sym)
+    # Both orientations of each edge; a pair given twice is one edge.
+    return _graph_from_pairs(path, len(raw), np.argwhere(raw))
 
 
 def write_graph(path, graph: Graph) -> Path:

@@ -66,7 +66,8 @@ class Graph:
     """Undirected binary graph without self-loops.
 
     The only code that knows how the graph is stored: everything else reads
-    it through the methods here. Today that is a dense float64 matrix.
+    it through the methods here. Today that is a dense float64 matrix, built
+    by the checked ``Graph(adjacency)`` or by :meth:`from_edge_pairs`.
 
     Parameters
     ----------
@@ -89,15 +90,6 @@ class Graph:
             raise ValueError("self-loops are not allowed (diagonal must be zero)")
         object.__setattr__(self, "adjacency", _freeze(adj))
 
-    @classmethod
-    def _built(cls, adjacency: np.ndarray) -> "Graph":
-        """A graph whose builder made its float64 adjacency valid by
-        construction and hands it over: frozen as it is, with no copy and no
-        check."""
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "adjacency", _freeze(adjacency))
-        return graph
-
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
@@ -119,12 +111,27 @@ class Graph:
 
     @classmethod
     def from_edge_pairs(cls, n: int, pairs) -> "Graph":
-        """Build a graph from vertex-index pairs; order within a pair is free.
+        """Build a graph on ``n`` vertices from an (m, 2) table of integer
+        vertex-index pairs; order within a pair is free, a repeat is one edge.
 
         Raises on the first pair, in input order, that is out of range or a
-        self-loop.
+        self-loop. The matrix is valid by construction and is not checked.
         """
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        check_count("n", n, 0)
+        pairs = np.asarray(pairs)
+        if pairs.size == 0:
+            pairs = np.empty((0, 2), dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edge pairs must form an (m, 2) table, got shape "
+                             f"{pairs.shape}")
+        if pairs.dtype.kind not in "iu":
+            # The first pair with a fractional or non-finite entry, else 0.
+            first = 0
+            if pairs.dtype.kind == "f":
+                odd = ~np.isfinite(pairs) | (pairs != np.trunc(pairs))
+                first = int(np.argmax(odd.any(axis=1)))
+            raise ValueError(f"edge {tuple(pairs[first].tolist())} holds a "
+                             "non-integer vertex index")
         i, j = pairs[:, 0], pairs[:, 1]
         in_range = (i >= 0) & (i < n) & (j >= 0) & (j < n)
         bad = np.nonzero(~in_range | (i == j))[0]
@@ -136,22 +143,9 @@ class Graph:
         adj = np.zeros((n, n))
         adj[i, j] = 1.0
         adj[j, i] = 1.0
-        return cls._built(adj)
-
-    @classmethod
-    def _from_coins(cls, upper: np.ndarray, coins: np.ndarray) -> "Graph":
-        """The graph whose pair i < j is an edge where its entry of ``coins``
-        is true. ``upper`` is the (n, n) boolean mask of the pairs i < j,
-        ``np.triu(ones, k=1)``, which orders them row-major; ``coins`` holds
-        one boolean per pair, in that order."""
-        n = upper.shape[0]
-        # The mirror is written through the transpose: ``adjacency +=
-        # adjacency.T`` would read the matrix it writes, so numpy would copy
-        # it.
-        adjacency = np.zeros((n, n))
-        adjacency[upper] = coins
-        adjacency.T[upper] = coins
-        return cls._built(adjacency)
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "adjacency", _freeze(adj))
+        return graph
 
     def neighbour_mass(self, resp_t: np.ndarray) -> np.ndarray:
         """(..., Q, n) expected number of neighbours of each vertex per class.

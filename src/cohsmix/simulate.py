@@ -79,9 +79,10 @@ def generate(spec: AffiliationSpec):
     # of the coin flips.
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     same = (labels[:, None] == labels)[upper]
-    flips = rng.random(same.size) \
+    edges = np.zeros_like(upper)
+    edges[upper] = rng.random(same.size) \
         < np.where(same, spec.within_prob, spec.between_prob)
-    graph = Graph._from_coins(upper, flips)
+    graph = Graph.from_edge_pairs(n, np.argwhere(edges))
 
     means = spec.class_means()
     noise = rng.normal(0.0, spec.noise_std, size=(n, spec.n_features))

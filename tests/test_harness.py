@@ -302,3 +302,32 @@ def test_bad_scan_range_fails_before_any_replicate(monkeypatch, tmp_path,
         run_grid("a", replicates=1, cfg=FAST_CFG, specs=SMALL_SPECS[:1],
                  out_dir=tmp_path, scan_range=scan_range)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("scan_range, name", [
+    ((True, 3), "q_min"), ((2.0, 3), "q_min"), ((2, 3.0), "q_max"),
+    ((1, True), "q_max"),
+])
+def test_scan_range_bounds_must_be_counts(monkeypatch, tmp_path, scan_range,
+                                          name):
+    def simulated(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(harness, "generate", simulated)
+    bound = scan_range[("q_min", "q_max").index(name)]
+    with pytest.raises(ValueError, match=re.escape(
+            f"scan_range {name} must be an integer of at least 1, "
+            f"got {bound!r}")):
+        run_grid("a", replicates=1, cfg=FAST_CFG, specs=SMALL_SPECS[:1],
+                 out_dir=tmp_path, scan_range=scan_range)
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_grid_accepts_a_numpy_integer_scan_range():
+    ours = run_grid("a", replicates=1, cfg=FAST_CFG, specs=SMALL_SPECS[:1],
+                    scan_range=(np.int64(2), np.int64(3)))
+    plain = run_grid("a", replicates=1, cfg=FAST_CFG, specs=SMALL_SPECS[:1],
+                     scan_range=(2, 3))
+    assert [replace(r, wall_time_s=0.0) for r in ours] \
+        == [replace(r, wall_time_s=0.0) for r in plain]
+    assert ours[0].status == "ok"

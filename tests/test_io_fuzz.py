@@ -147,6 +147,27 @@ def test_reader_matches_reference(tmp_path_factory, text):
                       if dropped else [])
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12),
+       density=st.floats(0.0, 1.0))
+def test_dense_reader_matches_reference(tmp_path_factory, seed, n, density):
+    # Any 0/1 matrix, asymmetric entries and diagonal ones included: the
+    # graph is the matrix symmetrised with its diagonal dropped.
+    raw = (np.random.default_rng(seed).random((n, n)) < density).astype(int)
+    path = tmp_path_factory.mktemp("dense") / "g.csv"
+    np.savetxt(path, raw, fmt="%d", delimiter=",")
+    expected = np.maximum(raw, raw.T).astype(np.float64)
+    np.fill_diagonal(expected, 0.0)
+    loops = int(np.trace(raw))
+    status, graph, messages = _outcome(read_graph, path)
+    assert status == "ok"
+    assert graph.adjacency.dtype == np.float64
+    assert not graph.adjacency.flags.writeable
+    assert np.array_equal(graph.adjacency, expected)
+    assert messages == ([f"{path}: dropped {loops} self-loop(s)"]
+                        if loops else [])
+
+
 @st.composite
 def graphs(draw):
     n = draw(st.integers(0, MAX_VERTICES))

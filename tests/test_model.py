@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import cohsmix.model as model
 from cohsmix.em import _m_step
+from cohsmix.io import read_graph
 from cohsmix.model import (
     ClassStats,
     FeatureMatrix,
@@ -154,6 +155,31 @@ def test_only_the_graph_reads_the_adjacency():
             if lines and name != "model.py"} == {}
 
 
+def _names_graph(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "Graph"
+            or isinstance(node, ast.Attribute) and node.attr == "Graph")
+
+
+def test_only_the_model_builds_a_graph_by_hand():
+    # Outside model.py the package builds every graph from its edge pairs:
+    # no module calls Graph(...) or names a private attribute of Graph.
+    builders, bypasses = [], {}
+    for path in sorted(SOURCES.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and _names_graph(node.value):
+                if node.attr == "from_edge_pairs":
+                    builders.append(path.name)
+                if node.attr.startswith("_"):
+                    bypasses.setdefault(path.name, []).append(node.lineno)
+            if isinstance(node, ast.Call) and _names_graph(node.func):
+                bypasses.setdefault(path.name, []).append(node.lineno)
+    assert sorted(set(builders)) == ["io.py", "simulate.py"], \
+        "the readers and the simulator no longer build graphs; the scan broke"
+    assert bypasses == {}
+
+
 def test_from_edge_pairs_names_first_bad_pair():
     with pytest.raises(ValueError, match=r"self-loop \(1, 1\)"):
         Graph.from_edge_pairs(3, [(0, 1), (1, 1), (0, 9)])
@@ -161,6 +187,44 @@ def test_from_edge_pairs_names_first_bad_pair():
         Graph.from_edge_pairs(3, [(0, 1), (0, 9), (1, 1)])
     with pytest.raises(ValueError, match=r"edge \(-1, 2\) out of range"):
         Graph.from_edge_pairs(3, [(-1, 2)])
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0.7, 1.9)], "edge (0.7, 1.9) holds a non-integer vertex index"),
+    ([(0, 1), (0.5, 2)], "edge (0.5, 2.0) holds a non-integer vertex index"),
+    ([(0, 1), (np.nan, 2)], "edge (nan, 2.0) holds a non-integer vertex index"),
+    ([("0", "1")], "edge ('0', '1') holds a non-integer vertex index"),
+    ([(0, 1, 2, 3)], "edge pairs must form an (m, 2) table, got shape (1, 4)"),
+    ([[0], [1]], "edge pairs must form an (m, 2) table, got shape (2, 1)"),
+    ([(0, 1, 2)], "edge pairs must form an (m, 2) table, got shape (1, 3)"),
+])
+def test_from_edge_pairs_rejects_what_is_not_a_table_of_indices(pairs,
+                                                                message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph.from_edge_pairs(3, pairs)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, True])
+def test_from_edge_pairs_rejects_a_vertex_count_that_is_not_a_count(n):
+    with pytest.raises(ValueError, match=re.escape(
+            f"n must be an integer of at least 0, got {n!r}")):
+        Graph.from_edge_pairs(n, [])
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int32, np.uint64])
+def test_from_edge_pairs_takes_integer_tables_of_any_dtype(dtype):
+    pairs = [(3, 2), (0, 1), (2, 3)]
+    expected = Graph.from_edge_pairs(4, pairs).adjacency
+    graph = Graph.from_edge_pairs(np.int64(4), np.array(pairs, dtype=dtype))
+    assert np.array_equal(graph.adjacency, expected)
+    assert expected.sum() == 4
+
+
+@pytest.mark.parametrize("pairs", [[], (), np.empty((0, 2), dtype=np.int64)])
+@pytest.mark.parametrize("n", [0, 3])
+def test_from_edge_pairs_of_no_pairs_is_edgeless(n, pairs):
+    graph = Graph.from_edge_pairs(n, pairs)
+    assert graph.adjacency.shape == (n, n) and graph.n_edges == 0
 
 
 def from_edge_pairs_reference(n, pairs):
@@ -308,15 +372,18 @@ def test_statistics_do_not_depend_on_the_stack_layout():
     assert ClassStats(graph, features, contiguous).resp_t is contiguous
 
 
-def test_built_graphs_freeze_what_the_checked_path_freezes(rng):
-    # from_edge_pairs and generate hand over matrices valid by
-    # construction, frozen without a copy or the checks; Graph(adj) still
-    # copies and checks.
+def test_built_graphs_freeze_what_the_checked_path_freezes(rng, tmp_path):
+    # from_edge_pairs, and generate and the dense-CSV reader through it,
+    # hand over matrices valid by construction, frozen without a copy or
+    # the checks; Graph(adj) still copies and checks.
     spec = AffiliationSpec(n_classes=3, n=40, within_prob=0.5,
                            between_prob=0.1, seed=3)
     generated = generate(spec)[0]
     pairs = random_graph(9, rng).edge_pairs()
-    for built in (generated, Graph.from_edge_pairs(9, pairs)):
+    dense = tmp_path / "g.csv"
+    np.savetxt(dense, random_graph(9, rng).adjacency, fmt="%d", delimiter=",")
+    for built in (generated, Graph.from_edge_pairs(9, pairs),
+                  read_graph(dense)):
         checked = Graph(built.adjacency)
         assert checked.adjacency is not built.adjacency
         assert built.adjacency.dtype == np.float64
