@@ -36,6 +36,7 @@ from .model import (
     check_responsibilities,
     check_rows,
     mode_terms,
+    one_hot,
     partition_from_responsibilities,
     variational_lower_bound,
 )
@@ -145,34 +146,11 @@ def init_responsibilities(graph: Graph, features: FeatureMatrix, n_classes: int,
     profile) when there are no feature columns; ``graph-degree-quantile``
     bins vertices into degree quantiles. The two hard strategies are
     smoothed towards uniform with weight 0.1, so every entry is at least
-    0.1 / n_classes. The k-means run is the stacked one of a restart scan
-    (see :func:`_kmeans_labels`) on a stack of one.
+    0.1 / n_classes. This is the restart scan's start builder,
+    :func:`_starts`, on a stack of one.
     """
     check_count("n_classes", n_classes, 1)
-    if strategy not in INIT_STRATEGIES:
-        raise ValueError(f"unknown init strategy {strategy!r}")
-    rng = np.random.default_rng(rng)
-    n = graph.n
-    if n_classes == 1 or n == 0:
-        # Nothing to choose: one class, or no vertex to place.
-        return np.full((n, n_classes), 1.0 / n_classes)
-    if strategy == "random-dirichlet":
-        return rng.dirichlet(np.ones(n_classes), size=n)
-    if strategy == "feature-kmeans":
-        labels, = _kmeans_labels(_kmeans_points(graph, features),
-                                 [(n_classes, rng)])
-    else:
-        labels = _degree_quantile_labels(graph, n_classes)
-    return _hard_start(labels, n_classes)
-
-
-def _hard_start(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """One-hot labels smoothed towards uniform with weight 0.1: each entry
-    is ``0.1 / n_classes``, and the entry of each row's label gets 0.9 more.
-    ``labels`` are valid labels of ``n_classes`` classes."""
-    start = np.full((labels.shape[0], n_classes), 0.1 / n_classes)
-    start[np.arange(labels.shape[0]), labels] += 0.9
-    return start
+    return _starts(graph, features, [(n_classes, rng, strategy)], "joint")[0]
 
 
 class _Points(NamedTuple):
@@ -226,13 +204,6 @@ def _graph_points(graph: Graph) -> _Points:
         return dots.reshape(-1, graph.n), norms.ravel()
 
     return _Points(graph.degrees, graph.neighbour_mass, cross)
-
-
-def _kmeans_points(graph: Graph, features: FeatureMatrix) -> _Points:
-    """The rows k-means clusters: the feature rows, or the adjacency rows
-    (each vertex's connectivity profile) when there are no feature
-    columns."""
-    return _feature_points(features) if features.p else _graph_points(graph)
 
 
 def _kmeans_labels(points: _Points, starts) -> list:
@@ -302,14 +273,6 @@ def _kmeans_labels(points: _Points, starts) -> list:
         counts = np.where(full, found, counts)
     for row, start in enumerate(live.tolist()):
         labels[start] = current[row]
-    return labels
-
-
-def _degree_quantile_labels(graph: Graph, k: int) -> np.ndarray:
-    n = graph.n
-    order = np.argsort(graph.degrees, kind="stable")
-    labels = np.zeros(n, dtype=np.int64)
-    labels[order] = np.arange(n) * k // max(n, 1)
     return labels
 
 
@@ -632,28 +595,49 @@ def _check_fit(graph: Graph, features: FeatureMatrix, n_classes: int,
 
 
 def _starts(graph: Graph, features: FeatureMatrix, plans, mode: str) -> list:
-    """The start of each ``(n_classes, seed, strategy)`` of ``plans``: what
-    :func:`init_responsibilities` gives from ``default_rng(seed)``, with
-    the k-means runs of all of them in one stack (see
-    :func:`_kmeans_labels`)."""
+    """The start of each ``(n_classes, seed, strategy)`` of ``plans``, the
+    seed a generator or anything ``np.random.default_rng`` takes: the one
+    code that turns a plan into a start (the strategies are described at
+    :func:`init_responsibilities`).
+
+    One class or no vertex gives the uniform start. The k-means runs of all
+    plans share one stack (see :func:`_kmeans_labels`), each ending on the
+    labels it gets alone, and every hard labelling is smoothed the same way,
+    so each plan gets the start it gets in a list of its own.
+    """
     # The graph-only mode must not see the features anywhere, the
     # initialisation included.
     if not mode_terms(mode)[1]:
         features = FeatureMatrix.empty(graph.n)
+    n = graph.n
     starts: list = [None] * len(plans)
-    kmeans = []
+    # (plan index, labels) of each hard start, and (plan index, (k, rng)) of
+    # each k-means run.
+    hard, kmeans = [], []
     for index, (n_classes, seed, strategy) in enumerate(plans):
+        if strategy not in INIT_STRATEGIES:
+            raise ValueError(f"unknown init strategy {strategy!r}")
         rng = np.random.default_rng(seed)
-        if strategy == "feature-kmeans" and n_classes > 1:
-            kmeans.append((index, n_classes, rng))
+        if n_classes == 1 or n == 0:
+            # Nothing to choose: one class, or no vertex to place.
+            starts[index] = np.full((n, n_classes), 1.0 / n_classes)
+        elif strategy == "random-dirichlet":
+            starts[index] = rng.dirichlet(np.ones(n_classes), size=n)
+        elif strategy == "feature-kmeans":
+            kmeans.append((index, (n_classes, rng)))
         else:
-            starts[index] = init_responsibilities(graph, features, n_classes,
-                                                  strategy, rng)
+            labels = np.empty(n, dtype=np.int64)
+            labels[np.argsort(graph.degrees, kind="stable")] = \
+                np.arange(n) * n_classes // n
+            hard.append((index, labels))
     if kmeans:
-        labels = _kmeans_labels(_kmeans_points(graph, features),
-                                [(k, rng) for _, k, rng in kmeans])
-        for (index, n_classes, _), hard in zip(kmeans, labels):
-            starts[index] = _hard_start(hard, n_classes)
+        indices, runs = zip(*kmeans)
+        points = _feature_points(features) if features.p \
+            else _graph_points(graph)
+        hard += zip(indices, _kmeans_labels(points, runs))
+    for index, labels in hard:
+        n_classes = plans[index][0]
+        starts[index] = 0.9 * one_hot(labels, n_classes) + 0.1 / n_classes
     return starts
 
 

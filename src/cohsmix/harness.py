@@ -144,9 +144,18 @@ def run_grid(setting: str, replicates: int = 20, cfg: EMConfig | None = None,
     check_count("replicates", replicates, 1)
     check_count("seed", seed, 0)
     if scan_range is not None:
-        if not 1 <= scan_range[0] <= scan_range[1]:
+        try:
+            q_min, q_max = scan_range
+        except (TypeError, ValueError):
+            raise ValueError("scan_range must be a (q_min, q_max) pair, "
+                             f"got {scan_range!r}") from None
+        scan_range = q_min, q_max
+        # Integer bounds out of order are named by their order; any other
+        # bad bound by its own rule.
+        if all(isinstance(bound, (int, np.integer)) for bound in scan_range) \
+                and not 1 <= q_min <= q_max:
             raise ValueError("scan_range must satisfy 1 <= q_min <= q_max, "
-                             f"got {scan_range[0]}..{scan_range[1]}")
+                             f"got {q_min}..{q_max}")
         for name, bound in zip(("q_min", "q_max"), scan_range):
             check_count(f"scan_range {name}", bound, 1)
     cfg = cfg or EMConfig()

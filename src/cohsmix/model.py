@@ -375,13 +375,6 @@ def check_params(features: FeatureMatrix, params):
         )
 
 
-def _soft_assignment(assignment, n: int, n_classes: int) -> np.ndarray:
-    arr = np.asarray(assignment)
-    if arr.ndim == 1:
-        return one_hot(arr, n_classes)
-    return check_responsibilities(arr, n, n_classes)
-
-
 class ParamStack(NamedTuple):
     """The parameters of R fits at once, each with a leading restart axis.
 
@@ -690,7 +683,9 @@ def complete_log_likelihood(graph: Graph, features: FeatureMatrix,
         Ablation mode; ``graph-only`` drops the feature term and
         ``features-only`` the edge term.
     """
-    resp = _soft_assignment(assignment, graph.n, params.n_classes)
+    assignment = np.asarray(assignment)
+    resp = one_hot(assignment, params.n_classes) if assignment.ndim == 1 \
+        else check_responsibilities(assignment, graph.n, params.n_classes)
     return float(ClassStats.of(graph, features, resp)
                  .log_likelihood(ParamStack.of(params), mode)[0])
 

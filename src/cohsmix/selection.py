@@ -18,9 +18,9 @@ from .model import (
     FeatureMatrix,
     Graph,
     ParamStack,
-    _soft_assignment,
     check_count,
     check_features_vary,
+    check_responsibilities,
     check_rows,
     mode_terms,
 )
@@ -64,28 +64,25 @@ def icl_penalty(n_classes: int, n_vertices: int, n_features: int,
     )
 
 
-def icl_score(fit: FitResult, graph: Graph, features: FeatureMatrix,
-              hard_assignment: bool = False) -> float:
+def icl_score(fit: FitResult, graph: Graph, features: FeatureMatrix) -> float:
     """Criterion value of a fitted model on its data.
 
-    The likelihood term uses the fitted soft responsibilities by default;
-    ``hard_assignment=True`` switches to the argmax partition. Both the
-    likelihood and the penalty keep only the terms of ``fit.mode``: a
-    graph-only fit is scored as if there were no features, a features-only
-    fit as if there were no edges. This is the scan's stacked scorer on one
-    fit.
+    The likelihood term uses the fitted soft responsibilities, whose shape
+    is checked against the graph. Both the likelihood and the penalty keep
+    only the terms of ``fit.mode``: a graph-only fit is scored as if there
+    were no features, a features-only fit as if there were no edges. This
+    is the scan's stacked scorer on one fit.
     """
-    assignment = fit.partition if hard_assignment else fit.responsibilities
-    resp = _soft_assignment(assignment, graph.n, fit.params.n_classes)
-    score, = _icl_scores(graph, features, [fit], [resp], fit.mode)
+    check_responsibilities(fit.responsibilities, graph.n,
+                           fit.params.n_classes)
+    score, = _icl_scores(graph, features, [fit], fit.mode)
     return score
 
 
-def _icl_scores(graph: Graph, features: FeatureMatrix, fits, resps,
+def _icl_scores(graph: Graph, features: FeatureMatrix, fits,
                 mode: str) -> list[float]:
     """The criterion of each fit of ``fits``, all fitted in ``mode``, at
-    its (n, Q) responsibility matrix in ``resps``, from one padded
-    :class:`ClassStats`.
+    its own (n, Q) responsibilities, from one padded :class:`ClassStats`.
 
     The matrices and the parameters are padded to the widest fit by
     :meth:`ClassStats.of` and :meth:`ParamStack.of`. Each matrix gets the
@@ -95,6 +92,7 @@ def _icl_scores(graph: Graph, features: FeatureMatrix, fits, resps,
     :class:`ClassStats`).
     """
     use_edges, use_features = mode_terms(mode)
+    resps = [fit.responsibilities for fit in fits]
     masses = [graph.neighbour_mass(np.ascontiguousarray(resp.T))
               for resp in resps] if use_edges else None
     stats = ClassStats.of(graph, features, *resps, masses=masses)
@@ -154,9 +152,8 @@ def select_q(graph: Graph, features: FeatureMatrix, q_min: int, q_max: int,
             results[q] = result
     if not results:
         raise RuntimeError(f"every candidate in {q_min}..{q_max} failed: {failures}")
-    fits = list(results.values())
-    scores = dict(zip(results, _icl_scores(
-        graph, features, fits, [fit.responsibilities for fit in fits], mode)))
+    scores = dict(zip(results, _icl_scores(graph, features, results.values(),
+                                           mode)))
     for q, result in results.items():
         result.icl = scores[q]
     selected = min(scores)

@@ -268,16 +268,17 @@ def test_summary_reports_the_fit_counters(capsys, tmp_path, monkeypatch,
 
     # Restart 1, the degree-quantile start, loses class 1 and cannot be
     # re-seeded, so it fails while the others fit.
-    original = em.init_responsibilities
+    original = em._starts
 
-    def init(graph, features, n_classes, strategy, rng):
-        resp = original(graph, features, n_classes, strategy, rng)
-        if strategy == "graph-degree-quantile":
-            resp[:, 1] = 0.0
-            resp /= resp.sum(axis=1, keepdims=True)
-        return resp
+    def starts(graph, features, plans, mode):
+        resps = original(graph, features, plans, mode)
+        for (_, _, strategy), resp in zip(plans, resps):
+            if strategy == "graph-degree-quantile":
+                resp[:, 1] = 0.0
+                resp /= resp.sum(axis=1, keepdims=True)
+        return resps
 
-    monkeypatch.setattr(em, "init_responsibilities", init)
+    monkeypatch.setattr(em, "_starts", starts)
     monkeypatch.setattr(em, "_reseed_empty_classes",
                         lambda resp, empty_classes: resp)
     data = simulate_dataset(capsys, tmp_path)

@@ -359,6 +359,24 @@ def test_init_kmeans_is_the_stack_of_one(rng):
         assert np.array_equal(resp, 0.9 * np.eye(4)[labels] + 0.1 / 4)
 
 
+@pytest.mark.parametrize("mode", ["joint", "graph-only"])
+@pytest.mark.parametrize("n", [4, 20])
+def test_starts_give_each_plan_its_start_alone(n, mode):
+    # One em._starts call on plans of every strategy and of 1 to 6 classes
+    # (more classes than vertices when n = 4) gives each plan, bit for bit,
+    # the start init_responsibilities gives it alone; in the graph-only mode
+    # that is the start without the features.
+    rng = np.random.default_rng(n)
+    graph, features = random_graph(n, rng), random_features(n, 2, rng)
+    plans = [(k, 10 * k + i, strategy) for k in range(1, 7)
+             for i, strategy in enumerate(em.INIT_STRATEGIES)]
+    data = features if mode == "joint" else FeatureMatrix.empty(n)
+    for (k, seed, strategy), start in zip(
+            plans, em._starts(graph, features, plans, mode)):
+        assert np.array_equal(start, init_responsibilities(
+            graph, data, k, strategy, np.random.default_rng(seed)))
+
+
 # ---------------------------------------------------------------------------
 # E-step
 
@@ -1586,16 +1604,17 @@ def test_lockstep_restarts_match_sequential_fits(monkeypatch, mode):
 def _empty_class_one_start(monkeypatch):
     """Make the degree-quantile start (restart 1 of a fit with features)
     give class 1 no mass."""
-    original = em.init_responsibilities
+    original = em._starts
 
-    def init(graph, features, n_classes, strategy, rng):
-        resp = original(graph, features, n_classes, strategy, rng)
-        if strategy == "graph-degree-quantile":
-            resp[:, 1] = 0.0
-            resp /= resp.sum(axis=1, keepdims=True)
-        return resp
+    def starts(graph, features, plans, mode):
+        resps = original(graph, features, plans, mode)
+        for (_, _, strategy), resp in zip(plans, resps):
+            if strategy == "graph-degree-quantile":
+                resp[:, 1] = 0.0
+                resp /= resp.sum(axis=1, keepdims=True)
+        return resps
 
-    monkeypatch.setattr(em, "init_responsibilities", init)
+    monkeypatch.setattr(em, "_starts", starts)
 
 
 def _lockstep_case():

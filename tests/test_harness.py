@@ -289,16 +289,17 @@ def test_replicates_validation():
         run_grid("a", replicates=0, specs=SMALL_SPECS)
 
 
-@pytest.mark.parametrize("scan_range", [(3, 2), (0, 2)])
+@pytest.mark.parametrize("scan_range", [(3, 2), (0, 2), (2,), (1, 2, 3)])
 def test_bad_scan_range_fails_before_any_replicate(monkeypatch, tmp_path,
                                                     scan_range):
     def simulated(*args, **kwargs):
         raise AssertionError("a replicate ran")
 
     monkeypatch.setattr(harness, "generate", simulated)
-    with pytest.raises(ValueError, match=re.escape(
-            "scan_range must satisfy 1 <= q_min <= q_max, got "
-            f"{scan_range[0]}..{scan_range[1]}")):
+    message = "scan_range must satisfy 1 <= q_min <= q_max, got " \
+        f"{scan_range[0]}..{scan_range[1]}" if len(scan_range) == 2 \
+        else f"scan_range must be a (q_min, q_max) pair, got {scan_range!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         run_grid("a", replicates=1, cfg=FAST_CFG, specs=SMALL_SPECS[:1],
                  out_dir=tmp_path, scan_range=scan_range)
     assert not list(tmp_path.iterdir())
@@ -306,7 +307,7 @@ def test_bad_scan_range_fails_before_any_replicate(monkeypatch, tmp_path,
 
 @pytest.mark.parametrize("scan_range, name", [
     ((True, 3), "q_min"), ((2.0, 3), "q_min"), ((2, 3.0), "q_max"),
-    ((1, True), "q_max"),
+    ((1, True), "q_max"), (("2", "3"), "q_min"), ((None, 3), "q_min"),
 ])
 def test_scan_range_bounds_must_be_counts(monkeypatch, tmp_path, scan_range,
                                           name):

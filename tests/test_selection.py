@@ -118,16 +118,6 @@ def test_features_only_icl_drops_connectivity_penalty(rng):
     assert score == icl_score(fit, random_graph(n, rng), features)
 
 
-def test_icl_hard_and_soft_differ_in_general(rng):
-    from cohsmix.em import fit
-
-    graph, features, _ = random_instance(rng, n=12, n_classes=2, p=2)
-    result = fit(graph, features, 2, EMConfig(rng_seed=3))
-    soft = icl_score(result, graph, features)
-    hard = icl_score(result, graph, features, hard_assignment=True)
-    assert np.isfinite(soft) and np.isfinite(hard)
-
-
 def test_select_single_candidate_returns_it():
     spec = AffiliationSpec(n_classes=2, n=30, n_features=2,
                            within_prob=0.5, between_prob=0.2,
@@ -291,14 +281,15 @@ def test_scan_matches_candidates_on_benchmark_models(spec_index):
 def test_scan_matches_candidates_with_a_reseeded_restart(monkeypatch):
     # The degree-quantile start (restart 1) of the 3-class candidate gives
     # class 1 no mass, so the rescue re-seeds it, in the scan and alone.
-    original = em.init_responsibilities
+    original = em._starts
 
-    def init(graph, features, n_classes, strategy, rng):
-        resp = original(graph, features, n_classes, strategy, rng)
-        if n_classes == 3 and strategy == "graph-degree-quantile":
-            resp[:, 1] = 0.0
-            resp /= resp.sum(axis=1, keepdims=True)
-        return resp
+    def starts(graph, features, plans, mode):
+        resps = original(graph, features, plans, mode)
+        for (n_classes, _, strategy), resp in zip(plans, resps):
+            if n_classes == 3 and strategy == "graph-degree-quantile":
+                resp[:, 1] = 0.0
+                resp /= resp.sum(axis=1, keepdims=True)
+        return resps
 
     reseeds = []
     reseed = em._reseed_empty_classes
@@ -307,7 +298,7 @@ def test_scan_matches_candidates_with_a_reseeded_restart(monkeypatch):
         reseeds.append((resp.shape[1], list(empty_classes)))
         return reseed(resp, empty_classes)
 
-    monkeypatch.setattr(em, "init_responsibilities", init)
+    monkeypatch.setattr(em, "_starts", starts)
     monkeypatch.setattr(em, "_reseed_empty_classes", recorded)
     graph, features = _scan_case()
     _assert_scan_matches_candidates(graph, features, 2, 5,
