@@ -92,9 +92,11 @@ class EMConfig:
 
 def child_seed(seed: int | None, *key: int) -> int:
     """The first 32-bit word of ``SeedSequence(seed, spawn_key=key)``: the
-    one rule by which the package derives a seed (of a restart, a scan's
+    one rule by which the package derives an integer seed (of a scan's
     candidate, a grid replicate or a simulated family's model) from another.
-    A None seed draws fresh entropy per call."""
+    A restart needs no integer: its generator is built from that child
+    itself (see :func:`_restart_plan`). A None seed draws fresh entropy per
+    call."""
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
@@ -140,14 +142,15 @@ def init_responsibilities(graph: Graph, features: FeatureMatrix, n_classes: int,
                           rng: np.random.Generator | None = None) -> np.ndarray:
     """Build a row-stochastic starting point.
 
-    ``random-dirichlet`` draws each row from a flat Dirichlet;
-    ``feature-kmeans`` one-hot encodes a short k-means run on the feature
-    rows, falling back to the adjacency rows (each vertex's connectivity
-    profile) when there are no feature columns; ``graph-degree-quantile``
-    bins vertices into degree quantiles. The two hard strategies are
-    smoothed towards uniform with weight 0.1, so every entry is at least
-    0.1 / n_classes. This is the restart scan's start builder,
-    :func:`_starts`, on a stack of one.
+    ``random-dirichlet``, the default, draws each row from a flat
+    Dirichlet; it is also :func:`fit`'s start, though no restart plan uses
+    it. ``feature-kmeans`` one-hot encodes a short k-means run from
+    D^2-sampled centres (k-means++) on the feature rows, falling back to
+    the adjacency rows (each vertex's connectivity profile) when there are
+    no feature columns; ``graph-degree-quantile`` bins vertices into degree
+    quantiles. The two hard strategies are smoothed towards uniform with
+    weight 0.1, so every entry is at least 0.1 / n_classes. This is the
+    restart scan's start builder, :func:`_starts`, on a stack of one.
     """
     check_count("n_classes", n_classes, 1)
     return _starts(graph, features, [(n_classes, rng, strategy)], "joint")[0]
@@ -206,50 +209,100 @@ def _graph_points(graph: Graph) -> _Points:
     return _Points(graph.degrees, graph.neighbour_mass, cross)
 
 
+def _distances(points: _Points, sums: np.ndarray, counts: np.ndarray,
+               padding: np.ndarray | None = None) -> np.ndarray:
+    """The (S * k, n) squared distances of the centres of ``sums`` and
+    ``counts`` (see :class:`_Points`) to the rows: ``(centre norm + row
+    norm) - 2 * dot``, clipped at 0. ``padding``, (S, k) or None, is added
+    to the centre norms first."""
+    cross, centre_norms = points.cross(sums, counts)
+    if padding is not None:
+        centre_norms += padding.ravel()
+    dist = centre_norms[:, None] + points.norms
+    cross *= 2.0
+    dist -= cross
+    return np.maximum(dist, 0.0, out=dist)
+
+
+def _d2_seeds(points: _Points, starts) -> np.ndarray:
+    """The first centres of each ``(k, rng)`` of ``starts`` by D^2 sampling
+    (k-means++, Arthur & Vassilvitskii 2007), all starts in one stack: an
+    (S, widest k) array of rows, each start's past its k left at row 0.
+
+    Each start draws its k uniforms ``u`` from its own generator in one
+    call, in the order of ``starts``. Its first centre is row
+    ``floor(u_0 n)``. Centre j is the inverse CDF at ``u_j`` of D, the
+    running minimum of the squared distances of the rows to the centres
+    before it: the first row whose cumulative sum of D exceeds ``u_j``
+    times the total (kept below the total), so a row at distance 0 is never
+    drawn. When every D is 0 (fewer distinct rows than centres), centre j
+    is row ``floor(u_j n)``. The distances are those of the Lloyd loop, to
+    one-member centres; a start's distances, and so its draws, do not
+    depend on the other starts in any bit (see :func:`_kmeans_labels`).
+    """
+    n = points.norms.shape[0]
+    widths = np.array([k for k, _ in starts])
+    uniforms = np.zeros((len(starts), widths.max()))
+    for row, (k, rng) in enumerate(starts):
+        uniforms[row, :k] = rng.random(k)
+    # floor(u n): the first centre, and the fallback of every later one.
+    seeds = np.minimum((uniforms * n).astype(np.intp), n - 1)
+    nearest = np.full((len(starts), n), np.inf)
+    for j in range(1, widths.max()):
+        live = (widths > j).nonzero()[0]
+        members = np.zeros((live.size, 1, n))
+        members[np.arange(live.size), 0, seeds[live, j - 1]] = 1.0
+        near = np.minimum(nearest[live], _distances(
+            points, points.sums(members), np.ones((live.size, 1))))
+        nearest[live] = near
+        cumulative = np.cumsum(near, axis=1)
+        total = cumulative[:, -1]
+        drawn = np.count_nonzero(cumulative <= np.minimum(
+            uniforms[live, j] * total, np.nextafter(total, 0.0))[:, None],
+            axis=1)
+        seeds[live, j] = np.where(total > 0.0, drawn, seeds[live, j])
+    return seeds
+
+
 def _kmeans_labels(points: _Points, starts) -> list:
     """The labels of a short Lloyd's k-means run from each ``(k, rng)`` of
     ``starts``, all runs in one stack, on the rows of ``points``.
 
-    Each start draws its first centres, k of the rows (with replacement
-    when there are fewer than k), from its own generator, in the order of
-    ``starts``. Each iteration then labels the rows for every start still
-    running at once, from the squared distances ``(centre norm + row norm)
-    - 2 * dot`` clipped at 0; the centres that pad a start up to the widest
-    are at +inf, so its argmin never picks them. A centre is kept as the
-    sums and the count of its members; a class without members keeps both.
-    The sums of a start and its distances do not depend on the other
-    classes or starts in the stack in any bit (see :func:`_feature_points`
-    and :func:`_graph_points`; with one feature column numpy reads the
-    contiguous rows of the einsum in SIMD partial sums, which can differ
-    from the sequential sum in the last bit, but the grouping depends only
-    on n). A start leaves the stack when its labels repeat, since labels
-    that repeat give the centres they were computed from, or after
-    ``_KMEANS_ITERS`` labellings; so each start ends on the labels it gets
-    alone, bit for bit.
+    Each start's first centres are rows drawn by D^2 sampling from its own
+    generator (see :func:`_d2_seeds`). Each iteration then labels the rows
+    for every start still running at once, from the squared distances
+    ``(centre norm + row norm) - 2 * dot`` clipped at 0; the centres that
+    pad a start up to the widest are at +inf, so its argmin never picks
+    them. A centre is kept as the sums and the count of its members; a
+    class without members keeps both. The sums of a start and its
+    distances do not depend on the other classes or starts in the stack in
+    any bit (see :func:`_feature_points` and :func:`_graph_points`; with
+    one feature column numpy reads the contiguous rows of the einsum in
+    SIMD partial sums, which can differ from the sequential sum in the last
+    bit, but the grouping depends only on n). A start leaves the stack when
+    its labels repeat, since labels that repeat give the centres they were
+    computed from, or after ``_KMEANS_ITERS`` labellings; so each start
+    ends on the labels it gets alone, bit for bit.
     """
     n = points.norms.shape[0]
     widths = np.array([k for k, _ in starts])
     width = int(widths.max())
+    seeds = _d2_seeds(points, starts)
+    # The classes of each start, not those that pad it to the widest.
+    own = np.arange(width) < widths[:, None]
     members = np.zeros((len(starts), width, n))
-    for row, (k, rng) in enumerate(starts):
-        members[row, np.arange(k), rng.choice(n, size=k, replace=n < k)] = 1.0
+    rows, centres = own.nonzero()
+    members[rows, centres, seeds[rows, centres]] = 1.0
     sums, counts = points.sums(members), np.ones((len(starts), width))
-    padding = np.where(np.arange(width) < widths[:, None], 0.0, np.inf) \
-        if (widths < width).any() else None
+    padding = np.where(own, 0.0, np.inf) if (widths < width).any() else None
     classes = np.arange(width)[:, None]
     # The start of each stack row, and the labels each start ends on.
     live = np.arange(len(starts))
     labels = [None] * len(starts)
     for step in range(_KMEANS_ITERS):
-        cross, centre_norms = points.cross(sums, counts)
-        if padding is not None:
-            centre_norms += padding.ravel()
-        dist = centre_norms[:, None] + points.norms
-        cross *= 2.0
-        dist -= cross
-        np.maximum(dist, 0.0, out=dist)
         # The (stack rows, n) labels.
-        new = dist.reshape(len(live), width, n).argmin(axis=1)
+        new = _distances(points, sums, counts, padding).reshape(
+            len(live), width, n).argmin(axis=1)
         if step:
             repeated = np.logical_and.reduce(new == current, axis=1)
             if np.count_nonzero(repeated):
@@ -596,7 +649,8 @@ def _check_fit(graph: Graph, features: FeatureMatrix, n_classes: int,
 
 def _starts(graph: Graph, features: FeatureMatrix, plans, mode: str) -> list:
     """The start of each ``(n_classes, seed, strategy)`` of ``plans``, the
-    seed a generator or anything ``np.random.default_rng`` takes: the one
+    seed a generator or anything ``np.random.default_rng`` takes (a
+    restart's is its child ``SeedSequence``): the one
     code that turns a plan into a start (the strategies are described at
     :func:`init_responsibilities`).
 
@@ -812,24 +866,25 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
 
 
 def _restart_plan(seed: int | None, n_restarts: int, has_features: bool,
-                  has_edges: bool) -> list[tuple[int, str]]:
+                  has_edges: bool) -> list[tuple[np.random.SeedSequence, str]]:
     """The (seed, init strategy) of each restart.
 
-    Restart ``r`` is seeded by ``child_seed(seed, r)``. The first restarts
-    use the structured initialisers the data can feed, the rest flat
-    Dirichlet rows. A fit without usable features reads the edges:
+    Restart ``r`` is seeded by its child ``SeedSequence(seed,
+    spawn_key=(r,))``, from which :func:`_starts` builds its generator. The
+    first restarts use the structured initialisers the data can feed, the
+    degree quantiles only when the fit reads the edges; every later restart
+    runs k-means from D^2-sampled centres (see :func:`_kmeans_labels`), on
+    the feature rows, or on the adjacency rows when there are no usable
+    features. A fit without usable features reads the edges:
     :func:`~cohsmix.model.check_features_vary` rejects one that reads
     neither.
     """
     if has_features:
         head = ("feature-kmeans", "graph-degree-quantile")[:1 + has_edges]
-        rest = "random-dirichlet"
     else:
-        # Without usable features, k-means falls back to the adjacency rows;
-        # those hard starts escape the symmetric fixed point that traps soft
-        # random rows.
-        head, rest = ("graph-degree-quantile",), "feature-kmeans"
-    return [(child_seed(seed, r), head[r] if r < len(head) else rest)
+        head = ("graph-degree-quantile",)
+    return [(np.random.SeedSequence(seed, spawn_key=(r,)),
+             head[r] if r < len(head) else "feature-kmeans")
             for r in range(n_restarts)]
 
 
@@ -887,11 +942,12 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
                       mode: str = "joint") -> FitResult:
     """Best-of-``cfg.n_restarts`` EM runs, selected by final bound.
 
-    Restart ``r`` is seeded by ``child_seed(cfg.rng_seed, r)``; the first
-    two restarts use the structured initialisers the mode can read, the rest
-    flat Dirichlet rows (k-means on the adjacency rows when there are no
-    usable features).
-    The restarts run in lockstep, each as :func:`fit` would run it alone
+    Restart ``r`` is seeded by the child ``SeedSequence(cfg.rng_seed,
+    spawn_key=(r,))``; the first restarts use the structured initialisers
+    the mode can read, and every later one k-means from D^2-sampled
+    centres, on the feature rows or, without usable features, on the
+    adjacency rows (see :func:`_restart_plan`). The restarts run in
+    lockstep, each as :func:`fit` would run it alone
     from its planned start. Final bounds within ``TIE_REL_TOL`` (relative) of
     the best tie, and ties keep the earliest restart. A restart whose
     classes stay empty fails while the others go on; the returned result

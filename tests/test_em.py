@@ -139,11 +139,48 @@ def test_init_unknown_strategy(rng):
         init_responsibilities(graph, FeatureMatrix.empty(4), 2, "bogus", rng)
 
 
+def d2_seeds(n, k, rng, distances):
+    """One start's first centres by D^2 sampling (k-means++), drawn with a
+    loop over the centres: ``distances(i)`` gives the (n,) squared
+    distances of the rows to row i. The k uniforms are drawn in one call;
+    the first centre is row floor(u_0 n), and centre j the first row whose
+    cumulative running-minimum distance exceeds u_j times the total (kept
+    below it), or row floor(u_j n) when every distance is 0."""
+    u = rng.random(k)
+    rows = [min(int(u[0] * n), n - 1)]
+    nearest = None
+    for j in range(1, k):
+        near = distances(rows[-1])
+        nearest = near if nearest is None else np.minimum(nearest, near)
+        cumulative = np.cumsum(nearest)
+        total = cumulative[-1]
+        if total > 0:
+            rows.append(int(np.searchsorted(
+                cumulative, min(u[j] * total, np.nextafter(total, 0.0)),
+                side="right")))
+        else:
+            rows.append(min(int(u[j] * n), n - 1))
+    return rows
+
+
+def feature_d2_seeds(points, k, rng):
+    """:func:`d2_seeds` on feature rows."""
+    return d2_seeds(points.shape[0], k, rng, lambda i: squared_distances(
+        points, points[i])[:, 0])
+
+
+def graph_d2_seeds(adjacency, k, rng):
+    """:func:`d2_seeds` on the int64 adjacency rows, whose squared
+    distances are the integer ``degree_i + degree_j - 2 * (a_i . a_j)``."""
+    degrees = adjacency.sum(axis=1)
+    return d2_seeds(adjacency.shape[0], k, rng, lambda i: degrees
+                    + degrees[i] - 2 * (adjacency[i] @ adjacency))
+
+
 def kmeans_reference(points, k, rng, n_iters=20):
     """``kmeans_one_start`` without its early stop: every iteration runs."""
     n = points.shape[0]
-    idx = rng.choice(n, size=k, replace=n < k)
-    centers = points[idx].copy()
+    centers = points[feature_d2_seeds(points, k, rng)].copy()
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(n_iters):
         labels = np.argmin(squared_distances(points, centers), axis=1)
@@ -160,8 +197,7 @@ def kmeans_one_start(points, k, rng):
     labels repeat and updates the centres from one bincount of the
     coordinate sums."""
     n, p = points.shape
-    idx = rng.choice(n, size=k, replace=n < k)
-    centers = points[idx].copy()
+    centers = points[feature_d2_seeds(points, k, rng)].copy()
     labels = None
     for _ in range(em._KMEANS_ITERS):
         new = np.argmin(squared_distances(points, centers), axis=1)
@@ -185,8 +221,8 @@ def graph_kmeans_one_start(graph, k, rng):
     adjacency = graph.adjacency.astype(np.int64)
     n = graph.n
     degrees = adjacency.sum(axis=1)
-    idx = rng.choice(n, size=k, replace=n < k)
-    sums, counts = adjacency[idx], np.ones(k, dtype=np.int64)
+    sums = adjacency[graph_d2_seeds(adjacency, k, rng)]
+    counts = np.ones(k, dtype=np.int64)
     labels = None
     for _ in range(em._KMEANS_ITERS):
         dots = (sums @ adjacency) / counts[:, None]
@@ -337,15 +373,64 @@ def test_stacked_kmeans_starts_stop_at_different_iterations(monkeypatch):
     for labels, k, start_seed in zip(stacked, ks, range(5)):
         assert np.array_equal(labels, kmeans_one_start(
             features.values, k, np.random.default_rng(start_seed)))
-    # The stack narrowed as starts left it: fewer centres per product.
-    assert len(set(widths)) > 1
+    # The Lloyd stack narrowed as starts left it: fewer centres per product.
+    # Its products have 6 centres per start; the D^2 seeding's one.
+    assert len({width for width in widths if width % 6 == 0}) > 1
 
     with recorded_products() as products:
         stacked = stacked_kmeans(em._graph_points(graph), [3] * 9, range(9))
     for labels, start_seed in zip(stacked, range(9)):
         assert np.array_equal(labels, graph_kmeans_one_start(
             graph, 3, np.random.default_rng(start_seed)))
-    assert len({rows.shape[0] for rows, _ in products}) > 1
+    assert len({rows.shape[0] for rows, _ in products
+                if rows.shape[1] == 3}) > 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+       p=st.integers(1, 3), levels=st.integers(2, 4),
+       ks=st.lists(st.integers(1, 8), min_size=1, max_size=4))
+def test_d2_seeds_are_distinct_rows(seed, n, p, levels, ks):
+    # Integer points, so every distance is exact and a row is at distance 0
+    # only from its own values: each start of k at most the distinct rows
+    # seeds k distinct rows, on the features and on the adjacency rows.
+    rng = np.random.default_rng(seed)
+    points = rng.integers(0, levels, size=(n, p)) * 1.0
+    graph = random_graph(n, rng, 0.3)
+    for rows, kinds in ((points, em._feature_points(FeatureMatrix(points))),
+                        (graph.adjacency, em._graph_points(graph))):
+        distinct = np.unique(rows, axis=0).shape[0]
+        starts = [min(k, distinct) for k in ks]
+        seeds = em._d2_seeds(kinds, [(k, np.random.default_rng(seed + r))
+                                     for r, k in enumerate(starts)])
+        for k, row in zip(starts, seeds):
+            assert np.unique(rows[row[:k]], axis=0).shape[0] == k
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       p=st.integers(0, 3), ks=st.lists(st.integers(2, 16), min_size=1,
+                                        max_size=4),
+       value=st.sampled_from([0.0, -2.5, 1e150]))
+def test_d2_seeds_on_degenerate_rows_give_finite_starts(seed, n, p, ks,
+                                                        value):
+    # Identical feature rows, an edgeless graph (whose adjacency rows are
+    # all zero, the points without features) and n < k: every D^2 weight
+    # is 0, so the draws fall back to uniform rows. No invalid or dividing
+    # operation runs, and every start is finite with labels in range.
+    graph = Graph(np.zeros((n, n)))
+    features = FeatureMatrix(np.full((n, p), value))
+    points = em._feature_points(features) if p else em._graph_points(graph)
+    with np.errstate(all="raise"):
+        labels = em._kmeans_labels(points, [(k, np.random.default_rng(seed))
+                                            for k in ks])
+        starts = em._starts(graph, features, [
+            (k, seed + r, "feature-kmeans") for r, k in enumerate(ks)],
+            "joint")
+    for k, one, start in zip(ks, labels, starts):
+        assert one.shape == (n,) and 0 <= one.min() and one.max() < k
+        assert np.isfinite(start).all()
+        assert np.allclose(start.sum(axis=1), 1.0)
 
 
 def test_init_kmeans_is_the_stack_of_one(rng):
@@ -1453,16 +1538,21 @@ def test_multi_restart_single_equals_fit():
 
 @pytest.mark.parametrize("seed", [0, 7, 12345, 2**40])
 def test_restart_seeds_are_the_spawned_children(seed):
-    # numpy's spawned children are the reference: restart r is seeded by the
-    # first word of child r of SeedSequence(seed).spawn.
+    # numpy's spawned children are the reference: restart r is seeded by
+    # child r of SeedSequence(seed).spawn itself, not by a word drawn from
+    # it, so its generator is default_rng(child).
     children = np.random.SeedSequence(seed).spawn(10)
-    assert [word for word, _ in em._restart_plan(seed, 10, True, True)] \
-        == [int(child.generate_state(1)[0]) for child in children]
+    plan = em._restart_plan(seed, 10, True, True)
+    assert [(one.entropy, one.spawn_key) for one, _ in plan] \
+        == [(child.entropy, child.spawn_key) for child in children]
+    for (one, _), child in zip(plan, children):
+        assert np.random.default_rng(one).integers(2**63) \
+            == np.random.default_rng(child).integers(2**63)
 
 
 def test_restarts_without_a_seed_get_distinct_fresh_seeds():
-    first, second = ([word for word, _ in em._restart_plan(None, 10, True,
-                                                           True)]
+    first, second = ([np.random.default_rng(one).integers(2**63)
+                      for one, _ in em._restart_plan(None, 10, True, True)]
                      for _ in range(2))
     assert len(set(first)) == 10
     assert first != second
@@ -1659,30 +1749,30 @@ def test_lockstep_matches_sequential_with_a_failed_restart(monkeypatch):
 
 
 def test_restart_failing_mid_fit_leaves_the_others(monkeypatch):
-    # Restart 2 fails at the M-step where restart 3, below it in the stack,
+    # Restart 1 fails at the M-step where restart 2, below it in the stack,
     # converges; the others still give their own fits.
     graph, features, _ = _lockstep_case()
-    cfg = EMConfig(rng_seed=0, n_restarts=4)
+    cfg = EMConfig(rng_seed=10, n_restarts=4)
     alone = _sequential_fits(graph, features, 3, cfg, "joint")
     lengths = [len(one.bound_trace) for one in alone]
-    assert lengths[0] < lengths[1] < lengths[3] < lengths[2]
+    assert max(lengths[0], lengths[3]) < lengths[2] < lengths[1]
     stack_sizes = []
     original = em._rescue
 
     def rescue(stats):
         stats, errors = original(stats)
         stack_sizes.append(stats.resp_t.shape[0])
-        if len(stack_sizes) == lengths[3]:
-            # Restarts 0 and 1 have stopped: row 0 is restart 2.
+        if len(stack_sizes) == lengths[2]:
+            # Restarts 0 and 3 have stopped: row 0 is restart 1.
             assert stats.resp_t.shape[0] == 2
             errors[0] = EmptyClassError([0])
         return stats, errors
 
     monkeypatch.setattr(em, "_rescue", rescue)
     best, runs = _fit_with_runs(monkeypatch, graph, features, 3, cfg)
-    assert best.failed_restarts == ["restart 2: classes [0] have no mass"]
+    assert best.failed_restarts == ["restart 1: classes [0] have no mass"]
     assert len(runs) == 3
-    for run, one in zip(runs, [alone[0], alone[1], alone[3]]):
+    for run, one in zip(runs, [alone[0], alone[2], alone[3]]):
         assert np.array_equal(run.partition, one.partition)
         assert run.bound_trace == pytest.approx(one.bound_trace, rel=1e-9)
 
