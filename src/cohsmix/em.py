@@ -161,14 +161,16 @@ class _Points(NamedTuple):
     clusters. Each centre is kept as the coordinate sums of its members and
     their count.
 
-    ``norms`` are the (n,) squared norms of the rows. ``sums`` takes an
-    (S, k, n) stack of 0/1 member rows to the coordinate sums of each class.
-    ``cross`` takes the sums and the (S, k) counts to the (S * k, n) dot
+    ``norms`` are the (n,) squared norms of the rows. ``rows`` takes an
+    integer index array to those rows, which are the sums of one-member
+    classes. ``sums`` takes an (S, k, n) stack of 0/1 member rows to the
+    coordinate sums of each class. ``cross`` takes the sums and the (S, k) counts to the (S * k, n) dot
     products of each centre with every row and the (S * k,) squared norms
     of the centres.
     """
 
     norms: np.ndarray
+    rows: Callable[[np.ndarray], np.ndarray]
     sums: Callable[[np.ndarray], np.ndarray]
     cross: Callable[[np.ndarray, np.ndarray], tuple]
 
@@ -189,12 +191,12 @@ def _feature_points(features: FeatureMatrix) -> _Points:
                          np.ascontiguousarray(flat.T)).T, \
             np.add.reduce(flat * flat, axis=1)
 
-    return _Points(features._row_norms, sums, cross)
+    return _Points(features._row_norms, values.__getitem__, sums, cross)
 
 
 def _graph_points(graph: Graph) -> _Points:
     """The adjacency rows as k-means points, read through
-    :meth:`Graph.neighbour_mass`. A 0/1 row's squared norm is its degree.
+    :meth:`Graph.rows` and :meth:`Graph.neighbour_mass`. A 0/1 row's squared norm is its degree.
     The sums of a class are the integer ``members @ adjacency``, so a
     centre's dot products are the integer ``sums @ adjacency`` over the
     count and its squared norm the integer ``sums . sums`` over the count
@@ -206,7 +208,7 @@ def _graph_points(graph: Graph) -> _Points:
         norms = np.add.reduce(sums * sums, axis=2) / (counts * counts)
         return dots.reshape(-1, graph.n), norms.ravel()
 
-    return _Points(graph.degrees, graph.neighbour_mass, cross)
+    return _Points(graph.degrees, graph.rows, graph.neighbour_mass, cross)
 
 
 def _distances(points: _Points, sums: np.ndarray, counts: np.ndarray,
@@ -237,7 +239,7 @@ def _d2_seeds(points: _Points, starts) -> np.ndarray:
     times the total (kept below the total), so a row at distance 0 is never
     drawn. When every D is 0 (fewer distinct rows than centres), centre j
     is row ``floor(u_j n)``. The distances are those of the Lloyd loop, to
-    one-member centres; a start's distances, and so its draws, do not
+    one-member centres, whose sums are the rows read as they are; a start's distances, and so its draws, do not
     depend on the other starts in any bit (see :func:`_kmeans_labels`).
     """
     n = points.norms.shape[0]
@@ -250,10 +252,9 @@ def _d2_seeds(points: _Points, starts) -> np.ndarray:
     nearest = np.full((len(starts), n), np.inf)
     for j in range(1, widths.max()):
         live = (widths > j).nonzero()[0]
-        members = np.zeros((live.size, 1, n))
-        members[np.arange(live.size), 0, seeds[live, j - 1]] = 1.0
         near = np.minimum(nearest[live], _distances(
-            points, points.sums(members), np.ones((live.size, 1))))
+            points, points.rows(seeds[live, j - 1])[:, None],
+            np.ones((live.size, 1))))
         nearest[live] = near
         cumulative = np.cumsum(near, axis=1)
         total = cumulative[:, -1]
@@ -290,10 +291,8 @@ def _kmeans_labels(points: _Points, starts) -> list:
     seeds = _d2_seeds(points, starts)
     # The classes of each start, not those that pad it to the widest.
     own = np.arange(width) < widths[:, None]
-    members = np.zeros((len(starts), width, n))
-    rows, centres = own.nonzero()
-    members[rows, centres, seeds[rows, centres]] = 1.0
-    sums, counts = points.sums(members), np.ones((len(starts), width))
+    sums = np.where(own[:, :, None], points.rows(seeds), 0.0)
+    counts = np.ones((len(starts), width))
     padding = np.where(own, 0.0, np.inf) if (widths < width).any() else None
     classes = np.arange(width)[:, None]
     # The start of each stack row, and the labels each start ends on.

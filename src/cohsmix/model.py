@@ -147,6 +147,12 @@ class Graph:
         object.__setattr__(graph, "adjacency", _freeze(adj))
         return graph
 
+    def rows(self, vertices: np.ndarray) -> np.ndarray:
+        """(..., n) adjacency rows of the integer index array ``vertices``:
+        row i is the 0/1 float64 neighbour indicator of vertex i, read
+        without a product."""
+        return self.adjacency[vertices]
+
     def neighbour_mass(self, resp_t: np.ndarray) -> np.ndarray:
         """(..., Q, n) expected number of neighbours of each vertex per class.
 

@@ -433,6 +433,24 @@ def test_d2_seeds_on_degenerate_rows_give_finite_starts(seed, n, p, ks,
         assert np.allclose(start.sum(axis=1), 1.0)
 
 
+def test_d2_seeds_read_the_seed_rows_without_a_product(monkeypatch, rng):
+    # A one-member centre's sums are its adjacency row, read as it is, so
+    # each seeding step makes one product, the dot products of the live
+    # starts' newest centres with every row.
+    graph = random_graph(30, rng, 0.3)
+    products = []
+    compute = Graph.neighbour_mass
+
+    def counted(self, resp_t):
+        products.append(resp_t.shape)
+        return compute(self, resp_t)
+
+    monkeypatch.setattr(Graph, "neighbour_mass", counted)
+    em._d2_seeds(em._graph_points(graph), [(4, np.random.default_rng(1)),
+                                           (2, np.random.default_rng(2))])
+    assert products == [(2, 1, 30), (1, 1, 30), (1, 1, 30)]
+
+
 def test_init_kmeans_is_the_stack_of_one(rng):
     graph, features = random_graph(20, rng), random_features(20, 2, rng)
     for data in (features, FeatureMatrix.empty(20)):
