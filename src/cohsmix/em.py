@@ -117,6 +117,9 @@ class FitResult:
     # sweep cap.
     e_step_sweeps: int = 0
     sweep_cap_hits: int = 0
+    # Which restart of its fit this result is (see fit_multi_restart); 0 for
+    # a fit from one start.
+    best_restart: int = 0
 
     @property
     def final_bound(self) -> float:
@@ -143,8 +146,8 @@ def init_responsibilities(graph: Graph, features: FeatureMatrix, n_classes: int,
     """Build a row-stochastic starting point.
 
     ``random-dirichlet``, the default, draws each row from a flat
-    Dirichlet; it is also :func:`fit`'s start, though no restart plan uses
-    it. ``feature-kmeans`` one-hot encodes a short k-means run from
+    Dirichlet; no fit starts from it unless handed it as ``resp_init``.
+    ``feature-kmeans`` one-hot encodes a short k-means run from
     D^2-sampled centres (k-means++) on the feature rows, falling back to
     the adjacency rows (each vertex's connectivity profile) when there are
     no feature columns; ``graph-degree-quantile`` bins vertices into degree
@@ -164,9 +167,9 @@ class _Points(NamedTuple):
     ``norms`` are the (n,) squared norms of the rows. ``rows`` takes an
     integer index array to those rows, which are the sums of one-member
     classes. ``sums`` takes an (S, k, n) stack of 0/1 member rows to the
-    coordinate sums of each class. ``cross`` takes the sums and the (S, k) counts to the (S * k, n) dot
-    products of each centre with every row and the (S * k,) squared norms
-    of the centres.
+    coordinate sums of each class. ``cross`` takes the sums and the (S, k)
+    counts to the (S * k, n) dot products of each centre with every row
+    and the (S * k,) squared norms of the centres.
     """
 
     norms: np.ndarray
@@ -196,12 +199,12 @@ def _feature_points(features: FeatureMatrix) -> _Points:
 
 def _graph_points(graph: Graph) -> _Points:
     """The adjacency rows as k-means points, read through
-    :meth:`Graph.rows` and :meth:`Graph.neighbour_mass`. A 0/1 row's squared norm is its degree.
-    The sums of a class are the integer ``members @ adjacency``, so a
-    centre's dot products are the integer ``sums @ adjacency`` over the
-    count and its squared norm the integer ``sums . sums`` over the count
-    squared: one rounding each, and products of integers are exact in any
-    summation order."""
+    :meth:`Graph.rows` and :meth:`Graph.neighbour_mass`. A 0/1 row's
+    squared norm is its degree. The sums of a class are the integer
+    ``members @ adjacency``, so a centre's dot products are the integer
+    ``sums @ adjacency`` over the count and its squared norm the integer
+    ``sums . sums`` over the count squared: one rounding each, and products
+    of integers are exact in any summation order."""
 
     def cross(sums, counts):
         dots = graph.neighbour_mass(sums) / counts[:, :, None]
@@ -239,8 +242,9 @@ def _d2_seeds(points: _Points, starts) -> np.ndarray:
     times the total (kept below the total), so a row at distance 0 is never
     drawn. When every D is 0 (fewer distinct rows than centres), centre j
     is row ``floor(u_j n)``. The distances are those of the Lloyd loop, to
-    one-member centres, whose sums are the rows read as they are; a start's distances, and so its draws, do not
-    depend on the other starts in any bit (see :func:`_kmeans_labels`).
+    one-member centres, whose sums are the rows read as they are; a
+    start's distances, and so its draws, do not depend on the other starts
+    in any bit (see :func:`_kmeans_labels`).
     """
     n = points.norms.shape[0]
     widths = np.array([k for k, _ in starts])
@@ -715,7 +719,7 @@ class _Run:
     def final_bound(self) -> float:
         return self.bound_trace[-1]
 
-    def result(self, failed_restarts=()) -> FitResult:
+    def result(self, failed_restarts=(), best_restart: int = 0) -> FitResult:
         resp = np.ascontiguousarray(self.resp_t[:self.n_classes].T)
         return FitResult(
             params=self.params.unstack(self.row, self.n_classes),
@@ -727,6 +731,7 @@ class _Run:
             failed_restarts=list(failed_restarts),
             e_step_sweeps=self.e_step_sweeps,
             sweep_cap_hits=self.sweep_cap_hits,
+            best_restart=best_restart,
         )
 
 
@@ -840,8 +845,10 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
         mode: str = "joint") -> FitResult:
     """Run EM from one starting point: the lockstep driver on one start.
 
-    The start is ``resp_init`` when given, else flat Dirichlet rows drawn
-    from ``cfg.rng_seed``. Records the lower bound after every M-step;
+    The start is ``resp_init`` when given, else restart 0 of the restart
+    plan of ``cfg.rng_seed`` (see :func:`_restart_plan`), so ``fit(cfg)``
+    gives what :func:`fit_multi_restart` gives with one restart, bit for
+    bit. Records the lower bound after every M-step;
     stops when the relative bound change drops below ``BOUND_REL_TOL``
     (converged) or the iteration cap is hit. The recorded trace is
     non-decreasing: an iteration that would lower the bound (after an
@@ -854,8 +861,9 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
     cfg = cfg or EMConfig()
     _check_fit(graph, features, n_classes, mode)
     if resp_init is None:
-        start = init_responsibilities(graph, features, n_classes,
-                                      rng=cfg.rng_seed)
+        (seed, strategy), = _restart_plan(cfg.rng_seed, 1,
+                                          _has_features(features, mode))
+        start, = _starts(graph, features, [(n_classes, seed, strategy)], mode)
     else:
         start = check_responsibilities(resp_init, graph.n, n_classes)
     outcome, = _em(graph, features, [start], cfg.max_em_iters, mode)
@@ -864,46 +872,50 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
     return outcome.result()
 
 
-def _restart_plan(seed: int | None, n_restarts: int, has_features: bool,
-                  has_edges: bool) -> list[tuple[np.random.SeedSequence, str]]:
+def _has_features(features: FeatureMatrix, mode: str) -> bool:
+    """Whether a fit in ``mode`` has feature columns to read."""
+    return features.p > 0 and mode_terms(mode)[1]
+
+
+def _restart_plan(seed: int | None, n_restarts: int,
+                  has_features: bool) -> list[tuple[np.random.SeedSequence,
+                                                    str]]:
     """The (seed, init strategy) of each restart.
 
     Restart ``r`` is seeded by its child ``SeedSequence(seed,
-    spawn_key=(r,))``, from which :func:`_starts` builds its generator. The
-    first restarts use the structured initialisers the data can feed, the
-    degree quantiles only when the fit reads the edges; every later restart
-    runs k-means from D^2-sampled centres (see :func:`_kmeans_labels`), on
-    the feature rows, or on the adjacency rows when there are no usable
-    features. A fit without usable features reads the edges:
+    spawn_key=(r,))``, from which :func:`_starts` builds its generator.
+    With usable features every restart runs k-means from D^2-sampled
+    centres (see :func:`_kmeans_labels`) on the feature rows. Without them
+    restart 0 bins the degree quantiles and every later restart runs that
+    k-means on the adjacency rows; such a fit reads the edges, since
     :func:`~cohsmix.model.check_features_vary` rejects one that reads
     neither.
     """
-    if has_features:
-        head = ("feature-kmeans", "graph-degree-quantile")[:1 + has_edges]
-    else:
-        head = ("graph-degree-quantile",)
     return [(np.random.SeedSequence(seed, spawn_key=(r,)),
-             head[r] if r < len(head) else "feature-kmeans")
+             "graph-degree-quantile" if r == 0 and not has_features
+             else "feature-kmeans")
             for r in range(n_restarts)]
 
 
 def _best_restart(outcomes) -> FitResult:
     """The result of the earliest restart whose final bound is within
-    ``TIE_REL_TOL`` of the best, with the messages of the failed ones;
-    raises if every restart failed. ``outcomes`` holds, by restart, its
-    :class:`_Run` or its :class:`EmptyClassError`.
+    ``TIE_REL_TOL`` of the best, with its index and the messages of the
+    failed ones; raises if every restart failed. ``outcomes`` holds, by
+    restart, its :class:`_Run` or its :class:`EmptyClassError`.
 
     Restarts that reach one optimum relabelled end on bounds a few ulps
     apart, so a strict maximum would pick among them by rounding.
     """
-    runs = [run for run in outcomes if isinstance(run, _Run)]
+    runs = [(r, run) for r, run in enumerate(outcomes)
+            if isinstance(run, _Run)]
     failed = [f"restart {r}: {err}" for r, err in enumerate(outcomes)
               if isinstance(err, EmptyClassError)]
     if not runs:
         raise RuntimeError(f"all {len(outcomes)} restarts failed: {failed}")
-    top = max(run.final_bound for run in runs)
+    top = max(run.final_bound for _, run in runs)
     floor = top - TIE_REL_TOL * max(1.0, abs(top))
-    return next(run for run in runs if run.final_bound >= floor).result(failed)
+    r, best = next((r, run) for r, run in runs if run.final_bound >= floor)
+    return best.result(failed, r)
 
 
 def _fit_candidates(graph: Graph, features: FeatureMatrix, candidates,
@@ -918,12 +930,11 @@ def _fit_candidates(graph: Graph, features: FeatureMatrix, candidates,
     Returns, by candidate, the best restart or the ``RuntimeError`` of every
     restart failing.
     """
-    use_edges, use_features = mode_terms(mode)
-    has_features = features.p > 0 and use_features
+    has_features = _has_features(features, mode)
     plans = [(n_classes, restart_seed, strategy)
              for n_classes, seed in candidates
              for restart_seed, strategy in _restart_plan(
-                 seed, cfg.n_restarts, has_features, use_edges)]
+                 seed, cfg.n_restarts, has_features)]
     outcomes = iter(_em(graph, features, _starts(graph, features, plans, mode),
                         cfg.max_em_iters, mode))
     best = []
@@ -942,16 +953,16 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
     """Best-of-``cfg.n_restarts`` EM runs, selected by final bound.
 
     Restart ``r`` is seeded by the child ``SeedSequence(cfg.rng_seed,
-    spawn_key=(r,))``; the first restarts use the structured initialisers
-    the mode can read, and every later one k-means from D^2-sampled
-    centres, on the feature rows or, without usable features, on the
-    adjacency rows (see :func:`_restart_plan`). The restarts run in
-    lockstep, each as :func:`fit` would run it alone
-    from its planned start. Final bounds within ``TIE_REL_TOL`` (relative) of
-    the best tie, and ties keep the earliest restart. A restart whose
-    classes stay empty fails while the others go on; the returned result
-    lists the failures in ``failed_restarts``. Raises if every restart
-    fails.
+    spawn_key=(r,))``. Every restart runs k-means from D^2-sampled centres
+    on the feature rows; without usable features restart 0 bins the
+    degree quantiles and every later one runs k-means on the adjacency
+    rows (see :func:`_restart_plan`). The restarts run in lockstep, each as
+    :func:`fit` would run it alone from its planned start; restart 0 is
+    :func:`fit`'s own start. Final bounds within ``TIE_REL_TOL`` (relative)
+    of the best tie, and ties keep the earliest restart, whose index the
+    result holds as ``best_restart``. A restart whose classes stay empty
+    fails while the others go on; the returned result lists the failures
+    in ``failed_restarts``. Raises if every restart fails.
     """
     cfg = cfg or EMConfig()
     _check_fit(graph, features, n_classes, mode)

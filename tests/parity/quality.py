@@ -9,8 +9,10 @@ only simulated data has. A search miss is a fit whose final bound the truth
 start's beats by more than ``BOUND_REL_TOL`` of it, the relative change at
 which a fit stops. Per mode, restart count and family
 the report prints the fits, the search misses, the largest bound gap in
-nats, the mean ARI of the searched fits and that of the truth starts. The
-graph-only mode skips family d, whose graphs carry no class structure.
+nats, the mean ARI of the searched fits and that of the truth starts. A
+second table gives, per mode and restart count, how many fits each restart
+index won (``FitResult.best_restart``). The graph-only mode skips family
+d, whose graphs carry no class structure.
 
     PYTHONPATH=src python tests/parity/quality.py
 
@@ -51,7 +53,7 @@ def cases(family: str):
 
 def family_fits(family: str, mode: str) -> dict:
     """By restart count, a (bound gap, ARI, truth-start ARI, truth-start
-    bound) for every fit of ``family`` in ``mode``."""
+    bound, winning restart) for every fit of ``family`` in ``mode``."""
     fits = {restarts: [] for restarts in RESTARTS}
     for graph, features, truth, n_classes, seed in cases(family):
         oracle = fit(graph, features, n_classes,
@@ -64,21 +66,28 @@ def family_fits(family: str, mode: str) -> dict:
             fits[restarts].append((
                 oracle.final_bound - found.final_bound,
                 adjusted_rand_index(truth, found.partition), oracle_ari,
-                oracle.final_bound))
+                oracle.final_bound, found.best_restart))
     return fits
 
 
 def summary(fits) -> str:
     """The table cells of a list of fits of :func:`family_fits`."""
-    gaps, aris, truth_aris, bounds = np.array(fits).T
+    gaps, aris, truth_aris, bounds, _ = np.array(fits).T
     misses = np.count_nonzero(
         gaps > BOUND_REL_TOL * np.maximum(1.0, np.abs(bounds)))
     return f"{len(fits)} | {misses} | {max(0.0, gaps.max()):.1f} | " \
         f"{aris.mean():.3f} | {truth_aris.mean():.3f}"
 
 
+def wins(fits, restarts: int) -> str:
+    """How many of ``fits`` each restart index won, restart 0 first."""
+    won = np.bincount([int(fit[-1]) for fit in fits], minlength=restarts)
+    return " / ".join(map(str, won.tolist()))
+
+
 def main() -> int:
     began = time.perf_counter()
+    winners = []
     print("| mode | restarts | family | fits | search misses "
           "| largest gap (nats) | mean ARI | truth-start ARI |")
     print("|---|---|---|---|---|---|---|---|")
@@ -93,6 +102,12 @@ def main() -> int:
             every = [one for letter in families
                      for one in by_family[letter][restarts]]
             print(f"| {mode} | {restarts} | all | {summary(every)} |")
+            winners.append(
+                f"| {mode} | {restarts} | {wins(every, restarts)} |")
+    print()
+    print("| mode | restarts | fits won by restart 0 / 1 / ... |")
+    print("|---|---|---|")
+    print("\n".join(winners))
     print(f"report took {time.perf_counter() - began:.1f} s")
     return 0
 

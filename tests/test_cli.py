@@ -266,14 +266,14 @@ def test_summary_reports_the_fit_counters(capsys, tmp_path, monkeypatch,
     import cohsmix.em as em
     from cohsmix.selection import select_q
 
-    # Restart 1, the degree-quantile start, loses class 1 and cannot be
-    # re-seeded, so it fails while the others fit.
+    # Restart 1, known by its seed's spawn key, loses class 1 and cannot
+    # be re-seeded, so it fails while the others fit.
     original = em._starts
 
     def starts(graph, features, plans, mode):
         resps = original(graph, features, plans, mode)
-        for (_, _, strategy), resp in zip(plans, resps):
-            if strategy == "graph-degree-quantile":
+        for (_, seed, _), resp in zip(plans, resps):
+            if seed.spawn_key == (1,):
                 resp[:, 1] = 0.0
                 resp /= resp.sum(axis=1, keepdims=True)
         return resps

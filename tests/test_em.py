@@ -1042,7 +1042,9 @@ def test_fit_computes_one_bound_per_iteration(monkeypatch):
 
     monkeypatch.setattr(ClassStats, "_class_terms", counted)
     monkeypatch.setattr(em, "_e_step", marked)
-    result = fit(graph, features, 3, EMConfig(rng_seed=1))
+    # Flat Dirichlet rows take enough iterations to count.
+    result = fit(graph, features, 3, EMConfig(rng_seed=1),
+                 resp_init=init_responsibilities(graph, features, 3, rng=1))
     assert result.converged and len(result.bound_trace) > 2
     assert len(calls) == len(result.bound_trace)
     assert not any(calls)
@@ -1547,11 +1549,53 @@ def test_multi_restart_single_equals_fit():
     graph, features, _ = generate(spec)
     cfg = EMConfig(rng_seed=9, n_restarts=1)
     best = fit_multi_restart(graph, features, 2, cfg)
-    (seed, strategy), = em._restart_plan(cfg.rng_seed, 1, True, True)
+    (seed, strategy), = em._restart_plan(cfg.rng_seed, 1, True)
     again = fit(graph, features, 2, cfg, resp_init=em._starts(
         graph, features, [(2, seed, strategy)], "joint")[0])
     assert best.final_bound == again.final_bound
     assert np.array_equal(best.partition, again.partition)
+
+
+@pytest.mark.parametrize("mode, p", [(mode, 2) for mode in MODES]
+                         + [("joint", 0), ("graph-only", 0)])
+def test_fit_starts_from_restart_0_of_the_plan(mode, p):
+    # fit's own start is restart 0 of the plan, so a one-restart
+    # fit_multi_restart is fit from the same seed, bit for bit: k-means on
+    # the features, or the degree quantiles without usable features.
+    spec = AffiliationSpec(n_classes=2, n=25, n_features=p,
+                           within_prob=0.5, between_prob=0.2,
+                           mean_gap=1.0, seed=0)
+    graph, features, _ = generate(spec)
+    cfg = EMConfig(rng_seed=9, n_restarts=1)
+    best = fit_multi_restart(graph, features, 2, cfg, mode)
+    _assert_same_fits([best], [fit(graph, features, 2, cfg, mode=mode)])
+    assert best.best_restart == 0
+    (seed, strategy), = em._restart_plan(cfg.rng_seed, 1,
+                                         em._has_features(features, mode))
+    _assert_same_fits([best], [fit(
+        graph, features, 2, cfg, mode=mode, resp_init=em._starts(
+            graph, features, [(2, seed, strategy)], mode)[0])])
+
+
+def test_restart_plan_runs_kmeans_on_the_features_for_every_restart():
+    # With usable features every restart is a k-means start on them;
+    # without, restart 0 bins the degree quantiles and the rest run k-means
+    # on the adjacency rows. One restart is restart 0 of either plan.
+    for n_restarts in (1, 10):
+        with_features = em._restart_plan(3, n_restarts, True)
+        without = em._restart_plan(3, n_restarts, False)
+        assert [strategy for _, strategy in with_features] \
+            == ["feature-kmeans"] * n_restarts
+        assert [strategy for _, strategy in without] \
+            == ["graph-degree-quantile"] \
+            + ["feature-kmeans"] * (n_restarts - 1)
+        assert [one.spawn_key for one, _ in with_features] \
+            == [one.spawn_key for one, _ in without] \
+            == [(r,) for r in range(n_restarts)]
+    features = FeatureMatrix(np.ones((4, 2)))
+    assert [em._has_features(features, mode) for mode in MODES] \
+        == [True, False, True]
+    assert not em._has_features(FeatureMatrix.empty(4), "joint")
 
 
 @pytest.mark.parametrize("seed", [0, 7, 12345, 2**40])
@@ -1560,7 +1604,7 @@ def test_restart_seeds_are_the_spawned_children(seed):
     # child r of SeedSequence(seed).spawn itself, not by a word drawn from
     # it, so its generator is default_rng(child).
     children = np.random.SeedSequence(seed).spawn(10)
-    plan = em._restart_plan(seed, 10, True, True)
+    plan = em._restart_plan(seed, 10, True)
     assert [(one.entropy, one.spawn_key) for one, _ in plan] \
         == [(child.entropy, child.spawn_key) for child in children]
     for (one, _), child in zip(plan, children):
@@ -1570,7 +1614,7 @@ def test_restart_seeds_are_the_spawned_children(seed):
 
 def test_restarts_without_a_seed_get_distinct_fresh_seeds():
     first, second = ([np.random.default_rng(one).integers(2**63)
-                      for one, _ in em._restart_plan(None, 10, True, True)]
+                      for one, _ in em._restart_plan(None, 10, True)]
                      for _ in range(2))
     assert len(set(first)) == 10
     assert first != second
@@ -1643,6 +1687,23 @@ def test_best_restart_keeps_the_earliest_of_a_rounding_tie():
         is better.bound_trace
 
 
+def test_best_restart_records_the_index_of_the_winner(monkeypatch):
+    # The result records which restart it is: the earliest of the best
+    # bound, counting the restarts that failed.
+    graph, features, cfg = _lockstep_case(mean_gap=0.75)
+    cfg = replace(cfg, rng_seed=20)
+    best, runs = _fit_with_runs(monkeypatch, graph, features, 3, cfg)
+    winner = next(r for r, run in enumerate(runs)
+                  if run.bound_trace is _first_best(runs).bound_trace)
+    assert winner > 0
+    assert best.best_restart == winner
+    assert [run.best_restart for run in runs] == [0] * len(runs)
+    err = EmptyClassError([1])
+    first, better = _outcome(-10.0), _outcome(-5.0)
+    assert em._best_restart([first, err, better]).best_restart == 2
+    assert em._best_restart([err, first, _outcome(-10.0)]).best_restart == 1
+
+
 def test_multi_restart_beats_single_on_structured_data():
     wins = 0
     trials = 20
@@ -1662,11 +1723,9 @@ def test_multi_restart_beats_single_on_structured_data():
 
 def _sequential_fits(graph, features, n_classes, cfg, mode):
     """What each restart of fit_multi_restart gives when fitted alone."""
-    use_edges, use_features = mode_terms(mode)
     outcomes = []
     for seed, strategy in em._restart_plan(
-            cfg.rng_seed, cfg.n_restarts, features.p > 0 and use_features,
-            use_edges):
+            cfg.rng_seed, cfg.n_restarts, em._has_features(features, mode)):
         start = em._starts(graph, features, [(n_classes, seed, strategy)],
                            mode)[0]
         try:
@@ -1695,9 +1754,11 @@ def _assert_lockstep_matches_sequential(monkeypatch, graph, features,
 
 @pytest.mark.parametrize("mode", MODES)
 def test_lockstep_restarts_match_sequential_fits(monkeypatch, mode):
+    # Features this close leave the k-means starts of a joint fit far
+    # enough apart to converge at different iterations.
     spec = AffiliationSpec(n_classes=3, n=90, n_features=3,
                            within_prob=0.5, between_prob=0.15,
-                           mean_gap=1.5, seed=4)
+                           mean_gap=1.0, seed=4)
     graph, features, _ = generate(spec)
     best, runs, _ = _assert_lockstep_matches_sequential(
         monkeypatch, graph, features, 3, EMConfig(rng_seed=6, n_restarts=6),
@@ -1710,14 +1771,14 @@ def test_lockstep_restarts_match_sequential_fits(monkeypatch, mode):
 
 
 def _empty_class_one_start(monkeypatch):
-    """Make the degree-quantile start (restart 1 of a fit with features)
-    give class 1 no mass."""
+    """Make the start of restart 1, known by its seed's spawn key, give
+    class 1 no mass, in a fit of all restarts and alone."""
     original = em._starts
 
     def starts(graph, features, plans, mode):
         resps = original(graph, features, plans, mode)
-        for (_, _, strategy), resp in zip(plans, resps):
-            if strategy == "graph-degree-quantile":
+        for (_, seed, _), resp in zip(plans, resps):
+            if seed.spawn_key == (1,):
                 resp[:, 1] = 0.0
                 resp /= resp.sum(axis=1, keepdims=True)
         return resps
@@ -1725,10 +1786,10 @@ def _empty_class_one_start(monkeypatch):
     monkeypatch.setattr(em, "_starts", starts)
 
 
-def _lockstep_case():
+def _lockstep_case(mean_gap=2.0):
     spec = AffiliationSpec(n_classes=3, n=60, n_features=2,
                            within_prob=0.5, between_prob=0.1,
-                           mean_gap=2.0, seed=3)
+                           mean_gap=mean_gap, seed=3)
     graph, features, _ = generate(spec)
     return graph, features, EMConfig(rng_seed=2, n_restarts=4)
 
@@ -1768,9 +1829,10 @@ def test_lockstep_matches_sequential_with_a_failed_restart(monkeypatch):
 
 def test_restart_failing_mid_fit_leaves_the_others(monkeypatch):
     # Restart 1 fails at the M-step where restart 2, below it in the stack,
-    # converges; the others still give their own fits.
-    graph, features, _ = _lockstep_case()
-    cfg = EMConfig(rng_seed=10, n_restarts=4)
+    # converges; the others still give their own fits. Features this close
+    # leave the k-means starts converging at different iterations.
+    graph, features, _ = _lockstep_case(mean_gap=0.75)
+    cfg = EMConfig(rng_seed=20, n_restarts=4)
     alone = _sequential_fits(graph, features, 3, cfg, "joint")
     lengths = [len(one.bound_trace) for one in alone]
     assert max(lengths[0], lengths[3]) < lengths[2] < lengths[1]
@@ -1801,7 +1863,7 @@ def test_iteration_lowering_the_bound_is_rolled_back(monkeypatch):
     # other restarts are not touched.
     graph, features, cfg = _lockstep_case()
     (seed, strategy), *_ = em._restart_plan(cfg.rng_seed, cfg.n_restarts,
-                                            True, True)
+                                            True)
     alone = _sequential_fits(graph, features, 3, cfg, "joint")
     one_iteration = fit(graph, features, 3, replace(cfg, max_em_iters=1),
                         resp_init=em._starts(graph, features,
@@ -1956,10 +2018,10 @@ def test_mode_bound_rejects_rows_that_do_not_sum_to_one(rng):
 # Unmoved E-steps end a fit; results are built for returned fits only
 
 
-def _readme_case(seed):
+def _readme_case(seed, mean_gap=4.0):
     spec = AffiliationSpec(n_classes=3, n=150, n_features=3,
                            within_prob=0.5, between_prob=0.1,
-                           mean_gap=4.0, seed=seed)
+                           mean_gap=mean_gap, seed=seed)
     return generate(spec)[:2]
 
 
@@ -2035,16 +2097,15 @@ def _em_always_stepping(graph, features, start, max_em_iters, mode):
     return stats.resp[0], params.unstack(0), trace, converged
 
 
-def _fit_as_the_full_iteration_did(monkeypatch, mode, cap):
+def _fit_as_the_full_iteration_did(monkeypatch, mode, cap, mean_gap=4.0):
     """Fit six starts in one stack under the iteration cap ``cap`` and check
     each run, bit for bit, against :func:`_em_always_stepping`, that
     iteration's repeated bound left off its trace. Returns how many runs
     ended on a repeated bound and how many at the cap."""
-    graph, features = _readme_case(1001)
-    use_edges, use_features = mode_terms(mode)
+    graph, features = _readme_case(1001, mean_gap)
     starts = [em._starts(graph, features, [(3, seed, strategy)], mode)[0]
-              for seed, strategy in em._restart_plan(5, 6, use_features,
-                                                     use_edges)]
+              for seed, strategy in em._restart_plan(
+                  5, 6, em._has_features(features, mode))]
     monkeypatch.setattr(Graph, "neighbour_mass", row_by_row_mass)
     runs = em._em(graph, features, starts, cap, mode)
     repeats = capped = 0
@@ -2080,8 +2141,9 @@ def test_row_at_the_iteration_cap_finishes_as_the_full_iteration_did(
         monkeypatch, mode):
     # Under a cap of 3 iterations, rows end at the cap, not converged, on
     # what the full iterations gave them, beside rows of the same stack
-    # that converge or return their start.
-    _, capped = _fit_as_the_full_iteration_did(monkeypatch, mode, 3)
+    # that converge or return their start. Features this close keep some
+    # k-means starts of a joint fit going past the cap.
+    _, capped = _fit_as_the_full_iteration_did(monkeypatch, mode, 3, 1.25)
     assert capped
 
 
@@ -2091,7 +2153,7 @@ def test_rollback_beside_an_unmoved_row_keeps_its_own_iterate(monkeypatch):
     # its bound falls and the iteration is rolled back. That start must
     # finish on its own first M-step, not on the row that left.
     graph, features = _readme_case(1002)
-    (seed, strategy), *_ = em._restart_plan(3, 1, True, True)
+    (seed, strategy), *_ = em._restart_plan(3, 1, True)
     start = em._starts(graph, features, [(3, seed, strategy)], "joint")[0]
     before = em._em(graph, features, [start], 0, "joint")[0].result()
     calls = []

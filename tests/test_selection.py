@@ -279,14 +279,15 @@ def test_scan_matches_candidates_on_benchmark_models(spec_index):
 
 
 def test_scan_matches_candidates_with_a_reseeded_restart(monkeypatch):
-    # The degree-quantile start (restart 1) of the 3-class candidate gives
-    # class 1 no mass, so the rescue re-seeds it, in the scan and alone.
+    # The start of restart 1 (known by its seed's spawn key) of the
+    # 3-class candidate gives class 1 no mass, so the rescue re-seeds it,
+    # in the scan and alone.
     original = em._starts
 
     def starts(graph, features, plans, mode):
         resps = original(graph, features, plans, mode)
-        for (n_classes, _, strategy), resp in zip(plans, resps):
-            if n_classes == 3 and strategy == "graph-degree-quantile":
+        for (n_classes, seed, _), resp in zip(plans, resps):
+            if n_classes == 3 and seed.spawn_key == (1,):
                 resp[:, 1] = 0.0
                 resp /= resp.sum(axis=1, keepdims=True)
         return resps
