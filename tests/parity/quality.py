@@ -14,16 +14,23 @@ second table gives, per mode and restart count, how many fits each restart
 index won (``FitResult.best_restart``). The graph-only mode skips family
 d, whose graphs carry no class structure.
 
-    PYTHONPATH=src python tests/parity/quality.py
+    PYTHONPATH=src python tests/parity/quality.py check   # list what moved
+    PYTHONPATH=src python tests/parity/quality.py write   # rewrite the file
 
-It reports and does not gate: it exits 0 whatever the counts are.
+Both print the two tables. The cells of both, and no wall time, are kept in
+``quality.json``: ``write`` rewrites it, and ``check`` prints every cell
+that moved with its kept and its new value. It reports and does not gate:
+``check`` exits 0 whatever moved. Rewriting the file changes the baseline,
+so a change that does it names the cells that moved.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -31,9 +38,14 @@ from cohsmix.em import BOUND_REL_TOL, EMConfig, fit, fit_multi_restart
 from cohsmix.metrics import adjusted_rand_index
 from cohsmix.simulate import SETTINGS, generate, grid_specs
 
+BASELINE = Path(__file__).with_name("quality.json")
 MODES = ("joint", "features-only", "graph-only")
 RESTARTS = (10, 3, 1)
 REPLICATES = 2
+# The cells of a row of the first table, after its mode, restarts and
+# family.
+COLUMNS = ("fits", "search misses", "largest gap (nats)", "mean ARI",
+           "truth-start ARI")
 
 
 def truth_start(truth, n_classes: int) -> np.ndarray:
@@ -85,32 +97,68 @@ def wins(fits, restarts: int) -> str:
     return " / ".join(map(str, won.tolist()))
 
 
-def main() -> int:
-    began = time.perf_counter()
-    winners = []
-    print("| mode | restarts | family | fits | search misses "
-          "| largest gap (nats) | mean ARI | truth-start ARI |")
-    print("|---|---|---|---|---|---|---|---|")
+def report() -> tuple[list[str], dict]:
+    """The lines of both tables, and their cells by row: ``"<mode> |
+    <restarts> | <family>"`` to the :data:`COLUMNS` of the first table,
+    ``"<mode> | <restarts> | wins"`` to the fits won by each restart
+    index."""
+    lines = ["| mode | restarts | family | fits | search misses "
+             "| largest gap (nats) | mean ARI | truth-start ARI |",
+             "|---|---|---|---|---|---|---|---|"]
+    winners = ["| mode | restarts | fits won by restart 0 / 1 / ... |",
+               "|---|---|---|"]
+    cells = {}
     for mode in MODES:
         families = [letter for letter in SETTINGS
                     if mode != "graph-only" or letter != "d"]
         by_family = {letter: family_fits(letter, mode) for letter in families}
         for restarts in RESTARTS:
-            for letter in families:
-                print(f"| {mode} | {restarts} | {letter} | "
-                      f"{summary(by_family[letter][restarts])} |")
-            every = [one for letter in families
-                     for one in by_family[letter][restarts]]
-            print(f"| {mode} | {restarts} | all | {summary(every)} |")
-            winners.append(
-                f"| {mode} | {restarts} | {wins(every, restarts)} |")
-    print()
-    print("| mode | restarts | fits won by restart 0 / 1 / ... |")
-    print("|---|---|---|")
-    print("\n".join(winners))
+            rows = [(letter, by_family[letter][restarts])
+                    for letter in families]
+            rows.append(("all", [one for _, fits in rows for one in fits]))
+            for letter, fits in rows:
+                row = f"{mode} | {restarts} | {letter}"
+                line = summary(fits)
+                lines.append(f"| {row} | {line} |")
+                cells[row] = dict(zip(COLUMNS, line.split(" | ")))
+            won = wins(rows[-1][1], restarts)
+            winners.append(f"| {mode} | {restarts} | {won} |")
+            cells[f"{mode} | {restarts} | wins"] = {
+                f"restart {r}": count
+                for r, count in enumerate(won.split(" / "))}
+    return lines + [""] + winners, cells
+
+
+def moved(kept: dict, now: dict) -> list[str]:
+    """A line for each cell of ``kept`` or ``now`` that differs, with its
+    kept and its new value, and a count of them."""
+    lines = []
+    for row in sorted(kept.keys() | now.keys()):
+        was, new = kept.get(row, {}), now.get(row, {})
+        for column in sorted(was.keys() | new.keys()):
+            if was.get(column) != new.get(column):
+                lines.append(f"{row} | {column}: {was.get(column, '(none)')}"
+                             f" -> {new.get(column, '(none)')}")
+    return lines + [f"{len(now)} rows: {len(lines)} cells moved"]
+
+
+def main(argv) -> int:
+    if argv not in (["check"], ["write"]):
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    began = time.perf_counter()
+    lines, cells = report()
+    print("\n".join(lines))
     print(f"report took {time.perf_counter() - began:.1f} s")
+    if argv == ["write"]:
+        BASELINE.write_text(json.dumps(cells, indent=2, sort_keys=True)
+                            + "\n", encoding="utf-8")
+        print(f"wrote {len(cells)} rows to {BASELINE}")
+    else:
+        kept = json.loads(BASELINE.read_text(encoding="utf-8"))
+        print("\n".join(moved(kept, cells)))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -21,3 +21,17 @@ def test_a_search_miss_is_a_gap_beyond_the_stop_rule():
     # The winning restart of each fit, counted by index, restart 0 first.
     assert quality.wins(fits, 3) == "2 / 1 / 1"
     assert quality.wins(fits, 4) == "2 / 1 / 1 / 0"
+
+
+def test_check_prints_each_moved_cell_with_both_values():
+    kept = {"joint | 1 | a": {"fits": "22", "search misses": "7"},
+            "joint | 1 | wins": {"restart 0": "22"}}
+    now = {"joint | 1 | a": {"fits": "22", "search misses": "5"},
+           "joint | 1 | wins": {"restart 0": "22"},
+           "joint | 1 | b": {"fits": "28"}}
+    assert quality.moved(kept, now) == [
+        "joint | 1 | a | search misses: 7 -> 5",
+        "joint | 1 | b | fits: (none) -> 28",
+        "3 rows: 2 cells moved",
+    ]
+    assert quality.moved(now, now) == ["3 rows: 0 cells moved"]

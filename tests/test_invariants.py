@@ -1,11 +1,11 @@
-"""Invariants of the bound, ICL and ARI over generated inputs."""
+"""Invariants of the bound, ICL, ARI and whole fits over generated inputs."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cohsmix.em import FitResult, mode_lower_bound
+from cohsmix.em import EMConfig, FitResult, fit_multi_restart, mode_lower_bound
 from cohsmix.metrics import adjusted_rand_index
 from cohsmix.model import (
     MODES,
@@ -17,7 +17,12 @@ from cohsmix.model import (
 )
 from cohsmix.selection import icl_score
 
-from conftest import random_instance, random_responsibilities
+from conftest import (
+    random_features,
+    random_graph,
+    random_instance,
+    random_responsibilities,
+)
 
 GENERATED = settings(max_examples=100, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -89,3 +94,50 @@ def test_ari_invariant_under_relabelling(seed, n, k_a, k_b):
     assert _close(adjusted_rand_index(rng.permutation(k_a)[a],
                                       rng.permutation(k_b)[b]), value)
     assert _close(adjusted_rand_index(b, a), value)
+
+
+@st.composite
+def _fit_inputs(draw):
+    n = draw(st.integers(1, 10))
+    return dict(seed=draw(st.integers(0, 2**32 - 1)), n=n,
+                density=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+                p=draw(st.sampled_from([0, 2])),
+                n_classes=draw(st.integers(1, n + 1)),
+                mode=draw(st.sampled_from(MODES)),
+                n_restarts=draw(st.integers(1, 3)),
+                max_em_iters=draw(st.sampled_from([1, 5, 100])))
+
+
+@settings(GENERATED, max_examples=250)
+@given(case=_fit_inputs())
+def test_a_fit_keeps_its_guarantees_or_names_the_bad_input(case):
+    # The two outcomes of every input: a fit with a finite, non-decreasing
+    # trace, row-stochastic responsibilities, an identical rerun and (joint,
+    # n <= 7) a final bound at or below the exact marginal at its params;
+    # or a ValueError naming the class count or the features.
+    rng = np.random.default_rng(case["seed"])
+    n, n_classes, mode = case["n"], case["n_classes"], case["mode"]
+    graph = random_graph(n, rng, density=case["density"])
+    features = random_features(n, case["p"], rng)
+    cfg = EMConfig(max_em_iters=case["max_em_iters"],
+                   n_restarts=case["n_restarts"], rng_seed=case["seed"])
+    try:
+        result = fit_multi_restart(graph, features, n_classes, cfg, mode)
+    except ValueError as err:
+        assert "n_classes" in str(err) or "features" in str(err), err
+        return
+    trace = np.array(result.bound_trace)
+    assert np.isfinite(trace).all()
+    assert (np.diff(trace) >= 0).all()
+    resp = result.responsibilities
+    assert resp.shape == (n, n_classes) and (resp >= 0).all()
+    assert np.allclose(resp.sum(axis=1), 1.0)
+    again = fit_multi_restart(graph, features, n_classes, cfg, mode)
+    assert again.bound_trace == result.bound_trace
+    assert np.array_equal(again.responsibilities, resp)
+    for name in ("alpha", "pi", "mu", "sigma2"):
+        assert np.array_equal(getattr(again.params, name),
+                              getattr(result.params, name))
+    if mode == "joint" and n <= 7:
+        exact = exact_log_marginal(graph, features, result.params)
+        assert result.final_bound <= exact + 1e-9 * max(1.0, abs(exact))
