@@ -41,7 +41,7 @@ from .model import (
     variational_lower_bound,
 )
 
-INIT_STRATEGIES = ("random-dirichlet", "feature-kmeans", "graph-degree-quantile")
+INIT_STRATEGIES = ("random-dirichlet", "feature-kmeans")
 
 EMPTY_CLASS_MASS = 1e-10
 _RESCUE_ATTEMPTS = 3
@@ -95,7 +95,7 @@ def child_seed(seed: int | None, *key: int) -> int:
     one rule by which the package derives an integer seed (of a scan's
     candidate, a grid replicate or a simulated family's model) from another.
     A restart needs no integer: its generator is built from that child
-    itself (see :func:`_restart_plan`). A None seed draws fresh entropy per
+    itself (see :func:`_restart_seeds`). A None seed draws fresh entropy per
     call."""
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
@@ -147,16 +147,20 @@ def init_responsibilities(graph: Graph, features: FeatureMatrix, n_classes: int,
 
     ``random-dirichlet``, the default, draws each row from a flat
     Dirichlet; no fit starts from it unless handed it as ``resp_init``.
-    ``feature-kmeans`` one-hot encodes a short k-means run from
-    D^2-sampled centres (k-means++) on the feature rows, falling back to
-    the adjacency rows (each vertex's connectivity profile) when there are
-    no feature columns; ``graph-degree-quantile`` bins vertices into degree
-    quantiles. The two hard strategies are smoothed towards uniform with
-    weight 0.1, so every entry is at least 0.1 / n_classes. This is the
-    restart scan's start builder, :func:`_starts`, on a stack of one.
+    ``feature-kmeans`` is the start of every restart: :func:`_starts` on a
+    stack of one, a short k-means run from D^2-sampled centres (k-means++)
+    on the feature rows, or on the adjacency rows (each vertex's
+    connectivity profile) when there are no feature columns, smoothed
+    towards uniform with weight 0.1, so every entry is at least
+    0.1 / n_classes. One class or no vertex gives the uniform start.
     """
     check_count("n_classes", n_classes, 1)
-    return _starts(graph, features, [(n_classes, rng, strategy)], "joint")[0]
+    if strategy not in INIT_STRATEGIES:
+        raise ValueError(f"unknown init strategy {strategy!r}")
+    if strategy == "random-dirichlet" and n_classes > 1 and graph.n:
+        return np.random.default_rng(rng).dirichlet(np.ones(n_classes),
+                                                    size=graph.n)
+    return _starts(graph, features, [(n_classes, rng)], "joint")[0]
 
 
 class _Points(NamedTuple):
@@ -651,50 +655,34 @@ def _check_fit(graph: Graph, features: FeatureMatrix, n_classes: int,
 
 
 def _starts(graph: Graph, features: FeatureMatrix, plans, mode: str) -> list:
-    """The start of each ``(n_classes, seed, strategy)`` of ``plans``, the
-    seed a generator or anything ``np.random.default_rng`` takes (a
-    restart's is its child ``SeedSequence``): the one
-    code that turns a plan into a start (the strategies are described at
-    :func:`init_responsibilities`).
+    """The start of each ``(n_classes, seed)`` of ``plans``, the seed a
+    generator or anything ``np.random.default_rng`` takes (a restart's is
+    its child ``SeedSequence``): the one code that builds a fit's start.
 
-    One class or no vertex gives the uniform start. The k-means runs of all
-    plans share one stack (see :func:`_kmeans_labels`), each ending on the
-    labels it gets alone, and every hard labelling is smoothed the same way,
-    so each plan gets the start it gets in a list of its own.
+    One class or no vertex gives the uniform start: there is nothing to
+    choose. Every other plan runs a short k-means from D^2-sampled centres
+    on the feature rows when the mode reads them and there are any, else
+    on the adjacency rows. The runs of all plans share one stack (see
+    :func:`_kmeans_labels`), each ending on the labels it gets alone, and
+    each labelling is smoothed as ``0.9 * one_hot + 0.1 / n_classes``, so
+    each plan gets the start it gets in a list of its own.
     """
     # The graph-only mode must not see the features anywhere, the
     # initialisation included.
     if not mode_terms(mode)[1]:
         features = FeatureMatrix.empty(graph.n)
     n = graph.n
-    starts: list = [None] * len(plans)
-    # (plan index, labels) of each hard start, and (plan index, (k, rng)) of
-    # each k-means run.
-    hard, kmeans = [], []
-    for index, (n_classes, seed, strategy) in enumerate(plans):
-        if strategy not in INIT_STRATEGIES:
-            raise ValueError(f"unknown init strategy {strategy!r}")
-        rng = np.random.default_rng(seed)
-        if n_classes == 1 or n == 0:
-            # Nothing to choose: one class, or no vertex to place.
-            starts[index] = np.full((n, n_classes), 1.0 / n_classes)
-        elif strategy == "random-dirichlet":
-            starts[index] = rng.dirichlet(np.ones(n_classes), size=n)
-        elif strategy == "feature-kmeans":
-            kmeans.append((index, (n_classes, rng)))
-        else:
-            labels = np.empty(n, dtype=np.int64)
-            labels[np.argsort(graph.degrees, kind="stable")] = \
-                np.arange(n) * n_classes // n
-            hard.append((index, labels))
-    if kmeans:
-        indices, runs = zip(*kmeans)
+    starts = [None if k > 1 and n else np.full((n, k), 1.0 / k)
+              for k, _ in plans]
+    runs = [(index, (k, np.random.default_rng(seed)))
+            for index, (k, seed) in enumerate(plans) if starts[index] is None]
+    if runs:
+        indices, kmeans = zip(*runs)
         points = _feature_points(features) if features.p \
             else _graph_points(graph)
-        hard += zip(indices, _kmeans_labels(points, runs))
-    for index, labels in hard:
-        n_classes = plans[index][0]
-        starts[index] = 0.9 * one_hot(labels, n_classes) + 0.1 / n_classes
+        for index, labels in zip(indices, _kmeans_labels(points, kmeans)):
+            k = plans[index][0]
+            starts[index] = 0.9 * one_hot(labels, k) + 0.1 / k
     return starts
 
 
@@ -845,10 +833,11 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
         mode: str = "joint") -> FitResult:
     """Run EM from one starting point: the lockstep driver on one start.
 
-    The start is ``resp_init`` when given, else restart 0 of the restart
-    plan of ``cfg.rng_seed`` (see :func:`_restart_plan`), so ``fit(cfg)``
-    gives what :func:`fit_multi_restart` gives with one restart, bit for
-    bit. Records the lower bound after every M-step;
+    The start is ``resp_init`` when given, else the start of restart 0 of
+    ``cfg.rng_seed`` (see :func:`_restart_seeds`): k-means from D^2-sampled
+    centres on the rows the fit reads, its features or else its adjacency.
+    So ``fit(cfg)`` gives what :func:`fit_multi_restart` gives with one
+    restart, bit for bit. Records the lower bound after every M-step;
     stops when the relative bound change drops below ``BOUND_REL_TOL``
     (converged) or the iteration cap is hit. The recorded trace is
     non-decreasing: an iteration that would lower the bound (after an
@@ -861,9 +850,9 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
     cfg = cfg or EMConfig()
     _check_fit(graph, features, n_classes, mode)
     if resp_init is None:
-        (seed, strategy), = _restart_plan(cfg.rng_seed, 1,
-                                          _has_features(features, mode))
-        start, = _starts(graph, features, [(n_classes, seed, strategy)], mode)
+        start, = _starts(graph, features,
+                         [(n_classes, _restart_seeds(cfg.rng_seed, 1)[0])],
+                         mode)
     else:
         start = check_responsibilities(resp_init, graph.n, n_classes)
     outcome, = _em(graph, features, [start], cfg.max_em_iters, mode)
@@ -872,28 +861,12 @@ def fit(graph: Graph, features: FeatureMatrix, n_classes: int,
     return outcome.result()
 
 
-def _has_features(features: FeatureMatrix, mode: str) -> bool:
-    """Whether a fit in ``mode`` has feature columns to read."""
-    return features.p > 0 and mode_terms(mode)[1]
-
-
-def _restart_plan(seed: int | None, n_restarts: int,
-                  has_features: bool) -> list[tuple[np.random.SeedSequence,
-                                                    str]]:
-    """The (seed, init strategy) of each restart.
-
-    Restart ``r`` is seeded by its child ``SeedSequence(seed,
-    spawn_key=(r,))``, from which :func:`_starts` builds its generator.
-    With usable features every restart runs k-means from D^2-sampled
-    centres (see :func:`_kmeans_labels`) on the feature rows. Without them
-    restart 0 bins the degree quantiles and every later restart runs that
-    k-means on the adjacency rows; such a fit reads the edges, since
-    :func:`~cohsmix.model.check_features_vary` rejects one that reads
-    neither.
-    """
-    return [(np.random.SeedSequence(seed, spawn_key=(r,)),
-             "graph-degree-quantile" if r == 0 and not has_features
-             else "feature-kmeans")
+def _restart_seeds(seed: int | None,
+                   n_restarts: int) -> list[np.random.SeedSequence]:
+    """The seed of each restart: restart ``r``'s is its child
+    ``SeedSequence(seed, spawn_key=(r,))``, from which :func:`_starts`
+    builds its generator and its k-means start."""
+    return [np.random.SeedSequence(seed, spawn_key=(r,))
             for r in range(n_restarts)]
 
 
@@ -923,18 +896,15 @@ def _fit_candidates(graph: Graph, features: FeatureMatrix, candidates,
     """The restarts of every candidate class count in one lockstep driver.
 
     ``candidates`` holds ``(n_classes, seed)`` pairs, the seed giving the
-    candidate's restart plan (see :func:`_restart_plan`); ``cfg`` gives the
+    candidate's restart seeds (see :func:`_restart_seeds`); ``cfg`` gives the
     restart count and the iteration cap, which every candidate shares. The
     starts of all restarts are built by one :func:`_starts`, their k-means
     runs in one stack.
     Returns, by candidate, the best restart or the ``RuntimeError`` of every
     restart failing.
     """
-    has_features = _has_features(features, mode)
-    plans = [(n_classes, restart_seed, strategy)
-             for n_classes, seed in candidates
-             for restart_seed, strategy in _restart_plan(
-                 seed, cfg.n_restarts, has_features)]
+    plans = [(n_classes, restart_seed) for n_classes, seed in candidates
+             for restart_seed in _restart_seeds(seed, cfg.n_restarts)]
     outcomes = iter(_em(graph, features, _starts(graph, features, plans, mode),
                         cfg.max_em_iters, mode))
     best = []
@@ -954,9 +924,8 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
 
     Restart ``r`` is seeded by the child ``SeedSequence(cfg.rng_seed,
     spawn_key=(r,))``. Every restart runs k-means from D^2-sampled centres
-    on the feature rows; without usable features restart 0 bins the
-    degree quantiles and every later one runs k-means on the adjacency
-    rows (see :func:`_restart_plan`). The restarts run in lockstep, each as
+    on the feature rows, or on the adjacency rows when the fit reads no
+    features (see :func:`_starts`). The restarts run in lockstep, each as
     :func:`fit` would run it alone from its planned start; restart 0 is
     :func:`fit`'s own start. Final bounds within ``TIE_REL_TOL`` (relative)
     of the best tie, and ties keep the earliest restart, whose index the

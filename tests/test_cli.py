@@ -272,7 +272,7 @@ def test_summary_reports_the_fit_counters(capsys, tmp_path, monkeypatch,
 
     def starts(graph, features, plans, mode):
         resps = original(graph, features, plans, mode)
-        for (_, seed, _), resp in zip(plans, resps):
+        for (_, seed), resp in zip(plans, resps):
             if seed.spawn_key == (1,):
                 resp[:, 1] = 0.0
                 resp /= resp.sum(axis=1, keepdims=True)

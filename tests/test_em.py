@@ -91,8 +91,7 @@ def e_step_protocol(damping, cap):
 # Initialisation
 
 
-@pytest.mark.parametrize("strategy", ["random-dirichlet", "feature-kmeans",
-                                      "graph-degree-quantile"])
+@pytest.mark.parametrize("strategy", ["random-dirichlet", "feature-kmeans"])
 def test_init_single_class_is_all_ones(rng, strategy):
     graph = random_graph(6, rng)
     features = random_features(6, 2, rng)
@@ -100,8 +99,7 @@ def test_init_single_class_is_all_ones(rng, strategy):
     assert np.array_equal(resp, np.ones((6, 1)))
 
 
-@pytest.mark.parametrize("strategy", ["random-dirichlet", "feature-kmeans",
-                                      "graph-degree-quantile"])
+@pytest.mark.parametrize("strategy", ["random-dirichlet", "feature-kmeans"])
 @pytest.mark.parametrize("p", [0, 2])
 def test_init_on_an_empty_graph_is_empty(strategy, p):
     # k-means has no row to draw its first centres from.
@@ -111,7 +109,7 @@ def test_init_on_an_empty_graph_is_empty(strategy, p):
     assert resp.shape == (0, 3)
 
 
-@pytest.mark.parametrize("strategy", ["feature-kmeans", "graph-degree-quantile"])
+@pytest.mark.parametrize("strategy", ["feature-kmeans"])
 def test_init_smoothing_floor(rng, strategy):
     graph = random_graph(12, rng)
     features = random_features(12, 3, rng)
@@ -120,8 +118,7 @@ def test_init_smoothing_floor(rng, strategy):
     assert np.allclose(resp.sum(axis=1), 1.0)
 
 
-@pytest.mark.parametrize("strategy", ["random-dirichlet", "feature-kmeans",
-                                      "graph-degree-quantile"])
+@pytest.mark.parametrize("strategy", ["random-dirichlet", "feature-kmeans"])
 def test_init_deterministic_replay(strategy):
     rng = np.random.default_rng(7)
     graph = random_graph(10, rng)
@@ -134,9 +131,13 @@ def test_init_deterministic_replay(strategy):
 
 
 def test_init_unknown_strategy(rng):
+    # The degree-quantile start is gone: every restart is a k-means start.
+    assert em.INIT_STRATEGIES == ("random-dirichlet", "feature-kmeans")
     graph = random_graph(4, rng)
-    with pytest.raises(ValueError, match="strategy"):
-        init_responsibilities(graph, FeatureMatrix.empty(4), 2, "bogus", rng)
+    for strategy in ("bogus", "graph-degree-quantile"):
+        with pytest.raises(ValueError, match="unknown init strategy"):
+            init_responsibilities(graph, FeatureMatrix.empty(4), 2, strategy,
+                                  rng)
 
 
 def d2_seeds(n, k, rng, distances):
@@ -424,9 +425,8 @@ def test_d2_seeds_on_degenerate_rows_give_finite_starts(seed, n, p, ks,
     with np.errstate(all="raise"):
         labels = em._kmeans_labels(points, [(k, np.random.default_rng(seed))
                                             for k in ks])
-        starts = em._starts(graph, features, [
-            (k, seed + r, "feature-kmeans") for r, k in enumerate(ks)],
-            "joint")
+        starts = em._starts(graph, features,
+                            [(k, seed + r) for r, k in enumerate(ks)], "joint")
     for k, one, start in zip(ks, labels, starts):
         assert one.shape == (n,) and 0 <= one.min() and one.max() < k
         assert np.isfinite(start).all()
@@ -465,19 +465,18 @@ def test_init_kmeans_is_the_stack_of_one(rng):
 @pytest.mark.parametrize("mode", ["joint", "graph-only"])
 @pytest.mark.parametrize("n", [4, 20])
 def test_starts_give_each_plan_its_start_alone(n, mode):
-    # One em._starts call on plans of every strategy and of 1 to 6 classes
-    # (more classes than vertices when n = 4) gives each plan, bit for bit,
-    # the start init_responsibilities gives it alone; in the graph-only mode
-    # that is the start without the features.
+    # One em._starts call on plans of 1 to 6 classes (more classes than
+    # vertices when n = 4), two seeds each, gives each plan, bit for bit,
+    # the k-means start init_responsibilities gives it alone; in the
+    # graph-only mode that is the start without the features.
     rng = np.random.default_rng(n)
     graph, features = random_graph(n, rng), random_features(n, 2, rng)
-    plans = [(k, 10 * k + i, strategy) for k in range(1, 7)
-             for i, strategy in enumerate(em.INIT_STRATEGIES)]
+    plans = [(k, 10 * k + i) for k in range(1, 7) for i in range(2)]
     data = features if mode == "joint" else FeatureMatrix.empty(n)
-    for (k, seed, strategy), start in zip(
-            plans, em._starts(graph, features, plans, mode)):
+    for (k, seed), start in zip(plans,
+                                em._starts(graph, features, plans, mode)):
         assert np.array_equal(start, init_responsibilities(
-            graph, data, k, strategy, np.random.default_rng(seed)))
+            graph, data, k, "feature-kmeans", np.random.default_rng(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -1549,9 +1548,9 @@ def test_multi_restart_single_equals_fit():
     graph, features, _ = generate(spec)
     cfg = EMConfig(rng_seed=9, n_restarts=1)
     best = fit_multi_restart(graph, features, 2, cfg)
-    (seed, strategy), = em._restart_plan(cfg.rng_seed, 1, True)
+    seed, = em._restart_seeds(cfg.rng_seed, 1)
     again = fit(graph, features, 2, cfg, resp_init=em._starts(
-        graph, features, [(2, seed, strategy)], "joint")[0])
+        graph, features, [(2, seed)], "joint")[0])
     assert best.final_bound == again.final_bound
     assert np.array_equal(best.partition, again.partition)
 
@@ -1559,9 +1558,9 @@ def test_multi_restart_single_equals_fit():
 @pytest.mark.parametrize("mode, p", [(mode, 2) for mode in MODES]
                          + [("joint", 0), ("graph-only", 0)])
 def test_fit_starts_from_restart_0_of_the_plan(mode, p):
-    # fit's own start is restart 0 of the plan, so a one-restart
-    # fit_multi_restart is fit from the same seed, bit for bit: k-means on
-    # the features, or the degree quantiles without usable features.
+    # fit's own start is restart 0's, so a one-restart fit_multi_restart is
+    # fit from the same seed, bit for bit: k-means on the features, or on
+    # the adjacency rows without usable features.
     spec = AffiliationSpec(n_classes=2, n=25, n_features=p,
                            within_prob=0.5, between_prob=0.2,
                            mean_gap=1.0, seed=0)
@@ -1570,32 +1569,31 @@ def test_fit_starts_from_restart_0_of_the_plan(mode, p):
     best = fit_multi_restart(graph, features, 2, cfg, mode)
     _assert_same_fits([best], [fit(graph, features, 2, cfg, mode=mode)])
     assert best.best_restart == 0
-    (seed, strategy), = em._restart_plan(cfg.rng_seed, 1,
-                                         em._has_features(features, mode))
+    seed, = em._restart_seeds(cfg.rng_seed, 1)
     _assert_same_fits([best], [fit(
         graph, features, 2, cfg, mode=mode, resp_init=em._starts(
-            graph, features, [(2, seed, strategy)], mode)[0])])
+            graph, features, [(2, seed)], mode)[0])])
 
 
-def test_restart_plan_runs_kmeans_on_the_features_for_every_restart():
-    # With usable features every restart is a k-means start on them;
-    # without, restart 0 bins the degree quantiles and the rest run k-means
-    # on the adjacency rows. One restart is restart 0 of either plan.
+@pytest.mark.parametrize("mode, p", [("graph-only", 2), ("joint", 0)])
+def test_a_featureless_fit_starts_from_kmeans_on_the_adjacency(mode, p):
+    # Restart r is seeded by the child of spawn key (r,), and every restart
+    # is a k-means start: without usable features, fit(cfg) is the fit from
+    # the smoothed labels of the reference k-means on the adjacency rows,
+    # drawn from restart 0's seed, bit for bit.
     for n_restarts in (1, 10):
-        with_features = em._restart_plan(3, n_restarts, True)
-        without = em._restart_plan(3, n_restarts, False)
-        assert [strategy for _, strategy in with_features] \
-            == ["feature-kmeans"] * n_restarts
-        assert [strategy for _, strategy in without] \
-            == ["graph-degree-quantile"] \
-            + ["feature-kmeans"] * (n_restarts - 1)
-        assert [one.spawn_key for one, _ in with_features] \
-            == [one.spawn_key for one, _ in without] \
+        assert [one.spawn_key for one in em._restart_seeds(3, n_restarts)] \
             == [(r,) for r in range(n_restarts)]
-    features = FeatureMatrix(np.ones((4, 2)))
-    assert [em._has_features(features, mode) for mode in MODES] \
-        == [True, False, True]
-    assert not em._has_features(FeatureMatrix.empty(4), "joint")
+    spec = AffiliationSpec(n_classes=2, n=25, n_features=p,
+                           within_prob=0.5, between_prob=0.2,
+                           mean_gap=1.0, seed=0)
+    graph, features, _ = generate(spec)
+    cfg = EMConfig(rng_seed=9, n_restarts=1)
+    seed, = em._restart_seeds(cfg.rng_seed, 1)
+    labels = graph_kmeans_one_start(graph, 2, np.random.default_rng(seed))
+    _assert_same_fits([fit(graph, features, 2, cfg, mode=mode)], [fit(
+        graph, features, 2, cfg, mode=mode,
+        resp_init=0.9 * np.eye(2)[labels] + 0.1 / 2)])
 
 
 @pytest.mark.parametrize("seed", [0, 7, 12345, 2**40])
@@ -1604,17 +1602,17 @@ def test_restart_seeds_are_the_spawned_children(seed):
     # child r of SeedSequence(seed).spawn itself, not by a word drawn from
     # it, so its generator is default_rng(child).
     children = np.random.SeedSequence(seed).spawn(10)
-    plan = em._restart_plan(seed, 10, True)
-    assert [(one.entropy, one.spawn_key) for one, _ in plan] \
+    plan = em._restart_seeds(seed, 10)
+    assert [(one.entropy, one.spawn_key) for one in plan] \
         == [(child.entropy, child.spawn_key) for child in children]
-    for (one, _), child in zip(plan, children):
+    for one, child in zip(plan, children):
         assert np.random.default_rng(one).integers(2**63) \
             == np.random.default_rng(child).integers(2**63)
 
 
 def test_restarts_without_a_seed_get_distinct_fresh_seeds():
     first, second = ([np.random.default_rng(one).integers(2**63)
-                      for one, _ in em._restart_plan(None, 10, True)]
+                      for one in em._restart_seeds(None, 10)]
                      for _ in range(2))
     assert len(set(first)) == 10
     assert first != second
@@ -1724,10 +1722,8 @@ def test_multi_restart_beats_single_on_structured_data():
 def _sequential_fits(graph, features, n_classes, cfg, mode):
     """What each restart of fit_multi_restart gives when fitted alone."""
     outcomes = []
-    for seed, strategy in em._restart_plan(
-            cfg.rng_seed, cfg.n_restarts, em._has_features(features, mode)):
-        start = em._starts(graph, features, [(n_classes, seed, strategy)],
-                           mode)[0]
+    for seed in em._restart_seeds(cfg.rng_seed, cfg.n_restarts):
+        start = em._starts(graph, features, [(n_classes, seed)], mode)[0]
         try:
             outcomes.append(fit(graph, features, n_classes, cfg,
                                 resp_init=start, mode=mode))
@@ -1777,7 +1773,7 @@ def _empty_class_one_start(monkeypatch):
 
     def starts(graph, features, plans, mode):
         resps = original(graph, features, plans, mode)
-        for (_, seed, _), resp in zip(plans, resps):
+        for (_, seed), resp in zip(plans, resps):
             if seed.spawn_key == (1,):
                 resp[:, 1] = 0.0
                 resp /= resp.sum(axis=1, keepdims=True)
@@ -1862,12 +1858,10 @@ def test_iteration_lowering_the_bound_is_rolled_back(monkeypatch):
     # that iteration is rolled back and restart 0 stops after one; the
     # other restarts are not touched.
     graph, features, cfg = _lockstep_case()
-    (seed, strategy), *_ = em._restart_plan(cfg.rng_seed, cfg.n_restarts,
-                                            True)
+    seed, *_ = em._restart_seeds(cfg.rng_seed, cfg.n_restarts)
     alone = _sequential_fits(graph, features, 3, cfg, "joint")
     one_iteration = fit(graph, features, 3, replace(cfg, max_em_iters=1),
-                        resp_init=em._starts(graph, features,
-                                             [(3, seed, strategy)],
+                        resp_init=em._starts(graph, features, [(3, seed)],
                                              "joint")[0])
     calls = []
     original = em._rescue
@@ -2103,9 +2097,8 @@ def _fit_as_the_full_iteration_did(monkeypatch, mode, cap, mean_gap=4.0):
     iteration's repeated bound left off its trace. Returns how many runs
     ended on a repeated bound and how many at the cap."""
     graph, features = _readme_case(1001, mean_gap)
-    starts = [em._starts(graph, features, [(3, seed, strategy)], mode)[0]
-              for seed, strategy in em._restart_plan(
-                  5, 6, em._has_features(features, mode))]
+    starts = [em._starts(graph, features, [(3, seed)], mode)[0]
+              for seed in em._restart_seeds(5, 6)]
     monkeypatch.setattr(Graph, "neighbour_mass", row_by_row_mass)
     runs = em._em(graph, features, starts, cap, mode)
     repeats = capped = 0
@@ -2153,8 +2146,8 @@ def test_rollback_beside_an_unmoved_row_keeps_its_own_iterate(monkeypatch):
     # its bound falls and the iteration is rolled back. That start must
     # finish on its own first M-step, not on the row that left.
     graph, features = _readme_case(1002)
-    (seed, strategy), *_ = em._restart_plan(3, 1, True)
-    start = em._starts(graph, features, [(3, seed, strategy)], "joint")[0]
+    seed, = em._restart_seeds(3, 1)
+    start = em._starts(graph, features, [(3, seed)], "joint")[0]
     before = em._em(graph, features, [start], 0, "joint")[0].result()
     calls = []
     original = em._rescue

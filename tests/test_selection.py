@@ -286,7 +286,7 @@ def test_scan_matches_candidates_with_a_reseeded_restart(monkeypatch):
 
     def starts(graph, features, plans, mode):
         resps = original(graph, features, plans, mode)
-        for (n_classes, seed, _), resp in zip(plans, resps):
+        for (n_classes, seed), resp in zip(plans, resps):
             if n_classes == 3 and seed.spawn_key == (1,):
                 resp[:, 1] = 0.0
                 resp /= resp.sum(axis=1, keepdims=True)
