@@ -15,7 +15,7 @@ from cohsmix.model import (
     partition_from_responsibilities,
     variational_lower_bound,
 )
-from cohsmix.selection import icl_score
+from cohsmix.selection import icl_score, select_q
 
 from conftest import (
     random_features,
@@ -141,3 +141,59 @@ def test_a_fit_keeps_its_guarantees_or_names_the_bad_input(case):
     if mode == "joint" and n <= 7:
         exact = exact_log_marginal(graph, features, result.params)
         assert result.final_bound <= exact + 1e-9 * max(1.0, abs(exact))
+
+
+@st.composite
+def _scan_inputs(draw):
+    case = draw(_fit_inputs())
+    q_min = draw(st.integers(1, case["n"] + 1))
+    return dict(case, q_min=q_min, q_max=draw(st.integers(q_min,
+                                                          case["n"] + 1)))
+
+
+@settings(GENERATED, max_examples=250)
+@given(case=_scan_inputs())
+def test_a_scan_keeps_its_guarantees_or_names_the_bad_input(case):
+    # The two outcomes of every scan: each candidate a fit with the
+    # guarantees of fit_multi_restart's test above, an identical rerun of
+    # the whole scan; or a ValueError naming the class range, the features
+    # or the vertex count (the criterion needs two vertices), or a
+    # RuntimeError naming the range whose candidates all failed.
+    rng = np.random.default_rng(case["seed"])
+    n, mode = case["n"], case["mode"]
+    q_min, q_max = case["q_min"], case["q_max"]
+    graph = random_graph(n, rng, density=case["density"])
+    features = random_features(n, case["p"], rng)
+    cfg = EMConfig(max_em_iters=case["max_em_iters"],
+                   n_restarts=case["n_restarts"], rng_seed=case["seed"])
+    try:
+        scan = select_q(graph, features, q_min, q_max, cfg, mode)
+    except ValueError as err:
+        assert any(name in str(err)
+                   for name in ("q_max", "features", "vertices")), err
+        return
+    except RuntimeError as err:
+        assert f"{q_min}..{q_max}" in str(err), err
+        return
+    assert sorted(list(scan.results) + list(scan.failures)) \
+        == list(range(q_min, q_max + 1))
+    assert scan.selected_q in scan.results
+    again = select_q(graph, features, q_min, q_max, cfg, mode)
+    assert (again.scores, again.failures, again.selected_q) \
+        == (scan.scores, scan.failures, scan.selected_q)
+    for q, result in scan.results.items():
+        trace = np.array(result.bound_trace)
+        assert np.isfinite(trace).all() and np.isfinite(result.icl)
+        assert (np.diff(trace) >= 0).all()
+        resp = result.responsibilities
+        assert resp.shape == (n, q) and (resp >= 0).all()
+        assert np.allclose(resp.sum(axis=1), 1.0)
+        other = again.results[q]
+        assert other.bound_trace == result.bound_trace
+        assert np.array_equal(other.responsibilities, resp)
+        for name in ("alpha", "pi", "mu", "sigma2"):
+            assert np.array_equal(getattr(other.params, name),
+                                  getattr(result.params, name))
+        if mode == "joint" and n <= 7:
+            exact = exact_log_marginal(graph, features, result.params)
+            assert result.final_bound <= exact + 1e-9 * max(1.0, abs(exact))
