@@ -273,9 +273,9 @@ def _d2_seeds(points: _Points, starts) -> np.ndarray:
     return seeds
 
 
-def _kmeans_labels(points: _Points, starts) -> list:
-    """The labels of a short Lloyd's k-means run from each ``(k, rng)`` of
-    ``starts``, all runs in one stack, on the rows of ``points``.
+def _kmeans_labels(points: _Points, starts) -> np.ndarray:
+    """The (S, n) labels of a short Lloyd's k-means run from each ``(k,
+    rng)`` of ``starts``, all runs in one stack, on the rows of ``points``.
 
     Each start's first centres are rows drawn by D^2 sampling from its own
     generator (see :func:`_d2_seeds`). Each iteration then labels the rows
@@ -305,7 +305,7 @@ def _kmeans_labels(points: _Points, starts) -> list:
     classes = np.arange(width)[:, None]
     # The start of each stack row, and the labels each start ends on.
     live = np.arange(len(starts))
-    labels = [None] * len(starts)
+    labels = np.empty((len(starts), n), dtype=np.intp)
     for step in range(_KMEANS_ITERS):
         # The (stack rows, n) labels.
         new = _distances(points, sums, counts, padding).reshape(
@@ -313,8 +313,7 @@ def _kmeans_labels(points: _Points, starts) -> list:
         if step:
             repeated = np.logical_and.reduce(new == current, axis=1)
             if np.count_nonzero(repeated):
-                for row in repeated.nonzero()[0].tolist():
-                    labels[live[row]] = new[row]
+                labels[live[repeated]] = new[repeated]
                 going = (~repeated).nonzero()[0]
                 if not going.size:
                     return labels
@@ -331,8 +330,7 @@ def _kmeans_labels(points: _Points, starts) -> list:
         full = found > 0
         sums = np.where(full[:, :, None], points.sums(members), sums)
         counts = np.where(full, found, counts)
-    for row, start in enumerate(live.tolist()):
-        labels[start] = current[row]
+    labels[live] = current
     return labels
 
 
@@ -667,23 +665,47 @@ def _starts(graph: Graph, features: FeatureMatrix, plans, mode: str) -> list:
     each labelling is smoothed as ``0.9 * one_hot + 0.1 / n_classes``, so
     each plan gets the start it gets in a list of its own.
     """
+    return _smooth(plans, _start_labels(graph, features, plans, mode))
+
+
+def _start_labels(graph: Graph, features: FeatureMatrix, plans,
+                  mode: str) -> np.ndarray:
+    """The (plans, n) k-means labels of the plans of :func:`_starts`, all
+    0 for a uniform start, which they smooth to."""
     # The graph-only mode must not see the features anywhere, the
     # initialisation included.
     if not mode_terms(mode)[1]:
         features = FeatureMatrix.empty(graph.n)
-    n = graph.n
-    starts = [None if k > 1 and n else np.full((n, k), 1.0 / k)
-              for k, _ in plans]
+    labels = np.zeros((len(plans), graph.n), dtype=np.intp)
     runs = [(index, (k, np.random.default_rng(seed)))
-            for index, (k, seed) in enumerate(plans) if starts[index] is None]
+            for index, (k, seed) in enumerate(plans) if k > 1 and graph.n]
     if runs:
         indices, kmeans = zip(*runs)
         points = _feature_points(features) if features.p \
             else _graph_points(graph)
-        for index, labels in zip(indices, _kmeans_labels(points, kmeans)):
-            k = plans[index][0]
-            starts[index] = 0.9 * one_hot(labels, k) + 0.1 / k
-    return starts
+        labels[list(indices)] = _kmeans_labels(points, kmeans)
+    return labels
+
+
+def _smooth(plans, labels) -> list:
+    """The start of each plan of :func:`_starts` from its labels."""
+    return [0.9 * one_hot(found, k) + 0.1 / k
+            for (k, _), found in zip(plans, labels)]
+
+
+def _first_twins(labels: np.ndarray, n_classes: int) -> list:
+    """For each row of one candidate's :func:`_start_labels`, the index of
+    the first with its partition, keyed by relabelling each class by its
+    first vertex (classes in order of first appearance, empty ones last)."""
+    first = (labels[:, None, :] == np.arange(n_classes)[:, None]).argmax(
+        axis=2).ravel()
+    keys = first.take(labels + np.arange(0, first.size, n_classes)[:, None])
+    twins = [-1] * len(keys)
+    for r in range(len(keys)):
+        if twins[r] < 0:
+            same = np.logical_and.reduce(keys == keys[r], axis=1).tolist()
+            twins = [r if one else twin for one, twin in zip(same, twins)]
+    return twins
 
 
 @dataclass
@@ -898,15 +920,25 @@ def _fit_candidates(graph: Graph, features: FeatureMatrix, candidates,
     ``candidates`` holds ``(n_classes, seed)`` pairs, the seed giving the
     candidate's restart seeds (see :func:`_restart_seeds`); ``cfg`` gives the
     restart count and the iteration cap, which every candidate shares. The
-    starts of all restarts are built by one :func:`_starts`, their k-means
-    runs in one stack.
+    k-means labels of all restarts are found in one stack. EM runs once per
+    partition of a candidate (see :func:`_first_twins`): twin restarts,
+    numbering its classes differently, would run from column permutations
+    of one start, and each takes the run of the first, which wins their tie.
     Returns, by candidate, the best restart or the ``RuntimeError`` of every
     restart failing.
     """
     plans = [(n_classes, restart_seed) for n_classes, seed in candidates
              for restart_seed in _restart_seeds(seed, cfg.n_restarts)]
-    outcomes = iter(_em(graph, features, _starts(graph, features, plans, mode),
-                        cfg.max_em_iters, mode))
+    labels = _start_labels(graph, features, plans, mode)
+    # The restart whose run each restart takes.
+    twins = [at + r for at in range(0, len(plans), cfg.n_restarts)
+             for r in _first_twins(labels[at:at + cfg.n_restarts],
+                                   plans[at][0])]
+    firsts = sorted(set(twins))
+    ran = dict(zip(firsts, _em(
+        graph, features, _smooth([plans[r] for r in firsts], labels[firsts]),
+        cfg.max_em_iters, mode)))
+    outcomes = (ran[r] for r in twins)
     best = []
     for _ in candidates:
         try:
@@ -927,11 +959,14 @@ def fit_multi_restart(graph: Graph, features: FeatureMatrix, n_classes: int,
     on the feature rows, or on the adjacency rows when the fit reads no
     features (see :func:`_starts`). The restarts run in lockstep, each as
     :func:`fit` would run it alone from its planned start; restart 0 is
-    :func:`fit`'s own start. Final bounds within ``TIE_REL_TOL`` (relative)
-    of the best tie, and ties keep the earliest restart, whose index the
-    result holds as ``best_restart``. A restart whose classes stay empty
-    fails while the others go on; the returned result lists the failures
-    in ``failed_restarts``. Raises if every restart fails.
+    :func:`fit`'s own start. A restart whose k-means labels are an earlier
+    restart's partition numbered differently runs no EM of its own and
+    takes that restart's outcome. Final bounds within ``TIE_REL_TOL``
+    (relative) of the best tie, and ties keep the earliest restart, whose
+    index the result holds as ``best_restart``. A restart whose classes
+    stay empty fails while the others go on; the returned result lists the
+    failures, each twin of a failed start under its own index, in
+    ``failed_restarts``. Raises if every restart fails.
     """
     cfg = cfg or EMConfig()
     _check_fit(graph, features, n_classes, mode)

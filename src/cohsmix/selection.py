@@ -127,8 +127,10 @@ def select_q(graph: Graph, features: FeatureMatrix, q_min: int, q_max: int,
     whole scan replays bit-for-bit, and is scored on its soft
     responsibilities: the surviving candidates in one padded
     stack, each exactly as :func:`icl_score` scores it alone. The restarts
-    of every candidate run in one lockstep EM driver, each candidate giving
-    what :func:`~cohsmix.em.fit_multi_restart` gives it alone, to rounding.
+    of every candidate run in one lockstep EM driver, each distinct start
+    partition of a candidate once (twins are never merged across
+    candidates), each candidate giving what
+    :func:`~cohsmix.em.fit_multi_restart` gives it alone, to rounding.
     Candidates whose every restart fails are recorded and excluded; if all
     candidates fail the scan raises.
     """

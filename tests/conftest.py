@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cohsmix.model import FeatureMatrix, Graph, ModelParams
+
+# Every run draws the same examples, so the suite's outcome and wall time
+# repeat; ``pytest --hypothesis-profile=explore`` draws fresh ones.
+settings.register_profile("default", derandomize=True)
+settings.register_profile("explore", derandomize=False)
 
 
 def random_graph(n, rng, density=0.4):

@@ -268,17 +268,17 @@ def test_summary_reports_the_fit_counters(capsys, tmp_path, monkeypatch,
 
     # Restart 1, known by its seed's spawn key, loses class 1 and cannot
     # be re-seeded, so it fails while the others fit.
-    original = em._starts
+    original = em._smooth
 
-    def starts(graph, features, plans, mode):
-        resps = original(graph, features, plans, mode)
+    def smooth(plans, labels):
+        resps = original(plans, labels)
         for (_, seed), resp in zip(plans, resps):
             if seed.spawn_key == (1,):
                 resp[:, 1] = 0.0
                 resp /= resp.sum(axis=1, keepdims=True)
         return resps
 
-    monkeypatch.setattr(em, "_starts", starts)
+    monkeypatch.setattr(em, "_smooth", smooth)
     monkeypatch.setattr(em, "_reseed_empty_classes",
                         lambda resp, empty_classes: resp)
     data = simulate_dataset(capsys, tmp_path)

@@ -1649,8 +1649,9 @@ def test_multi_restart_returns_best_bound(monkeypatch):
                            within_prob=0.5, between_prob=0.2,
                            mean_gap=1.5, seed=2)
     graph, features, _ = generate(spec)
+    # This seed gives five restarts of five partitions, so five runs.
     best, runs = _fit_with_runs(monkeypatch, graph, features, 3,
-                               EMConfig(rng_seed=4, n_restarts=5))
+                               EMConfig(rng_seed=18, n_restarts=5))
     assert len(runs) == 5
     assert best.bound_trace is _first_best(runs).bound_trace
 
@@ -1768,26 +1769,29 @@ def test_lockstep_restarts_match_sequential_fits(monkeypatch, mode):
 
 def _empty_class_one_start(monkeypatch):
     """Make the start of restart 1, known by its seed's spawn key, give
-    class 1 no mass, in a fit of all restarts and alone."""
-    original = em._starts
+    class 1 no mass, in a fit of all restarts and alone. A twin of restart
+    1 runs no start of its own, so it takes restart 1's outcome."""
+    original = em._smooth
 
-    def starts(graph, features, plans, mode):
-        resps = original(graph, features, plans, mode)
+    def smooth(plans, labels):
+        resps = original(plans, labels)
         for (_, seed), resp in zip(plans, resps):
             if seed.spawn_key == (1,):
                 resp[:, 1] = 0.0
                 resp /= resp.sum(axis=1, keepdims=True)
         return resps
 
-    monkeypatch.setattr(em, "_starts", starts)
+    monkeypatch.setattr(em, "_smooth", smooth)
 
 
 def _lockstep_case(mean_gap=2.0):
+    # The four restarts of rng_seed 5 start from four partitions, so each
+    # runs.
     spec = AffiliationSpec(n_classes=3, n=60, n_features=2,
                            within_prob=0.5, between_prob=0.1,
                            mean_gap=mean_gap, seed=3)
     graph, features, _ = generate(spec)
-    return graph, features, EMConfig(rng_seed=2, n_restarts=4)
+    return graph, features, EMConfig(rng_seed=5, n_restarts=4)
 
 
 def test_lockstep_matches_sequential_with_a_reseeded_restart(monkeypatch):
@@ -1893,21 +1897,122 @@ def test_fit_reports_no_failed_restarts(rng):
 def test_all_restarts_failing_names_each(monkeypatch):
     monkeypatch.setattr(em, "_reseed_empty_classes",
                         lambda resp, empty_classes: resp)
-    # Every start, the k-means one included, gives class 0 no mass.
-    original = em._starts
+    # Every start, the k-means one included, gives class 0 no mass; a
+    # restart whose start is a twin of restart 0's takes its failure.
+    original = em._smooth
 
-    def starts(graph, features, plans, mode):
-        resps = original(graph, features, plans, mode)
+    def smooth(plans, labels):
+        resps = original(plans, labels)
         for resp in resps:
             resp[:, 0] = 0.0
         return [resp / resp.sum(axis=1, keepdims=True) for resp in resps]
 
-    monkeypatch.setattr(em, "_starts", starts)
+    monkeypatch.setattr(em, "_smooth", smooth)
     graph, features, _ = _lockstep_case()
     with pytest.raises(RuntimeError, match=r"all 2 restarts failed: "
                        r"\['restart 0: classes \[0\] have no mass', "
                        r"'restart 1: classes \[0\] have no mass'\]"):
         fit_multi_restart(graph, features, 3, EMConfig(n_restarts=2))
+
+
+def _count_em_starts(monkeypatch):
+    """The number of starts each call of ``em._em`` is handed."""
+    counts = []
+    driver = em._em
+
+    def counted(graph, features, starts, *args):
+        counts.append(len(starts))
+        return driver(graph, features, starts, *args)
+
+    monkeypatch.setattr(em, "_em", counted)
+    return counts
+
+
+def test_twin_restarts_run_once_and_fit_as_every_restart_alone(monkeypatch):
+    # The ten k-means starts of this fit are one partition, numbered in
+    # five ways: one start goes to the driver, and the fit is the best of
+    # the ten restarts each run alone, index and trace included.
+    graph, features = _readme_case(1000)
+    cfg = EMConfig(rng_seed=0)
+    seeds = em._restart_seeds(cfg.rng_seed, cfg.n_restarts)
+    starts = [em._starts(graph, features, [(3, seed)], "joint")[0]
+              for seed in seeds]
+    assert len({start.argmax(axis=1).tobytes() for start in starts}) == 5
+    alone = [em._em(graph, features, [start], cfg.max_em_iters, "joint")[0]
+             for start in starts]
+    expected = em._best_restart(alone)
+    counts = _count_em_starts(monkeypatch)
+    best = fit_multi_restart(graph, features, 3, cfg)
+    assert counts == [1]
+    assert best.best_restart == expected.best_restart == 0
+    assert best.bound_trace == expected.bound_trace
+    assert best.failed_restarts == expected.failed_restarts == []
+    assert np.array_equal(best.responsibilities, expected.responsibilities)
+    assert (best.e_step_sweeps, best.sweep_cap_hits, best.converged) \
+        == (expected.e_step_sweeps, expected.sweep_cap_hits,
+            expected.converged)
+
+
+def test_a_failed_start_fails_each_of_its_twins(monkeypatch):
+    # Restart 2 is a twin of restart 1, whose start loses class 1 and
+    # cannot be re-seeded: restart 2 runs nothing and is listed failed
+    # under its own index.
+    _empty_class_one_start(monkeypatch)
+    monkeypatch.setattr(em, "_reseed_empty_classes",
+                        lambda resp, empty_classes: resp)
+    graph, features, cfg = _lockstep_case()
+    cfg = replace(cfg, rng_seed=7)
+    labels = em._start_labels(graph, features, [
+        (3, seed) for seed in em._restart_seeds(cfg.rng_seed, 4)], "joint")
+    assert em._first_twins(labels, 3) == [0, 1, 1, 3]
+    counts = _count_em_starts(monkeypatch)
+    best = fit_multi_restart(graph, features, 3, cfg)
+    assert counts == [3]
+    assert best.failed_restarts == ["restart 1: classes [1] have no mass",
+                                    "restart 2: classes [1] have no mass"]
+    assert best.best_restart in (0, 3)
+
+
+def test_twin_key_is_the_partition():
+    # Classes are compared by their members, not their numbers: a
+    # relabelling that leaves another class empty is a twin, a different
+    # partition is not, and neither is one that merges two classes.
+    base = np.array([0, 0, 1, 1, 2, 2])
+    labels = np.array([base, [3, 3, 0, 0, 1, 1], [0, 1, 1, 0, 2, 2],
+                       [2, 2, 1, 1, 0, 0], [0, 0, 1, 1, 1, 1],
+                       [1, 1, 0, 0, 0, 0]])
+    assert em._first_twins(labels, 4) == [0, 0, 2, 0, 4, 4]
+    assert em._first_twins(np.zeros((3, 5), dtype=int), 1) \
+        == [0, 0, 0]
+
+
+def test_scan_keeps_twins_within_each_candidate(monkeypatch):
+    # Every k-means labelling is made one partition, so each candidate's
+    # restarts are all twins of its first; the scan still runs one start
+    # per candidate, never one for all, and each candidate is the
+    # fit_multi_restart it gets alone.
+    original = em._start_labels
+
+    def one_partition(graph, features, plans, mode):
+        labels = original(graph, features, plans, mode)
+        labels[:] = np.arange(graph.n) % 2
+        labels[[k == 1 for k, _ in plans]] = 0
+        return labels
+
+    monkeypatch.setattr(em, "_start_labels", one_partition)
+    graph, features = _readme_case(1001)
+    cfg = EMConfig(rng_seed=3, n_restarts=3)
+    counts = _count_em_starts(monkeypatch)
+    scan = select_q(graph, features, 1, 4, cfg)
+    assert counts == [4]
+    for q, run in scan.results.items():
+        one = fit_multi_restart(graph, features, q,
+                                replace(cfg, rng_seed=em.child_seed(3, q)))
+        assert counts[-1] == 1
+        assert np.array_equal(run.partition, one.partition)
+        assert run.bound_trace == pytest.approx(one.bound_trace, rel=1e-9)
+        assert (run.best_restart, run.failed_restarts, run.e_step_sweeps) \
+            == (one.best_restart, one.failed_restarts, one.e_step_sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -1943,8 +2048,9 @@ def test_features_only_ignores_graph(rng):
 def test_features_only_restarts_ignore_graph(monkeypatch):
     spec = AffiliationSpec(n_classes=2, n=30, n_features=3,
                            within_prob=0.6, between_prob=0.1,
-                           mean_gap=2.0, seed=0)
+                           mean_gap=0.5, seed=0)
     graph, features, _ = generate(spec)
+    # Features this close give three restarts of three partitions.
     cfg = EMConfig(rng_seed=5, n_restarts=3)
     _, first = _fit_with_runs(monkeypatch, graph, features, 2, cfg,
                              mode="features-only")
@@ -2012,9 +2118,9 @@ def test_mode_bound_rejects_rows_that_do_not_sum_to_one(rng):
 # Unmoved E-steps end a fit; results are built for returned fits only
 
 
-def _readme_case(seed, mean_gap=4.0):
+def _readme_case(seed, mean_gap=4.0, between_prob=0.1):
     spec = AffiliationSpec(n_classes=3, n=150, n_features=3,
-                           within_prob=0.5, between_prob=0.1,
+                           within_prob=0.5, between_prob=between_prob,
                            mean_gap=mean_gap, seed=seed)
     return generate(spec)[:2]
 
@@ -2022,10 +2128,12 @@ def _readme_case(seed, mean_gap=4.0):
 @pytest.mark.parametrize("mode", MODES)
 def test_converged_trace_never_ends_on_a_repeated_bound(monkeypatch, mode):
     # An E-step that returns its start ends the fit before an M-step could
-    # rebuild the params and bound it already has.
+    # rebuild the params and bound it already has. Classes this close, in
+    # the features and the graph, give 28 to 30 runs of distinct partitions
+    # over the 30 restarts in every mode.
     converged = 0
     for seed in range(3):
-        graph, features = _readme_case(1000 + seed)
+        graph, features = _readme_case(1000 + seed, 1.0, 0.3)
         _, runs = _fit_with_runs(monkeypatch, graph, features, 3,
                                  EMConfig(rng_seed=seed), mode=mode)
         for run in runs:
